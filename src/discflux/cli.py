@@ -33,9 +33,7 @@ from .errors import (
 )
 from .fluxes import invariant_interval, invert_near, max_wave_speed
 from .grid import PiecewiseConstant, build_grid, cell_average
-from .solver import ProblemSpec, SolverConfig, State, run, step
-
-_CFL_LIMIT_SLACK = 1e-12
+from .solver import _CFL_SLACK, _NUMERICAL_FLUXES, ProblemSpec, SolverConfig, State, run, step
 
 
 def main(argv=None) -> int:
@@ -195,7 +193,7 @@ def cmd_verify(config: ExperimentConfig) -> int:
     u_range = invariant_interval(model, data_range(config))
     speed = max_wave_speed(model, u_range)
     product = config.lam * speed
-    cfl_ok = product <= 1.0 + _CFL_LIMIT_SLACK
+    cfl_ok = product <= 1.0 + _CFL_SLACK
     results.append(("cfl", "PASS" if cfl_ok else "FAIL",
                     f"lambda*max_speed = {product:.6g} on range [{u_range[0]:.6g}, {u_range[1]:.6g}]"))
 
@@ -330,7 +328,7 @@ def _check_temporal_tv(trajectory, grid, model):
 
 
 def _check_equivalence(config, problem, grid, model):
-    kinds = ("upwind", "godunov", "engquist_osher")
+    kinds = _NUMERICAL_FLUXES
     levels = {}
     for kind in kinds:
         trajectory = run(problem, grid, model, build_solver_config(config, kind),

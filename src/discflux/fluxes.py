@@ -24,6 +24,9 @@ _N_SAMPLES = 4097
 # Relative residual at which numerical inversion stops.
 _INVERT_RTOL = 1e-12
 
+# Bisection also stops once the bracket is a few machine epsilons wide.
+_EPS = float(np.finfo(float).eps)
+
 
 # {{{ flux segments
 
@@ -269,7 +272,7 @@ def invert(seg: FluxSegment, w: float, bracket: tuple[float, float]) -> float:
         else:
             u_hi = u
         u = 0.5 * (u_lo + u_hi)
-        if u_hi - u_lo <= 4.0 * np.finfo(float).eps * max(1.0, abs(u_lo), abs(u_hi)):
+        if u_hi - u_lo <= 4.0 * _EPS * max(1.0, abs(u_lo), abs(u_hi)):
             return u
     return u
 

@@ -22,6 +22,10 @@ from .grid import Grid, SampledTable, cell_average, _GL_NODES, _GL_WEIGHTS
 
 _CFL_SLACK = 1e-12
 
+# For increasing laws every one of these gives the same edge fluxes
+# (see numerical_flux_value); they stay selectable so that can be checked.
+_NUMERICAL_FLUXES = ("upwind", "godunov", "engquist_osher")
+
 
 # {{{ problem and configuration
 
@@ -67,7 +71,7 @@ class SolverConfig:
             raise ValueError(f"lam must be positive and finite, got {self.lam}")
         if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
             raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
-        if self.numerical_flux not in ("upwind", "godunov", "engquist_osher"):
+        if self.numerical_flux not in _NUMERICAL_FLUXES:
             raise ValueError(f"unknown numerical flux {self.numerical_flux!r}")
         if not isinstance(self.left, (Outflow, Inflow)):
             raise ValueError("left boundary must be Outflow or Inflow")
@@ -122,20 +126,100 @@ def numerical_flux_value(kind: str, seg: FluxSegment, u_left, u_right):
     splitting has an identically zero decreasing part.  ``godunov`` keeps its
     min/max form so the collapse is observable rather than assumed.
     """
-    if kind == "upwind":
-        return seg(u_left)
+    if kind not in _NUMERICAL_FLUXES:
+        raise ValueError(f"unknown numerical flux kind: {kind!r}")
+    return _edge_flux(kind, seg)(u_left, u_right)
+
+
+def _edge_flux(kind: str, seg: FluxSegment) -> Callable:
+    """The edge-flux function ``F(u_left, u_right)`` of one law and kind."""
     if kind == "godunov":
-        f_left, f_right = seg(u_left), seg(u_right)
-        return np.where(
-            np.asarray(u_left) <= np.asarray(u_right),
-            np.minimum(f_left, f_right),
-            np.maximum(f_left, f_right),
-        )
-    if kind == "engquist_osher":
-        # f = f_inc + f_dec split by derivative sign: f_dec of an increasing
-        # law is identically zero, leaving f_inc(a) = f(a) exactly
-        return seg(u_left)
-    raise ValueError(f"unknown numerical flux kind: {kind!r}")
+        def godunov(u_left, u_right):
+            f_left, f_right = seg(u_left), seg(u_right)
+            return np.where(
+                np.asarray(u_left) <= np.asarray(u_right),
+                np.minimum(f_left, f_right),
+                np.maximum(f_left, f_right),
+            )
+
+        return godunov
+    # upwind, and engquist_osher: f = f_inc + f_dec split by derivative sign,
+    # where f_dec of an increasing law is identically zero, leaving f_inc(a) = f(a)
+    return lambda u_left, u_right: seg(u_left)
+
+
+# }}}
+
+
+# {{{ march plan
+
+
+class _March:
+    """Everything one level-to-level update needs, resolved once.
+
+    Holds each subdomain's cell bounds ``(seg, a, b)`` with its update (a
+    convex combination for a linear law, edge fluxes otherwise), the interface
+    couplings ``(p, left law, right law)``, the inversion bracket, the
+    left-boundary trace and a scratch buffer.  :meth:`advance` writes into a
+    caller-owned array, so a march can alternate between two buffers.
+    """
+
+    def __init__(self, grid: Grid, model: PiecewiseFlux, config: SolverConfig,
+                 bracket: Optional[tuple[float, float]]):
+        segs = model.segments
+        bounds = (0, *grid.interface_cells, grid.n)
+        self.blocks = tuple(zip(segs, bounds, bounds[1:]))
+        # a one-cell subdomain has no interior: its cell is the boundary or
+        # an interface cell
+        self.updates = [
+            (seg, a, b, seg.params[0], None) if seg.kind == "linear"
+            else (seg, a, b, None, _edge_flux(config.numerical_flux, seg))
+            for seg, a, b in self.blocks
+            if b - a > 1
+        ]
+        self.couplings = tuple(zip(grid.interface_cells, segs, segs[1:]))
+        self.bracket = bracket
+        self.trace = config.left.trace if isinstance(config.left, Inflow) else None
+        self.slab = config.lam * grid.dx
+        self.t_end = config.t_end
+        self.scratch = np.empty(grid.n)
+
+    def advance(self, u: np.ndarray, new: np.ndarray, t: float, dt: float, lam: float):
+        """Write the level after ``u`` (at time ``t``, step ``dt = lam * dx``) into ``new``."""
+        scratch = self.scratch
+        for seg, a, b, slope, edges in self.updates:
+            dst, tmp = new[a + 1:b], scratch[a + 1:b]
+            if slope is not None:
+                # convex combination of the two upwind cells; exact at weight
+                # one, and identical for every numerical flux kind
+                w = lam * slope
+                np.multiply(u[a + 1:b], 1.0 - w, out=dst)
+                np.multiply(u[a:b - 1], w, out=tmp)
+                np.add(dst, tmp, out=dst)
+            else:
+                # conservative difference of the edge fluxes; the last cell's
+                # right edge uses the law's scalar form, as the interior ones
+                # use its array form
+                edge = np.asarray(edges(u[a:b - 1], u[a + 1:b]))
+                np.subtract(edge[1:], edge[:-1], out=tmp[:-1])
+                tmp[-1] = seg(u[b - 1]) - edge[-1]
+                np.multiply(tmp, lam, out=tmp)
+                np.subtract(u[a + 1:b], tmp, out=dst)
+
+        if self.trace is not None:
+            t_new = t + dt
+            new[0] = _slab_average(self.trace, t_new, min(t_new + self.slab, self.t_end))
+        else:
+            # ghost repeats the boundary cell, so the update cancels exactly
+            new[0] = u[0]
+
+        # interface cells: match the flux of the updated left neighbour
+        for p, left, right in self.couplings:
+            w = float(left(new[p - 1]))
+            if self.bracket is not None:
+                new[p] = invert(right, w, self.bracket)
+            else:
+                new[p] = invert_near(right, w, (float(new.min()), float(new.max())))
 
 
 # }}}
@@ -174,51 +258,21 @@ def step(
             raise ValueError(f"dt must be nonnegative, got {dt}")
         lam = dt / grid.dx
 
-    slices = grid.subdomain_slices()
+    march = _March(grid, model, config, u_range)
     speed = 0.0
-    for seg, sl in zip(model.segments, slices):
-        block = u[sl]
-        if block.size:
-            speed = max(speed, seg.deriv_bounds(float(block.min()), float(block.max()))[1])
+    for seg, a, b in march.blocks:
+        block = u[a:b]
+        speed = max(speed, seg.deriv_bounds(float(block.min()), float(block.max()))[1])
     if lam * speed > 1.0 + _CFL_SLACK:
         raise StabilityError(
             f"dt/dx * max wave speed = {lam * speed:.6g} > 1 at t={state.t:.6g} "
             f"(dt={dt:.6g}, speed={speed:.6g})"
         )
 
-    new = np.empty_like(u)
-    for seg, sl in zip(model.segments, slices):
-        a, b = sl.start, sl.stop
-        if seg.kind == "linear":
-            # convex combination of the two upwind cells; exact at weight one,
-            # and identical for every numerical flux kind
-            w = lam * seg.params[0]
-            new[a + 1:b] = (1.0 - w) * u[a + 1:b] + w * u[a:b - 1]
-        else:
-            edge = np.asarray(numerical_flux_value(config.numerical_flux, seg, u[a:b - 1], u[a + 1:b]))
-            right = np.empty(b - a - 1)
-            if right.size:
-                right[:-1] = edge[1:]
-                right[-1] = seg(u[b - 1])
-            new[a + 1:b] = u[a + 1:b] - lam * (right - edge)
-
-    # left boundary cell
-    if isinstance(config.left, Inflow):
-        t_new = state.t + dt
-        slab_end = min(t_new + config.lam * grid.dx, config.t_end)
-        new[0] = _slab_average(config.left.trace, t_new, slab_end)
-    else:
-        # ghost repeats the boundary cell, so the update cancels exactly
-        new[0] = u[0]
-
-    # interface cells: match the flux of the updated left neighbour
-    for i, p in enumerate(grid.interface_cells):
-        w = float(model.segments[i](new[p - 1]))
-        if u_range is not None:
-            new[p] = invert(model.segments[i + 1], w, u_range)
-        else:
-            new[p] = invert_near(model.segments[i + 1], w, (float(new.min()), float(new.max())))
-
+    # without a bracket, inversions seed from the new level's range; interface
+    # cells not yet coupled hold their old values until their turn
+    new = u.copy()
+    march.advance(u, new, state.t, dt, lam)
     return State(new, state.t + dt, state.step + 1)
 
 
@@ -278,9 +332,10 @@ def run(
     """March from the initial datum to ``config.t_end``.
 
     Full steps use ``dt = lam * dx``; one shortened final step lands exactly
-    on the end time.  Stability is checked up front on the invariant range of
-    the data (the range no interface map can escape), so a run either fails
-    immediately or finishes.
+    on the end time.  Stability is checked once, up front, on the invariant
+    range of the data: no interface map can escape it and every inversion is
+    clamped to it, so a run either fails immediately or finishes.  The march
+    plan is built once as well; the steps then only apply it.
 
     Snapshots record the first level at or after each requested time.
     ``record_increments`` accumulates per-cell sums of level-to-level changes;
@@ -329,31 +384,40 @@ def run(
     else:
         level_times[-1] = t_end
 
-    state = State(u0.copy(), 0.0, 0)
+    # the march alternates between two buffers; every level handed out
+    # (snapshot or retained) is a copy, and the last one written is final
+    march = _March(grid, model, config, u_range)
+    u, spare = u0, np.empty_like(u0)
+    t, k = 0.0, 0
     snapshots: list[Snapshot] = []
 
     def take_due():
-        while pending and state.t >= pending[0] - 1e-12:
-            snapshots.append(Snapshot(pending.pop(0), state.copy()))
+        while pending and t >= pending[0] - 1e-12:
+            snapshots.append(Snapshot(pending.pop(0), State(u.copy(), t, k)))
 
     take_due()
     increments = np.zeros(grid.n) if record_increments else None
-    levels = [state.copy()] if retain_levels else None
+    change = np.empty_like(u0) if record_increments else None
+    levels = [State(u.copy(), t, k)] if retain_levels else None
+    last_lam = remainder / grid.dx
 
     for k in range(1, len(level_times)):
-        full = k <= n_full
-        nxt = step(state, grid, model, config, dt=None if full else remainder, u_range=u_range)
+        if k <= n_full:
+            march.advance(u, spare, t, dt, config.lam)
+        else:
+            march.advance(u, spare, t, remainder, last_lam)
         if record_increments:
-            increments += np.abs(nxt.u - state.u)
+            np.subtract(spare, u, out=change)
+            increments += np.abs(change, out=change)
+        u, spare = spare, u
         # pin the clock to the precomputed level; summing dt would drift
-        nxt.t = level_times[k]
-        state = nxt
+        t = level_times[k]
         if retain_levels:
-            levels.append(state.copy())
+            levels.append(State(u.copy(), t, k))
         take_due()
 
     return Trajectory(
-        final=state,
+        final=State(u, t, k),
         snapshots=snapshots,
         temporal_increments=increments,
         levels=levels,

@@ -84,3 +84,25 @@ def reference_step(u, lam, fluxes, interface_cells, brackets):
         lo, hi = brackets
         new[p] = bisect_root(lambda v: fluxes[i + 1](v) - w, lo, hi)
     return np.asarray(new)
+
+
+def flux_lipschitz_all_pairs(levels, times, centers, fluxes, interface_cells):
+    """Largest space-Lipschitz quotient of the flux over every same-law cell pair.
+
+    ``levels`` holds the cell values of each level and ``times`` their times.
+    For cells j < k under one law the quotient is
+    ``sum_n dt_n |f(u_j^n) - f(u_k^n)| / (x_k - x_j)``, with the law evaluated
+    one value at a time.
+    """
+    dts = np.diff(times)
+    bounds = [0, *interface_cells, len(centers)]
+    worst = 0.0
+    for i, f in enumerate(fluxes):
+        cells = range(bounds[i], bounds[i + 1])
+        flux = {j: np.array([float(f(float(lv[j]))) for lv in levels[:-1]]) for j in cells}
+        for j in cells:
+            for k in cells:
+                if k > j:
+                    total = np.sum(dts * np.abs(flux[j] - flux[k]))
+                    worst = max(worst, float(total / (centers[k] - centers[j])))
+    return worst

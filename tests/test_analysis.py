@@ -6,6 +6,8 @@ import pytest
 from discflux import (
     PiecewiseConstant,
     PiecewiseFlux,
+    ProblemSpec,
+    SolverConfig,
     State,
     Trajectory,
     build_grid,
@@ -32,6 +34,7 @@ from discflux.errors import (
     SequencingError,
     ValidityError,
 )
+from oracles import flux_lipschitz_all_pairs
 
 
 def _state(u, t=0.0, step=0):
@@ -160,6 +163,33 @@ def test_flux_lipschitz_stays_capped_while_shock_sharpens():
     grid = build_grid(config.xmin, config.xmax, 128, config.interfaces)
     traj = run(problem, grid, model, solver_config, retain_levels=True)
     assert flux_lipschitz_in_space(traj, grid, model) < 3.5
+
+
+def _all_pairs_quotient(traj, grid, model):
+    return flux_lipschitz_all_pairs([lv.u for lv in traj.levels], [lv.t for lv in traj.levels],
+                                    grid.centers, model.segments, grid.interface_cells)
+
+
+@pytest.mark.parametrize("name", ["experiment1", "experiment2"])
+@pytest.mark.parametrize("n", [64, 256])
+def test_flux_lipschitz_matches_all_pairs_oracle(name, n):
+    config = preset(name)
+    model = build_model(config)
+    grid = build_grid(config.xmin, config.xmax, n, config.interfaces)
+    traj = run(build_problem(config), grid, model, build_solver_config(config),
+               retain_levels=True)
+    got = flux_lipschitz_in_space(traj, grid, model)
+    assert got == pytest.approx(_all_pairs_quotient(traj, grid, model), rel=1e-14)
+
+
+def test_flux_lipschitz_matches_all_pairs_oracle_on_three_interfaces(three_interface_model):
+    model = three_interface_model
+    grid = build_grid(-1.0, 1.0, 64, model.interfaces)
+    datum = PiecewiseConstant((-0.7, -0.2, 0.3, 0.8), (1.6, 0.6, 1.9, 0.8, 1.3))
+    traj = run(ProblemSpec((-1.0, 1.0), datum), grid, model,
+               SolverConfig(lam=0.3, t_end=0.4), retain_levels=True)
+    got = flux_lipschitz_in_space(traj, grid, model)
+    assert got == pytest.approx(_all_pairs_quotient(traj, grid, model), rel=1e-14)
 
 
 # }}}

@@ -14,6 +14,7 @@ from discflux import (
     build_grid,
     cell_average,
     inflow_boundary_value,
+    invariant_interval,
     linear_flux,
     numerical_flux_value,
     quadratic_flux,
@@ -296,6 +297,84 @@ def test_interface_flux_is_continuous_at_every_level():
     for level in trajectory.levels[1:]:
         assert float(f(level.u[p])) == pytest.approx(float(g(level.u[p - 1])),
                                                      abs=1e-12)
+
+
+# }}}
+
+
+# {{{ run against the public step
+
+
+@pytest.mark.parametrize("kind", ["upwind", "godunov", "engquist_osher"])
+def test_run_equals_a_loop_of_public_steps(three_interface_model, kind):
+    model = three_interface_model
+    grid = build_grid(-1.0, 1.0, 64, model.interfaces)
+    values = (1.6, 0.6, 1.9, 0.8, 1.3)
+    trace = np.random.default_rng(11).uniform(0.5, 2.0, 9)
+    t_end = 0.31  # 33 full steps of 0.009375 and a shortened one
+    config = SolverConfig(lam=0.3, t_end=t_end, numerical_flux=kind,
+                          left=Inflow(SampledTable(np.linspace(0.0, t_end, 9), trace)))
+    problem = ProblemSpec((-1.0, 1.0), PiecewiseConstant((-0.7, -0.2, 0.3, 0.8), values))
+    trajectory = run(problem, grid, model, config, retain_levels=True)
+
+    u_range = invariant_interval(model, (min(*values, *trace), max(*values, *trace)))
+    dt = config.lam * grid.dx
+    n_full = int(t_end // dt)
+    state = State(cell_average(problem.initial, grid), 0.0, 0)
+    levels = [state]
+    for k in range(1, n_full + 2):
+        full = k <= n_full
+        nxt = step(state, grid, model, config,
+                   dt=None if full else t_end - n_full * dt, u_range=u_range)
+        # run pins each level to its precomputed time
+        state = State(nxt.u, k * dt if full else t_end, k)
+        levels.append(state)
+
+    assert 0.0 < levels[-1].t - levels[-2].t < dt
+    assert len(trajectory.levels) == len(levels)
+    for got, want in zip(trajectory.levels, levels):
+        assert (got.t, got.step) == (want.t, want.step)
+        assert np.array_equal(got.u, want.u)
+    assert np.array_equal(trajectory.final.u, levels[-1].u)
+
+
+def test_snapshots_and_final_state_own_their_arrays():
+    grid = build_grid(-1.0, 1.0, 16, (0.0,))
+    config = SolverConfig(lam=0.5, t_end=0.9)
+    dt = config.lam * grid.dx
+    # consecutive levels, so a snapshot sharing a march buffer would show
+    trajectory = run(exp1_problem(), grid, TRANSPORT_THEN_BURGERS, config,
+                     snapshot_times=[0.0, dt, 2 * dt, 3 * dt, 0.9], retain_levels=True)
+    arrays = [s.state.u for s in trajectory.snapshots] + [trajectory.final.u]
+    arrays += [level.u for level in trajectory.levels]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+    snaps = trajectory.snapshots
+    assert np.array_equal(snaps[0].state.u, cell_average(exp1_problem().initial, grid))
+    for snap, level in zip(snaps[1:4], trajectory.levels[1:4]):
+        assert np.array_equal(snap.state.u, level.u)
+    assert np.array_equal(snaps[-1].state.u, trajectory.final.u)
+
+
+def test_step_without_bracket_ignores_leftover_memory():
+    # without u_range the inversions seed their bracket from the new level;
+    # a cell not yet written must not feed that seed, whatever memory the
+    # allocator hands back
+    model = PiecewiseFlux((-0.5, 0.0, 0.5), (
+        linear_flux(1.0),
+        quadratic_flux(1.0, interval=(0.05, 4.0)),
+        linear_flux(1.0),
+        quadratic_flux(-0.2, 2.0, interval=(0.0, 4.0)),
+    ))
+    grid = build_grid(-1.0, 1.0, 32, model.interfaces)
+    state = State(np.full(32, 1.0), 0.0, 0)
+    config = SolverConfig(lam=0.3, t_end=1.0)
+    expected = step(state, grid, model, config, u_range=(0.0, 4.0)).u
+    for fill in (np.nan, 1e300):
+        junk = np.full(32, fill)
+        del junk
+        assert np.array_equal(step(state, grid, model, config).u, expected)
 
 
 # }}}
