@@ -18,7 +18,7 @@ class FluxRangeError(DiscfluxError):
 
 
 class DivergentRangeError(DiscfluxError):
-    """Invariant-interval iteration failed to settle on a finite interval."""
+    """An interface map leaves a law's flux image or goes non-finite."""
 
 
 class GridAlignmentError(DiscfluxError):

@@ -314,50 +314,34 @@ def invariant_interval(model: PiecewiseFlux, data_range: tuple[float, float]) ->
     """Smallest interval containing the data that the interface maps cannot leave.
 
     Values in subdomain ``i`` come either from the data or through the
-    coupling map ``u -> segments[i]^{-1}(segments[i-1](u))`` applied to values
-    of subdomain ``i-1``.  Propagating the data range left to right and
-    closing under those maps yields one range per subdomain; the hull of all
-    of them is returned.  The sweep is repeated until nothing changes (below
-    1e-12); a model whose maps keep amplifying raises
-    :class:`DivergentRangeError`.
+    increasing coupling map ``u -> segments[i]^{-1}(segments[i-1](u))``
+    applied to values of subdomain ``i-1``, so subdomain ``i``'s range is the
+    hull of the data and the image of subdomain ``i-1``'s range.  Coupling
+    runs only rightward, so one left-to-right pass is already the fixed
+    point; the hull of all subdomain ranges is returned.  Raises
+    :class:`DivergentRangeError` when a map leaves a law's flux image or
+    goes non-finite.
     """
     lo, hi = float(data_range[0]), float(data_range[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
         raise ValueError(f"need a finite range with lo <= hi, got [{lo}, {hi}]")
     segs = model.segments
-    n = model.n_interfaces
-    if n == 0:
-        return lo, hi
-
-    ranges = [(lo, hi)] * (n + 1)
-    for _sweep in range(100):
-        change = 0.0
-        swept = [ranges[0]]
-        for i in range(1, n + 1):
-            p_lo, p_hi = swept[i - 1]
-            try:
-                m_lo = invert_near(segs[i], float(segs[i - 1](p_lo)), ranges[i])
-                m_hi = invert_near(segs[i], float(segs[i - 1](p_hi)), ranges[i])
-            except FluxRangeError as exc:
-                raise DivergentRangeError(
-                    f"interface map {i} pushes the range outside the flux image: {exc}"
-                ) from exc
-            r_lo, r_hi = min(lo, m_lo), max(hi, m_hi)
-            if not (math.isfinite(r_lo) and math.isfinite(r_hi)):
-                raise DivergentRangeError(
-                    f"interface map {i} produced a non-finite range [{r_lo}, {r_hi}]"
-                )
-            change = max(change, abs(r_lo - ranges[i][0]), abs(r_hi - ranges[i][1]))
-            swept.append((r_lo, r_hi))
-        ranges = swept
-        if change < 1e-12:
-            break
-    else:
-        raise DivergentRangeError(
-            f"interface maps kept widening the range for 100 sweeps "
-            f"(last change {change:.3e})"
-        )
-    return min(r[0] for r in ranges), max(r[1] for r in ranges)
+    r_lo, r_hi = hull_lo, hull_hi = lo, hi
+    for i in range(1, model.n_interfaces + 1):
+        try:
+            m_lo = invert_near(segs[i], float(segs[i - 1](r_lo)), (lo, hi))
+            m_hi = invert_near(segs[i], float(segs[i - 1](r_hi)), (lo, hi))
+        except FluxRangeError as exc:
+            raise DivergentRangeError(
+                f"interface map {i} pushes the range outside the flux image: {exc}"
+            ) from exc
+        r_lo, r_hi = min(lo, m_lo), max(hi, m_hi)
+        if not (math.isfinite(r_lo) and math.isfinite(r_hi)):
+            raise DivergentRangeError(
+                f"interface map {i} produced a non-finite range [{r_lo}, {r_hi}]"
+            )
+        hull_lo, hull_hi = min(hull_lo, r_lo), max(hull_hi, r_hi)
+    return hull_lo, hull_hi
 
 
 # }}}

@@ -224,6 +224,15 @@ def _average_steps(u0: PiecewiseConstant, grid: Grid) -> np.ndarray:
 
 def _average_quadrature(f: Callable, grid: Grid) -> np.ndarray:
     x = grid.centers[:, None] + (0.5 * grid.dx) * _GL_NODES[None, :]
+    return _evaluate(f, x) @ _GL_WEIGHTS / 2.0
+
+
+def _evaluate(f: Callable, x: np.ndarray) -> np.ndarray:
+    """``f`` at every entry of ``x``: one vectorised call, else one call per entry.
+
+    The per-entry loop covers callables that reject arrays or return the
+    wrong shape; :class:`DomainError` is a genuine answer and passes through.
+    """
     try:
         fx = np.asarray(f(x), dtype=float)
         if fx.shape != x.shape:
@@ -231,8 +240,8 @@ def _average_quadrature(f: Callable, grid: Grid) -> np.ndarray:
     except DomainError:
         raise
     except Exception:
-        fx = np.asarray([[f(v) for v in row] for row in x], dtype=float)
-    return fx @ _GL_WEIGHTS / 2.0
+        fx = np.asarray([f(v) for v in x.flat], dtype=float).reshape(x.shape)
+    return fx
 
 
 # }}}

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import StabilityError
 from .fluxes import PiecewiseFlux, FluxSegment, invariant_interval, invert, invert_near, max_wave_speed
-from .grid import Grid, SampledTable, cell_average, _GL_NODES, _GL_WEIGHTS
+from .grid import Grid, SampledTable, cell_average, _evaluate, _GL_NODES, _GL_WEIGHTS
 
 _CFL_SLACK = 1e-12
 
@@ -304,13 +304,7 @@ def _slab_average(trace, t0: float, t1: float) -> float:
         ys = trace(xs)
         return float(np.sum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs))) / (t1 - t0)
     x = 0.5 * (t0 + t1) + (0.5 * (t1 - t0)) * _GL_NODES
-    try:
-        vals = np.asarray(trace(x), dtype=float)
-        if vals.shape != x.shape:
-            raise ValueError
-    except Exception:
-        vals = np.asarray([trace(v) for v in x], dtype=float)
-    return float(vals @ _GL_WEIGHTS) / 2.0
+    return float(_evaluate(trace, x) @ _GL_WEIGHTS) / 2.0
 
 
 # }}}
@@ -435,13 +429,7 @@ def _trace_range(trace, t_end: float) -> tuple[float, float]:
         ends = np.asarray([trace(0.0), trace(t_end)])
         vals = np.concatenate((inside, ends))
         return float(vals.min()), float(vals.max())
-    t = np.linspace(0.0, t_end, 1025)
-    try:
-        vals = np.asarray(trace(t), dtype=float)
-        if vals.shape != t.shape:
-            raise ValueError
-    except Exception:
-        vals = np.asarray([trace(v) for v in t], dtype=float)
+    vals = _evaluate(trace, np.linspace(0.0, t_end, 1025))
     return float(vals.min()), float(vals.max())
 
 

@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 import discflux
-from discflux import config_digest, preset, save_config
-from discflux.cli import main
-from discflux.config import from_dict
+from discflux import build_grid, config_digest, invariant_interval, preset, save_config
+from discflux.cli import _check_monotonicity, main
+from discflux.config import build_model, build_solver_config, data_range, from_dict
 
 
 def small_config(**overrides):
@@ -139,6 +139,19 @@ def test_verify_skips_interface_checks_without_interfaces(tmp_path, capsys):
     steady = next(ln for ln in lines if ln.startswith("steady_state"))
     assert steady.split()[1] == "SKIP"
     assert "no interfaces" in steady
+
+
+def test_order_check_reports_a_cfl_violation_instead_of_raising():
+    # the check runs on one bracketed plan, with no per-step cfl guard; at
+    # lam * speed = 1.4 the update is no longer monotone and it must say so
+    config = small_config(interfaces=[], fluxes=[{"kind": "linear"}], **{"lambda": 1.4})
+    model = build_model(config)
+    grid = build_grid(config.xmin, config.xmax, min(config.resolutions), ())
+    u_range = invariant_interval(model, data_range(config))
+    name, status, detail = _check_monotonicity(
+        config, model, build_solver_config(config), grid, u_range)
+    assert (name, status) == ("monotonicity", "FAIL")
+    assert float(detail.split()[3]) > 1.0
 
 
 # }}}

@@ -213,3 +213,24 @@ def test_invariant_interval_divergent_when_image_runs_out():
     )
     with pytest.raises(DivergentRangeError, match="outside the flux image"):
         invariant_interval(model, (1.5, 2.0))
+
+
+@pytest.mark.parametrize("data", [(0.5, 2.5), (0.5, 3.0)])
+def test_invariant_interval_is_one_pass_on_a_custom_law(three_interface_model, data):
+    # a bisected custom law jitters by its stop tolerance from call to call;
+    # the range must still come out finite, as one left-to-right pass
+    segs = three_interface_model.segments
+    lo, hi = invariant_interval(three_interface_model, data)
+    assert np.isfinite(lo) and np.isfinite(hi)
+
+    r_lo, r_hi = want_lo, want_hi = data
+    for left, right in zip(segs, segs[1:]):
+        # every right-hand law increases on [0, 9]
+        m_lo = bisect_root(lambda v: right(v) - left(r_lo), 0.0, 9.0)
+        m_hi = bisect_root(lambda v: right(v) - left(r_hi), 0.0, 9.0)
+        r_lo, r_hi = min(data[0], m_lo), max(data[1], m_hi)
+        want_lo, want_hi = min(want_lo, r_lo), max(want_hi, r_hi)
+    # invert stops at a flux residual of 1e-12 * max(1, |w|), so the scale
+    # is never below one; the lower end here is about 0.063
+    assert lo == pytest.approx(want_lo, rel=1e-12, abs=1e-12)
+    assert hi == pytest.approx(want_hi, rel=1e-12, abs=1e-12)

@@ -176,6 +176,29 @@ def test_run_with_inflow_pins_boundary_cell():
     assert trajectory.levels[-1].u[0] == pytest.approx(float(trace(0.25)), abs=1e-12)
 
 
+def test_inflow_trace_that_rejects_arrays_is_called_per_entry():
+    # the trace range and every slab mean fall back to scalar calls; plain
+    # arithmetic rounds the same either way, so the runs must agree bit for bit
+    def scalar_trace(t):
+        if isinstance(t, np.ndarray):
+            raise TypeError("scalars only")
+        return 0.8 + t * (1.5 - t)
+
+    def array_trace(t):
+        return 0.8 + t * (1.5 - t)
+
+    grid = build_grid(-1.0, 1.0, 64, (0.0,))
+    runs = [
+        run(exp1_problem(), grid, TRANSPORT_THEN_BURGERS,
+            SolverConfig(lam=0.5, t_end=0.9, left=Inflow(trace)), retain_levels=True)
+        for trace in (scalar_trace, array_trace)
+    ]
+    levels = [[level.u for level in r.levels] for r in runs]
+    assert len(levels[0]) == len(levels[1]) > 2
+    for got, want in zip(*levels):
+        assert np.array_equal(got, want)
+
+
 # }}}
 
 
