@@ -21,10 +21,7 @@ from .errors import DivergentRangeError, FluxRangeError, InterfaceAmbiguityError
 # Number of samples used when validating or bounding a user-supplied flux.
 _N_SAMPLES = 4097
 
-# Relative residual at which numerical inversion stops.
-_INVERT_RTOL = 1e-12
-
-# Bisection also stops once the bracket is a few machine epsilons wide.
+# Numerical inversion stops at a residual or a bracket a few machine epsilons wide.
 _EPS = float(np.finfo(float).eps)
 
 
@@ -234,9 +231,14 @@ def max_wave_speed(model: PiecewiseFlux, interval: tuple[float, float]) -> float
 def invert(seg: FluxSegment, w: float, bracket: tuple[float, float]) -> float:
     """Solve ``seg(u) == w`` for ``u`` within ``bracket``.
 
-    Closed-form for the builtin kinds, bisection to a relative residual of
-    1e-12 otherwise.  Raises :class:`FluxRangeError` when ``w`` is not in the
-    image of the bracket (up to a small slack absorbing roundoff).
+    Closed-form for the builtin kinds.  Custom laws take safeguarded Newton
+    steps with ``seg.deriv`` from the regula-falsi point of the bracket: each
+    evaluation narrows the bracket by the sign of the residual, and a step
+    that would not land strictly inside it bisects instead.  The iteration
+    stops at a flux residual of ``2 * eps * max(1, |w|)`` or once the bracket
+    is ``4 * eps`` wide relative to its ends.  Raises
+    :class:`FluxRangeError` when ``w`` is not in the image of the bracket (up
+    to a small slack absorbing roundoff).
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     w = float(w)
@@ -260,20 +262,26 @@ def invert(seg: FluxSegment, w: float, bracket: tuple[float, float]) -> float:
         # the root on the increasing branch; avoid cancellation when b > 0
         return 2.0 * w / (b + s) if b > 0.0 else (s - b) / a
 
-    tol = _INVERT_RTOL * max(1.0, abs(w))
+    if f_hi <= f_lo:
+        # a one-point bracket is its own root
+        return lo
+    tol = 2.0 * _EPS * max(1.0, abs(w))
     u_lo, u_hi = lo, hi
-    u = 0.5 * (u_lo + u_hi)
+    u = min(max(lo + (w - f_lo) / (f_hi - f_lo) * (hi - lo), lo), hi)
     for _ in range(200):
-        fu = float(seg(u))
-        if abs(fu - w) <= tol:
-            return u
-        if fu < w:
+        r = float(seg(u)) - w
+        if abs(r) <= tol:
+            break
+        if r < 0.0:
             u_lo = u
         else:
             u_hi = u
-        u = 0.5 * (u_lo + u_hi)
         if u_hi - u_lo <= 4.0 * _EPS * max(1.0, abs(u_lo), abs(u_hi)):
-            return u
+            break
+        d = float(seg.deriv(u))
+        # a NaN or nonpositive slope, or a step leaving the bracket, bisects
+        newton = u - r / d if d > 0.0 else math.nan
+        u = newton if u_lo < newton < u_hi else 0.5 * (u_lo + u_hi)
     return u
 
 

@@ -11,6 +11,7 @@ the conserved quantity generally is not.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -297,10 +298,16 @@ def _slab_average(trace, t0: float, t1: float) -> float:
     if t1 - t0 <= 1e-15 * max(1.0, abs(t0)):
         return float(trace(t1))
     if isinstance(trace, SampledTable):
-        # piecewise-linear data integrates exactly on its own kinks
+        # piecewise-linear data integrates exactly on its own kinks; i:j are
+        # the table points strictly inside the slab
         pts = trace.points
-        inner = pts[(pts > t0) & (pts < t1)]
-        xs = np.concatenate(([t0], inner, [t1]))
+        i, j = bisect_right(pts, t0), bisect_left(pts, t1)
+        if 0 < i == j < pts.size:
+            # one piece inside the table: the one-term trapezoid, in scalars
+            y0, y1 = np.interp((t0, t1), pts, trace.values)
+            return float(0.5 * (y1 + y0) * (t1 - t0)) / (t1 - t0)
+        # otherwise the table call also rejects slabs past its ends
+        xs = np.concatenate(([t0], pts[i:j], [t1]))
         ys = trace(xs)
         return float(np.sum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs))) / (t1 - t0)
     x = 0.5 * (t0 + t1) + (0.5 * (t1 - t0)) * _GL_NODES

@@ -30,8 +30,9 @@ def experiment2_study():
 def three_interface_model():
     """Transport | Burgers | u + 0.1 sin u | concave -0.2 u^2/2 + 2u, interfaces at -0.5, 0, 0.5.
 
-    Every law kind, including one the inversion has to bisect, and a concave
-    quadratic that is increasing on the data (0.5 to 2).
+    Every law kind, including a custom one that the inversion solves
+    iteratively, and a concave quadratic that is increasing on the data
+    (0.5 to 2).
     """
     return PiecewiseFlux((-0.5, 0.0, 0.5), (
         linear_flux(1.0),

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from discflux import (
     quadratic_flux,
 )
 from oracles import bisect_root
+
+EPS = float(np.finfo(float).eps)
 
 
 def make_two_law_model():
@@ -128,6 +132,71 @@ def test_invert_custom_matches_bisection_oracle():
         assert got == pytest.approx(expected, abs=1e-11)
 
 
+def sin_law(u):
+    return u + 0.1 * np.sin(u)
+
+
+def sin_law_deriv(u):
+    return 1.0 + 0.1 * np.cos(u)
+
+
+@pytest.mark.parametrize(
+    "func, deriv, bracket",
+    [
+        (np.sinh, np.cosh, (0.0, 3.0)),
+        (sin_law, sin_law_deriv, (0.0, 4.0)),
+        # slope 1e-3 at the left end of the bracket, 12 at the right
+        (lambda u: u**3 + 1e-3 * u, lambda u: 3.0 * u**2 + 1e-3, (0.0, 2.0)),
+    ],
+    ids=["sinh", "u+0.1sin(u)", "flat-at-left"],
+)
+def test_invert_custom_reaches_machine_precision(func, deriv, bracket):
+    seg = custom_flux(func, deriv, interval=bracket)
+    f_lo, f_hi = float(func(bracket[0])), float(func(bracket[1]))
+    for w in np.random.default_rng(5).uniform(f_lo, f_hi, size=400):
+        u = invert(seg, w, bracket)
+        assert bracket[0] <= u <= bracket[1]
+        assert abs(float(func(u)) - w) <= 4.0 * EPS * max(1.0, abs(w))
+
+
+def test_invert_custom_needs_few_flux_evaluations():
+    scalar_calls = 0
+
+    def law(u):
+        nonlocal scalar_calls
+        if not isinstance(u, np.ndarray):
+            scalar_calls += 1
+        return sin_law(u)
+
+    seg = custom_flux(law, sin_law_deriv, interval=(0.0, 4.0))
+    ws = np.random.default_rng(7).uniform(float(law(0.0)), float(law(4.0)), size=1000)
+    scalar_calls = 0
+    for w in ws:
+        invert(seg, w, (0.0, 4.0))
+    # two bracket ends plus a few Newton steps; pure bisection needs about 40
+    assert scalar_calls / ws.size <= 8.0
+
+
+@pytest.mark.parametrize("slope", [0.0, np.nan, 1e-300], ids=["zero", "nan", "overshoot"])
+def test_invert_custom_bisects_where_newton_cannot_step(slope):
+    # a derivative that gives no step, or one far outside the bracket, falls
+    # back to bisection and still converges
+    seg = replace(custom_flux(np.sinh, np.cosh, interval=(0.0, 3.0)),
+                  deriv=lambda u: slope)
+    for w in (0.1, 1.0, 5.0, 9.9):
+        u = invert(seg, w, (0.0, 3.0))
+        assert abs(float(np.sinh(u)) - w) <= 4.0 * EPS * max(1.0, abs(w))
+    # a one-point bracket needs no step at all
+    assert invert(seg, float(np.sinh(1.0)), (1.0, 1.0)) == 1.0
+
+
+@pytest.mark.parametrize("w", [np.nan, np.inf, -np.inf])
+def test_invert_custom_rejects_non_finite_target(w):
+    seg = custom_flux(np.sinh, np.cosh, interval=(0.0, 3.0))
+    with pytest.raises(ValueError, match="bad inversion request"):
+        invert(seg, w, (0.0, 3.0))
+
+
 def test_invert_quadratic_avoids_cancellation():
     # huge linear part: the naive (sqrt(b^2 + 2aw) - b)/a root loses all digits
     seg = quadratic_flux(1.0, 1e8, interval=(0.0, 10.0))
@@ -217,8 +286,8 @@ def test_invariant_interval_divergent_when_image_runs_out():
 
 @pytest.mark.parametrize("data", [(0.5, 2.5), (0.5, 3.0)])
 def test_invariant_interval_is_one_pass_on_a_custom_law(three_interface_model, data):
-    # a bisected custom law jitters by its stop tolerance from call to call;
-    # the range must still come out finite, as one left-to-right pass
+    # the custom law is inverted iteratively, to machine precision; the
+    # range must come out finite, as one left-to-right pass
     segs = three_interface_model.segments
     lo, hi = invariant_interval(three_interface_model, data)
     assert np.isfinite(lo) and np.isfinite(hi)
@@ -230,7 +299,7 @@ def test_invariant_interval_is_one_pass_on_a_custom_law(three_interface_model, d
         m_hi = bisect_root(lambda v: right(v) - left(r_hi), 0.0, 9.0)
         r_lo, r_hi = min(data[0], m_lo), max(data[1], m_hi)
         want_lo, want_hi = min(want_lo, r_lo), max(want_hi, r_hi)
-    # invert stops at a flux residual of 1e-12 * max(1, |w|), so the scale
-    # is never below one; the lower end here is about 0.063
+    # invert's stop scales its residual by max(1, |w|), never below one, so
+    # the check carries an absolute floor; the lower end here is about 0.063
     assert lo == pytest.approx(want_lo, rel=1e-12, abs=1e-12)
     assert hi == pytest.approx(want_hi, rel=1e-12, abs=1e-12)

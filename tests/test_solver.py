@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from discflux import (
+    DomainError,
     Inflow,
     Outflow,
     PiecewiseConstant,
@@ -21,7 +22,8 @@ from discflux import (
     run,
     step,
 )
-from oracles import reference_step
+from discflux.solver import _slab_average
+from oracles import reference_step, slab_average_oracle
 
 TRANSPORT_THEN_BURGERS = PiecewiseFlux(
     (0.0,), (linear_flux(1.0), quadratic_flux(1.0, interval=(0.25, 3.0)))
@@ -159,6 +161,49 @@ def test_inflow_table_slab_average_honours_kinks():
     # slab (0.25, 0.5): linear up to 3 at 0.3, then flat
     exact = ((0.05 * 0.5 * (2.5 + 3.0)) + (0.2 * 3.0)) / 0.25
     assert got == pytest.approx(exact, rel=1e-14)
+
+
+def test_table_slab_average_matches_the_masked_trapezoid_bit_for_bit():
+    rng = np.random.default_rng(17)
+    seen = {"one piece": 0, "inner points": 0, "ends on last point": 0, "empty": 0}
+    for _ in range(500):
+        pts = rng.uniform(-3.0, 3.0) + np.cumsum(rng.uniform(0.01, 1.0, 13))
+        table = SampledTable(pts, rng.uniform(-2.0, 2.0, 13))
+        lo, hi = pts[0], pts[-1]
+        slabs = []
+        for _ in range(16):
+            width = (hi - lo) * 10.0 ** rng.uniform(-5.0, 0.0)
+            t0 = rng.uniform(lo, hi - width)
+            slabs.append((t0, t0 + width))
+        slabs += [(hi - width, hi) for width in (hi - lo) * rng.uniform(0.0, 1.0, 2)]
+        slabs += [(t, t) for t in rng.uniform(lo, hi, 2)]
+        k = int(rng.integers(0, 12))
+        slabs += [(pts[k], pts[k + 1]), (pts[k], rng.uniform(pts[k], hi))]
+        # within the table's roundoff slack past either end
+        slabs += [(lo - 1e-13, rng.uniform(lo, hi)), (rng.uniform(lo, hi), hi + 1e-13)]
+        for t0, t1 in slabs:
+            assert _slab_average(table, t0, t1) == slab_average_oracle(table, t0, t1)
+            inner = np.count_nonzero((pts > t0) & (pts < t1))
+            if t0 == t1:
+                seen["empty"] += 1
+            elif t1 == hi:
+                seen["ends on last point"] += 1
+            else:
+                seen["inner points" if inner else "one piece"] += 1
+    assert sum(seen.values()) >= 10000
+    assert min(seen.values()) >= 500, seen
+
+
+def test_inflow_table_slab_past_the_end_raises():
+    table = SampledTable(np.array([0.0, 1.0]), np.array([0.0, 2.0]))
+    # slab (0.75, 1) ends on the last point; (1, 1.25) and (1.25, 1.5) leave the table
+    assert inflow_boundary_value(table, 3, 0.25) == 1.75
+    for k in (4, 5):
+        with pytest.raises(DomainError, match="outside the tabulated range"):
+            inflow_boundary_value(table, k, 0.25)
+    later = SampledTable(np.array([0.5, 1.0]), np.array([0.0, 2.0]))
+    with pytest.raises(DomainError, match="outside the tabulated range"):
+        inflow_boundary_value(later, 1, 0.25)
 
 
 def test_run_with_inflow_pins_boundary_cell():
@@ -320,6 +365,25 @@ def test_interface_flux_is_continuous_at_every_level():
     for level in trajectory.levels[1:]:
         assert float(f(level.u[p])) == pytest.approx(float(g(level.u[p - 1])),
                                                      abs=1e-12)
+
+
+def test_interface_flux_is_continuous_to_machine_precision(three_interface_model):
+    # every interface map, closed-form or iterative, must reproduce the left
+    # neighbour's flux to a few ulps at every level
+    model = three_interface_model
+    grid = build_grid(-1.0, 1.0, 256, model.interfaces)
+    trace = np.random.default_rng(19).uniform(0.5, 2.0, 13)
+    config = SolverConfig(lam=0.3, t_end=0.6,
+                          left=Inflow(SampledTable(np.linspace(0.0, 0.6, 13), trace)))
+    problem = ProblemSpec((-1.0, 1.0), PiecewiseConstant((-0.7, -0.2, 0.3, 0.8),
+                                                         (1.6, 0.6, 1.9, 0.8, 1.3)))
+    trajectory = run(problem, grid, model, config, retain_levels=True)
+    eps = np.finfo(float).eps
+    assert len(trajectory.levels) > 200
+    for level in trajectory.levels[1:]:
+        for p, left, right in zip(grid.interface_cells, model.segments, model.segments[1:]):
+            w = float(left(level.u[p - 1]))
+            assert abs(float(right(level.u[p])) - w) <= 4.0 * eps * max(1.0, abs(w))
 
 
 # }}}
