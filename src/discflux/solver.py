@@ -18,13 +18,13 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import StabilityError
-from .fluxes import PiecewiseFlux, FluxSegment, invariant_interval, invert, invert_near, max_wave_speed
+from .fluxes import PiecewiseFlux, FluxSegment, invariant_interval, invert
 from .grid import Grid, SampledTable, cell_average, _evaluate, _GL_NODES, _GL_WEIGHTS
 
 _CFL_SLACK = 1e-12
 
-# For increasing laws every one of these gives the same edge fluxes
-# (see numerical_flux_value); they stay selectable so that can be checked.
+# Accepted edge-flux names.  For increasing laws each is f(u_left) (see
+# numerical_flux_value), so a name selects no code; verify checks the collapse.
 _NUMERICAL_FLUXES = ("upwind", "godunov", "engquist_osher")
 
 
@@ -59,7 +59,11 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """March parameters: ``lam`` is the time step divided by the cell width."""
+    """March parameters: ``lam`` is the time step divided by the cell width.
+
+    ``numerical_flux`` names an accepted edge flux; for increasing laws each
+    is the one upwind update, so the name is validated but selects no code.
+    """
 
     lam: float
     t_end: float
@@ -129,24 +133,42 @@ def numerical_flux_value(kind: str, seg: FluxSegment, u_left, u_right):
     """
     if kind not in _NUMERICAL_FLUXES:
         raise ValueError(f"unknown numerical flux kind: {kind!r}")
-    return _edge_flux(kind, seg)(u_left, u_right)
-
-
-def _edge_flux(kind: str, seg: FluxSegment) -> Callable:
-    """The edge-flux function ``F(u_left, u_right)`` of one law and kind."""
     if kind == "godunov":
-        def godunov(u_left, u_right):
-            f_left, f_right = seg(u_left), seg(u_right)
-            return np.where(
-                np.asarray(u_left) <= np.asarray(u_right),
-                np.minimum(f_left, f_right),
-                np.maximum(f_left, f_right),
-            )
-
-        return godunov
+        f_left, f_right = seg(u_left), seg(u_right)
+        return np.where(
+            np.asarray(u_left) <= np.asarray(u_right),
+            np.minimum(f_left, f_right),
+            np.maximum(f_left, f_right),
+        )
     # upwind, and engquist_osher: f = f_inc + f_dec split by derivative sign,
     # where f_dec of an increasing law is identically zero, leaving f_inc(a) = f(a)
-    return lambda u_left, u_right: seg(u_left)
+    return seg(u_left)
+
+
+def _check_cfl(lam: float, laws) -> float:
+    """``lam`` times the largest wave speed of ``(law, lo, hi)`` triples.
+
+    The march's one stability rule.  Raises ``ValueError`` when the ``k``-th
+    law stops increasing on its interval and :class:`StabilityError` when the
+    product exceeds one beyond roundoff.
+    """
+    speed, fastest = 0.0, None
+    for k, (seg, lo, hi) in enumerate(laws):
+        d_min, d_max = seg.deriv_bounds(lo, hi)
+        if d_min <= 0.0:
+            raise ValueError(
+                f"flux law {k} stops increasing on [{lo:.6g}, {hi:.6g}]: "
+                f"min derivative {d_min:.6g}"
+            )
+        if d_max > speed:
+            speed, fastest = d_max, (k, lo, hi)
+    if lam * speed > 1.0 + _CFL_SLACK:
+        k, lo, hi = fastest
+        raise StabilityError(
+            f"lambda*max_speed = {lam * speed:.6g} > 1 for flux law {k} on "
+            f"[{lo:.6g}, {hi:.6g}]; reduce lam below {1.0 / speed:.6g}"
+        )
+    return lam * speed
 
 
 # }}}
@@ -159,23 +181,22 @@ class _March:
     """Everything one level-to-level update needs, resolved once.
 
     Holds each subdomain's cell bounds ``(seg, a, b)`` with its update (a
-    convex combination for a linear law, edge fluxes otherwise), the interface
-    couplings ``(p, left law, right law)``, the inversion bracket, the
-    left-boundary trace and a scratch buffer.  :meth:`advance` writes into a
-    caller-owned array, so a march can alternate between two buffers.
+    convex combination for a linear law, upwind edge fluxes otherwise), the
+    interface couplings ``(p, left law, right law)``, the inversion bracket,
+    the left-boundary trace and a scratch buffer.  :meth:`advance` writes
+    every cell of a caller-owned array, so a march can alternate between two
+    buffers.
     """
 
     def __init__(self, grid: Grid, model: PiecewiseFlux, config: SolverConfig,
-                 bracket: Optional[tuple[float, float]]):
+                 bracket: tuple[float, float]):
         segs = model.segments
         bounds = (0, *grid.interface_cells, grid.n)
-        self.blocks = tuple(zip(segs, bounds, bounds[1:]))
         # a one-cell subdomain has no interior: its cell is the boundary or
         # an interface cell
         self.updates = [
-            (seg, a, b, seg.params[0], None) if seg.kind == "linear"
-            else (seg, a, b, None, _edge_flux(config.numerical_flux, seg))
-            for seg, a, b in self.blocks
+            (seg, a, b, seg.params[0] if seg.kind == "linear" else None)
+            for seg, a, b in zip(segs, bounds, bounds[1:])
             if b - a > 1
         ]
         self.couplings = tuple(zip(grid.interface_cells, segs, segs[1:]))
@@ -188,20 +209,19 @@ class _March:
     def advance(self, u: np.ndarray, new: np.ndarray, t: float, dt: float, lam: float):
         """Write the level after ``u`` (at time ``t``, step ``dt = lam * dx``) into ``new``."""
         scratch = self.scratch
-        for seg, a, b, slope, edges in self.updates:
+        for seg, a, b, slope in self.updates:
             dst, tmp = new[a + 1:b], scratch[a + 1:b]
             if slope is not None:
-                # convex combination of the two upwind cells; exact at weight
-                # one, and identical for every numerical flux kind
+                # convex combination of the two upwind cells, exact at weight one
                 w = lam * slope
                 np.multiply(u[a + 1:b], 1.0 - w, out=dst)
                 np.multiply(u[a:b - 1], w, out=tmp)
                 np.add(dst, tmp, out=dst)
             else:
-                # conservative difference of the edge fluxes; the last cell's
-                # right edge uses the law's scalar form, as the interior ones
-                # use its array form
-                edge = np.asarray(edges(u[a:b - 1], u[a + 1:b]))
+                # conservative difference of the upwind edge fluxes f(u_left);
+                # the last cell's right edge uses the law's scalar form, as
+                # the interior ones use its array form
+                edge = np.asarray(seg(u[a:b - 1]))
                 np.subtract(edge[1:], edge[:-1], out=tmp[:-1])
                 tmp[-1] = seg(u[b - 1]) - edge[-1]
                 np.multiply(tmp, lam, out=tmp)
@@ -216,11 +236,7 @@ class _March:
 
         # interface cells: match the flux of the updated left neighbour
         for p, left, right in self.couplings:
-            w = float(left(new[p - 1]))
-            if self.bracket is not None:
-                new[p] = invert(right, w, self.bracket)
-            else:
-                new[p] = invert_near(right, w, (float(new.min()), float(new.max())))
+            new[p] = invert(right, float(left(new[p - 1])), self.bracket)
 
 
 # }}}
@@ -242,10 +258,12 @@ def step(
     Every subdomain is updated with its own law, then each interface cell is
     overwritten with the value whose flux (under the right law) matches the
     updated cell on its left.  ``u_range``, when given, brackets those
-    inversions; otherwise the bracket grows from the current data.
+    inversions; otherwise the bracket is the invariant interval of the
+    current data (and of an inflow trace, as in :func:`run`).
 
-    Raises :class:`StabilityError` when ``dt`` exceeds what the current cell
-    values allow (derivative sup times dt/dx above one).
+    Applies :func:`run`'s stability rule to each subdomain's own values:
+    raises ``ValueError`` when a law stops increasing on them and
+    :class:`StabilityError` when ``dt`` exceeds what they allow.
     """
     u = state.u
     if u.shape != (grid.n,):
@@ -259,21 +277,12 @@ def step(
             raise ValueError(f"dt must be nonnegative, got {dt}")
         lam = dt / grid.dx
 
-    march = _March(grid, model, config, u_range)
-    speed = 0.0
-    for seg, a, b in march.blocks:
-        block = u[a:b]
-        speed = max(speed, seg.deriv_bounds(float(block.min()), float(block.max()))[1])
-    if lam * speed > 1.0 + _CFL_SLACK:
-        raise StabilityError(
-            f"dt/dx * max wave speed = {lam * speed:.6g} > 1 at t={state.t:.6g} "
-            f"(dt={dt:.6g}, speed={speed:.6g})"
-        )
-
-    # without a bracket, inversions seed from the new level's range; interface
-    # cells not yet coupled hold their old values until their turn
-    new = u.copy()
-    march.advance(u, new, state.t, dt, lam)
+    _check_cfl(lam, [(seg, float(u[sl].min()), float(u[sl].max()))
+                     for seg, sl in zip(model.segments, grid.subdomain_slices())])
+    if u_range is None:
+        u_range = _bracket(model, config, u)
+    new = np.empty_like(u)
+    _March(grid, model, config, u_range).advance(u, new, state.t, dt, lam)
     return State(new, state.t + dt, state.step + 1)
 
 
@@ -355,24 +364,8 @@ def run(
         raise ValueError(f"snapshot times {pending} must lie within [0, {t_end}]")
 
     u0 = cell_average(problem.initial, grid)
-    data_lo, data_hi = float(u0.min()), float(u0.max())
-    if isinstance(config.left, Inflow):
-        tr_lo, tr_hi = _trace_range(config.left.trace, t_end)
-        data_lo, data_hi = min(data_lo, tr_lo), max(data_hi, tr_hi)
-    u_range = invariant_interval(model, (data_lo, data_hi))
-    for k, seg in enumerate(model.segments):
-        dmin = seg.deriv_bounds(*u_range)[0]
-        if dmin <= 0.0:
-            raise ValueError(
-                f"flux law {k} stops increasing on the invariant range "
-                f"{u_range}: min derivative {dmin}"
-            )
-    speed = max_wave_speed(model, u_range)
-    if config.lam * speed > 1.0 + _CFL_SLACK:
-        raise StabilityError(
-            f"lam * max wave speed = {config.lam * speed:.6g} > 1 on the "
-            f"invariant range {u_range}; reduce lam below {1.0 / speed:.6g}"
-        )
+    u_range = _bracket(model, config, u0)
+    _check_cfl(config.lam, [(seg, *u_range) for seg in model.segments])
 
     dt = config.lam * grid.dx
     n_full = int(math.floor(t_end / dt + 1e-12)) if t_end > 0.0 else 0
@@ -425,19 +418,18 @@ def run(
     )
 
 
-def _trace_range(trace, t_end: float) -> tuple[float, float]:
-    """Range of the boundary trace over [0, t_end] (sampled for callables)."""
-    if t_end <= 0.0:
-        v = float(trace(0.0))
-        return v, v
-    if isinstance(trace, SampledTable):
-        pts = trace.points
-        inside = trace.values[(pts > 0.0) & (pts < t_end)]
-        ends = np.asarray([trace(0.0), trace(t_end)])
-        vals = np.concatenate((inside, ends))
-        return float(vals.min()), float(vals.max())
-    vals = _evaluate(trace, np.linspace(0.0, t_end, 1025))
-    return float(vals.min()), float(vals.max())
+def _bracket(model: PiecewiseFlux, config: SolverConfig, u: np.ndarray) -> tuple[float, float]:
+    """Invariant interval of ``u`` and of any inflow trace on [0, t_end] (sampled if callable)."""
+    lo, hi = float(u.min()), float(u.max())
+    if isinstance(config.left, Inflow):
+        trace, t_end = config.left.trace, config.t_end
+        if isinstance(trace, SampledTable):
+            pts = trace.points
+            vals = np.append(trace.values[(pts > 0.0) & (pts < t_end)], (trace(0.0), trace(t_end)))
+        else:
+            vals = _evaluate(trace, np.linspace(0.0, t_end, 1025))
+        lo, hi = min(lo, float(vals.min())), max(hi, float(vals.max()))
+    return invariant_interval(model, (lo, hi))
 
 
 # }}}

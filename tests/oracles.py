@@ -79,21 +79,39 @@ def slab_average_oracle(table, t0, t1):
     return float(np.sum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs))) / (t1 - t0)
 
 
-def reference_step(u, lam, fluxes, interface_cells, brackets):
+def upwind_edge(f, a, b):
+    """Upwind edge flux of an increasing law: the left state's flux."""
+    return f(a)
+
+
+def godunov_edge(f, a, b):
+    """Godunov edge flux: min of f over [a, b] if a <= b, else max over [b, a].
+
+    Written for laws monotone between the two states, where the extremes sit
+    at the ends.
+    """
+    fa, fb = f(a), f(b)
+    return min(fa, fb) if a <= b else max(fa, fb)
+
+
+def reference_step(u, lam, fluxes, interface_cells, brackets, edge_flux=upwind_edge):
     """One update transcribed from its definition with plain loops.
 
-    Subdomain interiors first (each with its own law and the old left
-    neighbour), the boundary cell kept, then every interface cell from its
-    freshly updated left neighbour through flux continuity.  ``brackets``
-    bounds the root search of each inversion.
+    Subdomain interiors first (each with its own law, the edge flux
+    ``edge_flux(f, left state, right state)`` on both sides and the old
+    neighbours; past the last cell the outflow ghost repeats it), the
+    boundary cell kept, then every interface cell from its freshly updated
+    left neighbour through flux continuity.  ``brackets`` bounds the root
+    search of each inversion.
     """
     u = [float(v) for v in u]
     n = len(u)
     bounds = [0, *interface_cells, n]
+    ghost = u + [u[-1]]
     new = list(u)
     for i, f in enumerate(fluxes):
         for j in range(bounds[i] + 1, bounds[i + 1]):
-            new[j] = u[j] - lam * (f(u[j]) - f(u[j - 1]))
+            new[j] = u[j] - lam * (edge_flux(f, u[j], ghost[j + 1]) - edge_flux(f, u[j - 1], u[j]))
     for i, p in enumerate(interface_cells):
         w = fluxes[i](new[p - 1])
         lo, hi = brackets

@@ -6,12 +6,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import discflux
-from discflux import build_grid, config_digest, invariant_interval, preset, save_config
+from discflux import (
+    StabilityError,
+    State,
+    build_grid,
+    config_digest,
+    invariant_interval,
+    preset,
+    run,
+    save_config,
+    step,
+)
 from discflux.cli import _check_monotonicity, main
-from discflux.config import build_model, build_solver_config, data_range, from_dict
+from discflux.config import build_model, build_problem, build_solver_config, data_range, from_dict
 
 
 def small_config(**overrides):
@@ -139,6 +150,31 @@ def test_verify_skips_interface_checks_without_interfaces(tmp_path, capsys):
     steady = next(ln for ln in lines if ln.startswith("steady_state"))
     assert steady.split()[1] == "SKIP"
     assert "no interfaces" in steady
+
+
+@pytest.mark.parametrize("lam, ok", [(0.5, True), (0.5 * (1.0 + 1e-9), False)])
+def test_step_run_and_verify_share_one_cfl_rule(tmp_path, capsys, lam, ok):
+    # transport | Burgers at u = 2 has max speed 2, so lam = 0.5 is the limit
+    config = small_config(initial={"kind": "piecewise_constant", "breakpoints": [],
+                                   "values": [2.0]}, **{"lambda": lam})
+    model, problem = build_model(config), build_problem(config)
+    solver_config = build_solver_config(config)
+    grid = build_grid(config.xmin, config.xmax, 16, config.interfaces)
+    state = State(np.full(16, 2.0), 0.0, 0)
+    path = tmp_path / "exp.yaml"
+    save_config(config, path)
+    main(["verify", "--config", str(path)])
+    cfl_line = capsys.readouterr().out.splitlines()[0].split()
+    if ok:
+        run(problem, grid, model, solver_config)
+        step(state, grid, model, solver_config)
+        assert cfl_line[:2] == ["cfl", "PASS"]
+    else:
+        with pytest.raises(StabilityError, match="reduce lam below 0.5"):
+            run(problem, grid, model, solver_config)
+        with pytest.raises(StabilityError, match="reduce lam below 0.5"):
+            step(state, grid, model, solver_config)
+        assert cfl_line[:2] == ["cfl", "FAIL"]
 
 
 def test_order_check_reports_a_cfl_violation_instead_of_raising():

@@ -23,7 +23,7 @@ from discflux import (
     step,
 )
 from discflux.solver import _slab_average
-from oracles import reference_step, slab_average_oracle
+from oracles import godunov_edge, reference_step, slab_average_oracle, upwind_edge
 
 TRANSPORT_THEN_BURGERS = PiecewiseFlux(
     (0.0,), (linear_flux(1.0), quadratic_flux(1.0, interval=(0.25, 3.0)))
@@ -41,6 +41,7 @@ def random_state(grid, lo, hi, seed):
 # {{{ single step
 
 
+@pytest.mark.parametrize("edge_flux", [upwind_edge, godunov_edge], ids=["upwind", "godunov"])
 @pytest.mark.parametrize(
     "model, lo, hi, lam",
     [
@@ -48,13 +49,16 @@ def random_state(grid, lo, hi, seed):
         (BURGERS_THEN_TRANSPORT, 2.0, 3.0, 0.2),
     ],
 )
-def test_step_matches_loop_transcription(model, lo, hi, lam):
+def test_step_matches_loop_transcription(model, lo, hi, lam, edge_flux):
+    # the march has one update; Godunov's min/max edge flux, transcribed
+    # independently, must give the same level for increasing laws
     grid = build_grid(-1.0, 1.0, 16, (0.0,))
     state = random_state(grid, lo, hi, seed=7)
     config = SolverConfig(lam=lam, t_end=1.0)
     new = step(state, grid, model, config, u_range=(lo, 5.0))
     expected = reference_step(
-        state.u, lam, model.segments, grid.interface_cells, brackets=(lo, 5.0)
+        state.u, lam, model.segments, grid.interface_cells, brackets=(lo, 5.0),
+        edge_flux=edge_flux,
     )
     assert np.max(np.abs(new.u - expected)) < 1e-13
     assert new.t == pytest.approx(lam * grid.dx)
@@ -445,9 +449,8 @@ def test_snapshots_and_final_state_own_their_arrays():
 
 
 def test_step_without_bracket_ignores_leftover_memory():
-    # without u_range the inversions seed their bracket from the new level;
-    # a cell not yet written must not feed that seed, whatever memory the
-    # allocator hands back
+    # step writes every cell of a fresh buffer; a cell it missed would show
+    # whatever memory the allocator hands back
     model = PiecewiseFlux((-0.5, 0.0, 0.5), (
         linear_flux(1.0),
         quadratic_flux(1.0, interval=(0.05, 4.0)),
@@ -462,6 +465,46 @@ def test_step_without_bracket_ignores_leftover_memory():
         junk = np.full(32, fill)
         del junk
         assert np.array_equal(step(state, grid, model, config).u, expected)
+
+
+def test_step_without_bracket_uses_the_invariant_interval_of_its_data(three_interface_model):
+    model = three_interface_model
+    grid = build_grid(-1.0, 1.0, 64, model.interfaces)
+    config = SolverConfig(lam=0.3, t_end=1.0)
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        state = State(rng.uniform(0.5, 2.0, grid.n), 0.0, 0)
+        u_range = invariant_interval(model, (state.u.min(), state.u.max()))
+        assert np.array_equal(step(state, grid, model, config).u,
+                              step(state, grid, model, config, u_range=u_range).u)
+
+
+def test_step_without_bracket_covers_the_inflow_trace():
+    # a one-cell first subdomain hands the imposed boundary value straight to
+    # the interface map, so the bracket must cover the trace, as run's does
+    grid = build_grid(-1.0, 1.0, 8, (-0.75,))
+    model = PiecewiseFlux((-0.75,), TRANSPORT_THEN_BURGERS.segments)
+    config = SolverConfig(lam=0.3, t_end=1.0, left=Inflow(lambda t: 2.5 + 0.0 * t))
+    state = State(np.ones(8), 0.0, 0)
+    new = step(state, grid, model, config).u
+    assert new[:2] == pytest.approx([2.5, np.sqrt(5.0)], rel=1e-15)
+    u_range = invariant_interval(model, (1.0, 2.5))
+    assert np.array_equal(new, step(state, grid, model, config, u_range=u_range).u)
+
+
+def test_step_rejects_a_law_that_stops_increasing_as_run_does():
+    # the concave law -0.2 u^2/2 + 2u peaks at u = 10, inside its block's data
+    model = PiecewiseFlux((0.0,), (quadratic_flux(-0.2, 2.0, interval=(0.0, 4.0)),
+                                   linear_flux(1.0)))
+    grid = build_grid(-1.0, 1.0, 16, model.interfaces)
+    problem = ProblemSpec((-1.0, 1.0), PiecewiseConstant((-0.5,), (9.0, 12.0)))
+    config = SolverConfig(lam=0.05, t_end=0.1)
+    with pytest.raises(ValueError, match="flux law 0 stops increasing") as from_run:
+        run(problem, grid, model, config)
+    state = State(cell_average(problem.initial, grid), 0.0, 0)
+    with pytest.raises(ValueError, match="flux law 0 stops increasing") as from_step:
+        step(state, grid, model, config)
+    assert str(from_step.value) == str(from_run.value)
 
 
 # }}}
