@@ -102,15 +102,15 @@ def cmd_run(config: ExperimentConfig, n: int, out_dir: str) -> int:
     trajectory = run(problem, grid, model, solver_config, snapshot_times=config.snapshots)
 
     os.makedirs(out_dir, exist_ok=True)
-    centers = grid.centers
+    centers = grid.centers.tolist()
     written = []
     for snap in trajectory.snapshots:
         fname = f"snapshot_t{snap.requested:g}.csv"
         path = os.path.join(out_dir, fname)
         with open(path, "w") as fh:
             fh.write("x_center,u\n")
-            for x, u in zip(centers, snap.state.u):
-                fh.write(f"{x:.17g},{u:.17g}\n")
+            fh.write("".join([f"{x:.17g},{u:.17g}\n"
+                              for x, u in zip(centers, snap.state.u.tolist())]))
         written.append({"file": fname, "requested": snap.requested, "time": snap.state.t})
         print(f"wrote {path}")
     meta = {

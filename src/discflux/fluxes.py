@@ -102,7 +102,7 @@ def quadratic_flux(a: float, b: float = 0.0, *, interval: tuple[float, float]) -
             f"min derivative {alpha}"
         )
     return FluxSegment(
-        func=lambda u: 0.5 * a * np.square(u) + b * u if isinstance(u, np.ndarray)
+        func=lambda u: _quadratic_values(0.5 * a, b, u) if isinstance(u, np.ndarray)
         else 0.5 * a * u * u + b * u,
         deriv=lambda u: a * np.asarray(u, dtype=float) + b,
         alpha=alpha,
@@ -110,6 +110,36 @@ def quadratic_flux(a: float, b: float = 0.0, *, interval: tuple[float, float]) -
         kind="quadratic",
         params=(a, b),
     )
+
+
+def _quadratic_values(c: float, b, u: np.ndarray, out=None, tmp=None):
+    """``c*u**2 + b*u`` elementwise: square, scale by ``c``, add ``b*u``.
+
+    The one home of a quadratic law's array form.  Given float buffers of
+    ``u``'s shape, ``out`` receives the result and ``tmp`` the ``b*u`` term,
+    and nothing is allocated.  ``b=None`` leaves that term out.
+    """
+    out = np.multiply(np.square(u, out=out), c, out=out)
+    if b is None:
+        return out
+    return np.add(out, np.multiply(u, b, out=tmp), out=out)
+
+
+def _array_form(seg: FluxSegment, size: int) -> Callable:
+    """``seg`` on float arrays of ``size`` values, resolved once for repeated calls.
+
+    A quadratic law writes into two buffers of that size which it owns, so
+    each result is overwritten by the next call; other laws are returned as
+    they are.  Where ``b == 0`` the ``b*u`` term is dropped: it is a zero of
+    ``u``'s sign, which is ``a``'s sign wherever the law increases, and adding
+    it changes no value there.
+    """
+    if seg.kind != "quadratic":
+        return seg.func
+    a, b = seg.params
+    c, b = 0.5 * a, (b if b != 0.0 else None)
+    out, tmp = np.empty(size), np.empty(size)
+    return lambda u: _quadratic_values(c, b, u, out, tmp)
 
 
 def custom_flux(func: Callable, deriv: Callable, *, interval: tuple[float, float]) -> FluxSegment:
@@ -238,51 +268,69 @@ def invert(seg: FluxSegment, w: float, bracket: tuple[float, float]) -> float:
     stops at a flux residual of ``2 * eps * max(1, |w|)`` or once the bracket
     is ``4 * eps`` wide relative to its ends.  Raises
     :class:`FluxRangeError` when ``w`` is not in the image of the bracket (up
-    to a small slack absorbing roundoff).
+    to a small slack absorbing roundoff).  Each call evaluates the law at
+    the bracket ends; the solver's march, which inverts on one bracket for a
+    whole run, does that once per run through the same code.
+    """
+    return _inverse(seg, bracket)(w)
+
+
+def _inverse(seg: FluxSegment, bracket: tuple[float, float]) -> Callable[[float], float]:
+    """The map ``w -> invert(seg, w, bracket)``, resolved once.
+
+    The bracket is checked and the law evaluated at its ends here, not on
+    each call; results and error texts are those of :func:`invert`.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
-    w = float(w)
-    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(w)) or hi < lo:
-        raise ValueError(f"bad inversion request: w={w}, bracket=[{lo}, {hi}]")
+    if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
+        def reject(w):
+            raise ValueError(f"bad inversion request: w={float(w)}, bracket=[{lo}, {hi}]")
+        return reject
     f_lo, f_hi = float(seg(lo)), float(seg(hi))
     slack = 1e-9 * max(1.0, abs(f_lo), abs(f_hi))
-    if w < f_lo - slack or w > f_hi + slack:
-        raise FluxRangeError(
-            f"w={w} is outside the flux image [{f_lo}, {f_hi}] "
-            f"of the bracket [{lo}, {hi}]"
-        )
-    w = min(max(w, f_lo), f_hi)
+    kind, params = seg.kind, seg.params
 
-    if seg.kind == "linear":
-        a, b = seg.params
-        return (w - b) / a
-    if seg.kind == "quadratic":
-        a, b = seg.params
-        s = math.sqrt(max(b * b + 2.0 * a * w, 0.0))
-        # the root on the increasing branch; avoid cancellation when b > 0
-        return 2.0 * w / (b + s) if b > 0.0 else (s - b) / a
+    def inverse(w):
+        w = float(w)
+        if not math.isfinite(w):
+            raise ValueError(f"bad inversion request: w={w}, bracket=[{lo}, {hi}]")
+        if w < f_lo - slack or w > f_hi + slack:
+            raise FluxRangeError(
+                f"w={w} is outside the flux image [{f_lo}, {f_hi}] "
+                f"of the bracket [{lo}, {hi}]"
+            )
+        w = min(max(w, f_lo), f_hi)
+        if kind == "linear":
+            a, b = params
+            return (w - b) / a
+        if kind == "quadratic":
+            a, b = params
+            s = math.sqrt(max(b * b + 2.0 * a * w, 0.0))
+            # the root on the increasing branch; avoid cancellation when b > 0
+            return 2.0 * w / (b + s) if b > 0.0 else (s - b) / a
+        if f_hi <= f_lo:
+            # a one-point bracket is its own root
+            return lo
+        tol = 2.0 * _EPS * max(1.0, abs(w))
+        u_lo, u_hi = lo, hi
+        u = min(max(lo + (w - f_lo) / (f_hi - f_lo) * (hi - lo), lo), hi)
+        for _ in range(200):
+            r = float(seg(u)) - w
+            if abs(r) <= tol:
+                break
+            if r < 0.0:
+                u_lo = u
+            else:
+                u_hi = u
+            if u_hi - u_lo <= 4.0 * _EPS * max(1.0, abs(u_lo), abs(u_hi)):
+                break
+            d = float(seg.deriv(u))
+            # a NaN or nonpositive slope, or a step leaving the bracket, bisects
+            newton = u - r / d if d > 0.0 else math.nan
+            u = newton if u_lo < newton < u_hi else 0.5 * (u_lo + u_hi)
+        return u
 
-    if f_hi <= f_lo:
-        # a one-point bracket is its own root
-        return lo
-    tol = 2.0 * _EPS * max(1.0, abs(w))
-    u_lo, u_hi = lo, hi
-    u = min(max(lo + (w - f_lo) / (f_hi - f_lo) * (hi - lo), lo), hi)
-    for _ in range(200):
-        r = float(seg(u)) - w
-        if abs(r) <= tol:
-            break
-        if r < 0.0:
-            u_lo = u
-        else:
-            u_hi = u
-        if u_hi - u_lo <= 4.0 * _EPS * max(1.0, abs(u_lo), abs(u_hi)):
-            break
-        d = float(seg.deriv(u))
-        # a NaN or nonpositive slope, or a step leaving the bracket, bisects
-        newton = u - r / d if d > 0.0 else math.nan
-        u = newton if u_lo < newton < u_hi else 0.5 * (u_lo + u_hi)
-    return u
+    return inverse
 
 
 def invert_near(seg: FluxSegment, w: float, seed: tuple[float, float]) -> float:

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import StabilityError
-from .fluxes import PiecewiseFlux, FluxSegment, invariant_interval, invert
+from .fluxes import PiecewiseFlux, FluxSegment, invariant_interval, _array_form, _inverse
 from .grid import Grid, SampledTable, cell_average, _evaluate, _GL_NODES, _GL_WEIGHTS
 
 _CFL_SLACK = 1e-12
@@ -180,12 +180,15 @@ def _check_cfl(lam: float, laws) -> float:
 class _March:
     """Everything one level-to-level update needs, resolved once.
 
-    Holds each subdomain's cell bounds ``(seg, a, b)`` with its update (a
-    convex combination for a linear law, upwind edge fluxes otherwise), the
-    interface couplings ``(p, left law, right law)``, the inversion bracket,
-    the left-boundary trace and a scratch buffer.  :meth:`advance` writes
-    every cell of a caller-owned array, so a march can alternate between two
-    buffers.
+    Holds each subdomain's cell bounds ``(a, b)`` with its update: the slope
+    of a linear law, whose update is a convex combination, or else the law's
+    array form for the block's upwind edge fluxes (a quadratic law writes
+    them into two buffers of the block's size) and its scalar form for the
+    last edge.  Each interface coupling ``(p, left law, inverse)`` holds the
+    right law's inverse on the bracket, with the bracket's flux image
+    computed once.  Also kept: the left-boundary trace and a scratch buffer.
+    :meth:`advance` writes every cell of a caller-owned array, so a march can
+    alternate between two buffers.
     """
 
     def __init__(self, grid: Grid, model: PiecewiseFlux, config: SolverConfig,
@@ -195,12 +198,15 @@ class _March:
         # a one-cell subdomain has no interior: its cell is the boundary or
         # an interface cell
         self.updates = [
-            (seg, a, b, seg.params[0] if seg.kind == "linear" else None)
+            (a, b, seg.params[0], None, None) if seg.kind == "linear"
+            else (a, b, None, _array_form(seg, b - 1 - a), seg.func)
             for seg, a, b in zip(segs, bounds, bounds[1:])
             if b - a > 1
         ]
-        self.couplings = tuple(zip(grid.interface_cells, segs, segs[1:]))
-        self.bracket = bracket
+        self.couplings = tuple(
+            (p, left.func, _inverse(right, bracket))
+            for p, left, right in zip(grid.interface_cells, segs, segs[1:])
+        )
         self.trace = config.left.trace if isinstance(config.left, Inflow) else None
         self.slab = config.lam * grid.dx
         self.t_end = config.t_end
@@ -209,7 +215,7 @@ class _March:
     def advance(self, u: np.ndarray, new: np.ndarray, t: float, dt: float, lam: float):
         """Write the level after ``u`` (at time ``t``, step ``dt = lam * dx``) into ``new``."""
         scratch = self.scratch
-        for seg, a, b, slope in self.updates:
+        for a, b, slope, array_form, scalar_form in self.updates:
             dst, tmp = new[a + 1:b], scratch[a + 1:b]
             if slope is not None:
                 # convex combination of the two upwind cells, exact at weight one
@@ -221,9 +227,9 @@ class _March:
                 # conservative difference of the upwind edge fluxes f(u_left);
                 # the last cell's right edge uses the law's scalar form, as
                 # the interior ones use its array form
-                edge = np.asarray(seg(u[a:b - 1]))
+                edge = np.asarray(array_form(u[a:b - 1]))
                 np.subtract(edge[1:], edge[:-1], out=tmp[:-1])
-                tmp[-1] = seg(u[b - 1]) - edge[-1]
+                tmp[-1] = scalar_form(float(u[b - 1])) - edge[-1]
                 np.multiply(tmp, lam, out=tmp)
                 np.subtract(u[a + 1:b], tmp, out=dst)
 
@@ -235,8 +241,8 @@ class _March:
             new[0] = u[0]
 
         # interface cells: match the flux of the updated left neighbour
-        for p, left, right in self.couplings:
-            new[p] = invert(right, float(left(new[p - 1])), self.bracket)
+        for p, left, inverse in self.couplings:
+            new[p] = inverse(left(float(new[p - 1])))
 
 
 # }}}

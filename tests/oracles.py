@@ -1,12 +1,16 @@
 """Slow, independent re-implementations used to cross-check the library.
 
 Everything here is written from the definitions with plain loops and
-bisection so that agreement with the package is meaningful.
+bisection so that agreement with the package is meaningful.  The one
+exception is :func:`reference_advance`, the march's allocating array-form
+update: the march plan must reproduce it bit for bit.
 """
 
 import bisect
 
 import numpy as np
+
+from discflux import invert
 
 
 def bisect_root(func, lo, hi, tol=5e-15, itmax=300):
@@ -117,6 +121,41 @@ def reference_step(u, lam, fluxes, interface_cells, brackets, edge_flux=upwind_e
         lo, hi = brackets
         new[p] = bisect_root(lambda v: fluxes[i + 1](v) - w, lo, hi)
     return np.asarray(new)
+
+
+def reference_advance(u, t, dt, lam, model, interface_cells, bracket, trace=None,
+                      slab=None, t_end=None):
+    """One level of the march in its allocating array form.
+
+    Each block of two or more cells is updated from the old level: a linear
+    law ``a*u + b`` by the convex combination ``(1 - lam*a) u_j + lam*a
+    u_{j-1}``, any other law by upwind edge fluxes ``f(u[a:b-1])`` from its
+    array form and, past the block's last cell, its scalar form.  The
+    boundary cell keeps its value or, with an inflow table ``trace``, takes
+    its mean over ``(t + dt, min(t + dt + slab, t_end))``.  Each interface
+    cell is then one :func:`discflux.invert` of its updated left
+    neighbour's flux on ``bracket``.
+    """
+    new = np.empty_like(u)
+    bounds = [0, *interface_cells, u.size]
+    for seg, a, b in zip(model.segments, bounds, bounds[1:]):
+        if b - a < 2:
+            continue
+        if seg.kind == "linear":
+            w = lam * seg.params[0]
+            new[a + 1:b] = u[a + 1:b] * (1.0 - w) + u[a:b - 1] * w
+        else:
+            edge = seg(u[a:b - 1])
+            diff = np.append(edge[1:] - edge[:-1], seg(u[b - 1]) - edge[-1])
+            new[a + 1:b] = u[a + 1:b] - lam * diff
+    if trace is None:
+        new[0] = u[0]
+    else:
+        new[0] = slab_average_oracle(trace, t + dt, min(t + dt + slab, t_end))
+    for i, p in enumerate(interface_cells):
+        w = float(model.segments[i](new[p - 1]))
+        new[p] = invert(model.segments[i + 1], w, bracket)
+    return new
 
 
 def flux_lipschitz_all_pairs(levels, times, centers, fluxes, interface_cells):

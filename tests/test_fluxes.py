@@ -16,6 +16,7 @@ from discflux import (
     max_wave_speed,
     quadratic_flux,
 )
+from discflux.fluxes import _array_form, _inverse
 from oracles import bisect_root
 
 EPS = float(np.finfo(float).eps)
@@ -212,6 +213,66 @@ def test_invert_outside_image():
     # values inside the roundoff slack are clamped instead
     top = float(seg(2.0))
     assert invert(seg, top + 1e-13, (1.0, 2.0)) == pytest.approx(2.0)
+
+
+def same_bits(x, y):
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+@pytest.mark.parametrize(
+    "a, b, interval",
+    [(1.0, 0.0, (0.05, 4.0)), (-0.2, 2.0, (0.0, 4.0)), (0.7, 0.3, (-0.4, 3.0)),
+     (-1.0, 0.0, (-4.0, -0.05))],
+)
+def test_quadratic_array_form_writes_the_law_into_its_buffers(a, b, interval):
+    # b == 0 drops the b*u term, a zero of a's sign wherever the law
+    # increases, so the values must not move, signed zeros included
+    seg = quadratic_flux(a, b, interval=interval)
+    lo, hi = seg.interval
+    u = np.concatenate(([lo, hi], np.random.default_rng(3).uniform(lo, hi, 10_000)))
+    form = _array_form(seg, u.size)
+    first = form(u)
+    expected = 0.5 * a * np.square(u) + b * u
+    assert first.tobytes() == seg(u).tobytes() == expected.tobytes()
+    # the next call reuses the same buffer instead of allocating
+    again = form(u[::-1])
+    assert np.shares_memory(first, again)
+    assert again.tobytes() == expected[::-1].tobytes()
+
+
+@pytest.mark.parametrize(
+    "seg, bracket",
+    [
+        (linear_flux(3.0, -2.0), (-5.0, 5.0)),
+        (quadratic_flux(-0.2, 2.0, interval=(0.0, 4.0)), (0.0, 4.0)),
+        (quadratic_flux(-1.0, 0.0, interval=(-4.0, -0.05)), (-4.0, -0.05)),
+        (custom_flux(sin_law, sin_law_deriv, interval=(0.0, 4.0)), (0.0, 4.0)),
+    ],
+    ids=["linear", "quadratic-b>0", "quadratic-b<=0", "custom"],
+)
+def test_resolved_inverse_equals_invert_on_every_call(seg, bracket):
+    # one inverse serves a whole march, so no call may leave state behind
+    inverse = _inverse(seg, bracket)
+    lo, hi = bracket
+    f_lo, f_hi = float(seg(lo)), float(seg(hi))
+    ws = np.concatenate(([f_lo, f_hi, f_hi + 1e-13],
+                         np.random.default_rng(13).uniform(f_lo, f_hi, 500)))
+    for w in ws:
+        assert same_bits(inverse(w), invert(seg, w, bracket))
+
+    for w in (f_lo - 1.0, f_hi + 1.0):
+        text = (f"w={w} is outside the flux image [{f_lo}, {f_hi}] "
+                f"of the bracket [{lo}, {hi}]")
+        for solve in (inverse, lambda w: invert(seg, w, bracket)):
+            with pytest.raises(FluxRangeError) as exc:
+                solve(w)
+            assert str(exc.value) == text
+    for w, br in ((np.nan, bracket), (np.inf, bracket), (1.0, (hi, lo)), (1.0, (np.nan, hi))):
+        text = f"bad inversion request: w={w}, bracket=[{float(br[0])}, {float(br[1])}]"
+        for solve in (_inverse(seg, br), lambda w: invert(seg, w, br)):
+            with pytest.raises(ValueError) as exc:
+                solve(w)
+            assert str(exc.value) == text
 
 
 def test_invert_near_grows_bracket():

@@ -13,17 +13,28 @@ from discflux import (
     StabilityError,
     State,
     build_grid,
+    build_model,
+    build_problem,
+    build_solver_config,
     cell_average,
+    custom_flux,
     inflow_boundary_value,
     invariant_interval,
     linear_flux,
     numerical_flux_value,
+    preset,
     quadratic_flux,
     run,
     step,
 )
 from discflux.solver import _slab_average
-from oracles import godunov_edge, reference_step, slab_average_oracle, upwind_edge
+from oracles import (
+    godunov_edge,
+    reference_advance,
+    reference_step,
+    slab_average_oracle,
+    upwind_edge,
+)
 
 TRANSPORT_THEN_BURGERS = PiecewiseFlux(
     (0.0,), (linear_flux(1.0), quadratic_flux(1.0, interval=(0.25, 3.0)))
@@ -427,6 +438,82 @@ def test_run_equals_a_loop_of_public_steps(three_interface_model, kind):
         assert (got.t, got.step) == (want.t, want.step)
         assert np.array_equal(got.u, want.u)
     assert np.array_equal(trajectory.final.u, levels[-1].u)
+
+
+def assert_run_matches_reference_advance(problem, grid, model, config, data_range):
+    # every retained level against an independent march of the allocating
+    # array-form update, bit for bit
+    trajectory = run(problem, grid, model, config, retain_levels=True)
+    bracket = invariant_interval(model, data_range)
+    trace = config.left.trace if isinstance(config.left, Inflow) else None
+    dt = config.lam * grid.dx
+    n_full = int(np.floor(config.t_end / dt + 1e-12))
+    u = cell_average(problem.initial, grid)
+    assert np.array_equal(trajectory.levels[0].u, u)
+    for k, level in enumerate(trajectory.levels[1:], start=1):
+        step_dt = dt if k <= n_full else config.t_end - n_full * dt
+        lam = config.lam if k <= n_full else step_dt / grid.dx
+        u = reference_advance(u, (k - 1) * dt, step_dt, lam, model, grid.interface_cells,
+                              bracket, trace=trace, slab=dt, t_end=config.t_end)
+        assert np.array_equal(level.u, u), f"level {k}"
+    return trajectory
+
+
+def test_run_matches_the_reference_advance_on_three_interfaces(three_interface_model):
+    model = three_interface_model
+    grid = build_grid(-1.0, 1.0, 64, model.interfaces)
+    values = (1.6, 0.6, 1.9, 0.8, 1.3)
+    trace = np.random.default_rng(11).uniform(0.5, 2.0, 9)
+    t_end = 0.31  # 33 full steps of 0.009375 and a shortened one
+    config = SolverConfig(lam=0.3, t_end=t_end,
+                          left=Inflow(SampledTable(np.linspace(0.0, t_end, 9), trace)))
+    problem = ProblemSpec((-1.0, 1.0), PiecewiseConstant((-0.7, -0.2, 0.3, 0.8), values))
+    trajectory = assert_run_matches_reference_advance(
+        problem, grid, model, config, (min(*values, *trace), max(*values, *trace)))
+    assert trajectory.final.step == 34
+
+
+@pytest.mark.parametrize("name", ["experiment1", "experiment2"])
+def test_run_matches_the_reference_advance_on_presets(name):
+    cfg = preset(name)
+    grid = build_grid(cfg.xmin, cfg.xmax, 64, cfg.interfaces)
+    problem, model = build_problem(cfg), build_model(cfg)
+    u0 = cell_average(problem.initial, grid)
+    assert_run_matches_reference_advance(problem, grid, model, build_solver_config(cfg),
+                                         (float(u0.min()), float(u0.max())))
+
+
+def test_march_evaluates_the_right_law_at_the_bracket_ends_once(three_interface_model):
+    # the interface inverse is resolved with the plan: the custom law on the
+    # right of interface 2 is evaluated at the bracket ends once per run, not
+    # on every step
+    segs = three_interface_model.segments
+    scalar_args = []
+
+    def law(u):
+        if not isinstance(u, np.ndarray):
+            scalar_args.append(float(u))
+        return segs[2].func(u)
+
+    model = PiecewiseFlux(three_interface_model.interfaces, (
+        segs[0], segs[1], custom_flux(law, segs[2].deriv, interval=segs[2].interval), segs[3]))
+    grid = build_grid(-1.0, 1.0, 64, model.interfaces)
+    # data below 2: the Burgers map sqrt(2u) raises the top of the bracket and
+    # the concave map lowers its bottom, so neither end is a data value at
+    # which the bracket computation itself evaluates the law
+    values = (1.2, 0.6, 1.4, 0.8, 1.1)
+    trace = np.random.default_rng(11).uniform(0.5, 1.5, 9)
+    data_lo, data_hi = min(*values, *trace), max(*values, *trace)
+    lo, hi = invariant_interval(model, (data_lo, data_hi))
+    assert lo < data_lo and hi > data_hi
+    config = SolverConfig(lam=0.3, t_end=0.31,
+                          left=Inflow(SampledTable(np.linspace(0.0, 0.31, 9), trace)))
+    problem = ProblemSpec((-1.0, 1.0), PiecewiseConstant((-0.7, -0.2, 0.3, 0.8), values))
+    scalar_args.clear()
+    trajectory = run(problem, grid, model, config)
+    assert trajectory.final.step == 34
+    assert scalar_args.count(lo) <= 1
+    assert scalar_args.count(hi) <= 1
 
 
 def test_snapshots_and_final_state_own_their_arrays():
