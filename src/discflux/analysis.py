@@ -29,6 +29,9 @@ from .solver import State, Trajectory
 # nodes/weights for the oracle cell-average quadrature
 _GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
+# Bytes of entropy_residual's per-block work arrays, sized to stay in cache.
+_RESIDUAL_BLOCK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class ErrorReport:
@@ -222,22 +225,36 @@ def entropy_residual(
     best = -math.inf
     best_where = (0, 0, 0.0)
     constants = tuple(float(c) for c in c_samples)
+    # blocks of steps in reused buffers: per step row, eta takes n values
+    # and q, the rate and the divergence about n each
+    n, steps = grid.n, dts.size
+    rows = min(steps, max(1, _RESIDUAL_BLOCK_BYTES // (4 * n * u_all.itemsize)))
+    eta_buf, q_buf = np.empty((rows + 1, n)), np.empty((rows, n))
+    res_buf, div_buf = np.empty((rows, n - 1)), np.empty((rows, n - 1))
+    out_of_law = ~same_law
     for c in constants:
         adapted = _adapted_constants(model, c, seed)
         c_cell = adapted[grid.subdomain_of_cell]
         fc = float(model.segments[0](adapted[0]))
-        eta = np.abs(u_all - c_cell)
-        q = np.abs(flux_all - fc)
-        rate = (eta[1:, 1:] - eta[:-1, 1:]) / dts[:, None]
-        div = (q[:-1, 1:] - q[:-1, :-1]) / grid.dx
-        residual = (rate + div)[:, same_law]
-        idx = int(np.argmax(residual))
-        value = float(residual.flat[idx])
-        if value > best:
-            step_i, col = np.unravel_index(idx, residual.shape)
-            cell = int(np.nonzero(same_law)[0][col]) + 1
-            best = value
-            best_where = (cell, int(step_i), c)
+        for i0 in range(0, steps, rows):
+            m = min(rows, steps - i0)
+            eta, q, residual, div = eta_buf[:m + 1], q_buf[:m], res_buf[:m], div_buf[:m]
+            np.abs(np.subtract(u_all[i0:i0 + m + 1], c_cell, out=eta), out=eta)
+            np.abs(np.subtract(flux_all[i0:i0 + m], fc, out=q), out=q)
+            # the rate, then the rate plus the divergence, in place
+            np.subtract(eta[1:, 1:], eta[:-1, 1:], out=residual)
+            np.divide(residual, dts[i0:i0 + m, None], out=residual)
+            np.divide(np.subtract(q[:, 1:], q[:, :-1], out=div), grid.dx, out=div)
+            np.add(residual, div, out=residual)
+            # cells without an in-law left neighbour never win the argmax
+            np.copyto(residual, -math.inf, where=out_of_law)
+            idx = int(np.argmax(residual))
+            value = float(residual.flat[idx])
+            # strict: the first occurrence over constants, then steps, then cells
+            if value > best:
+                step_i, col = divmod(idx, n - 1)
+                best = value
+                best_where = (col + 1, i0 + step_i, c)
     return EntropyResidualReport(max_residual=best, argmax=best_where, sampled_c=constants)
 
 

@@ -126,20 +126,28 @@ def _quadratic_values(c: float, b, u: np.ndarray, out=None, tmp=None):
 
 
 def _array_form(seg: FluxSegment, size: int) -> Callable:
-    """``seg`` on float arrays of ``size`` values, resolved once for repeated calls.
+    """``seg`` on float arrays of up to ``size`` values, resolved once for repeated calls.
 
-    A quadratic law writes into two buffers of that size which it owns, so
-    each result is overwritten by the next call; other laws are returned as
-    they are.  Where ``b == 0`` the ``b*u`` term is dropped: it is a zero of
-    ``u``'s sign, which is ``a``'s sign wherever the law increases, and adding
-    it changes no value there.
+    A quadratic law writes into the first ``u.size`` entries of two buffers
+    of that size which it owns, so each result is overwritten by the next
+    call; other laws are returned as they are.  Where ``b == 0`` the
+    ``b*u`` term is dropped: it is a zero of ``u``'s sign, which is ``a``'s
+    sign wherever the law increases, and adding it changes no value there.
     """
     if seg.kind != "quadratic":
         return seg.func
     a, b = seg.params
     c, b = 0.5 * a, (b if b != 0.0 else None)
     out, tmp = np.empty(size), np.empty(size)
-    return lambda u: _quadratic_values(c, b, u, out, tmp)
+
+    def kernel(u):
+        n = u.size
+        # a full-size call takes the buffers as they are: slicing them costs
+        # a few hundred nanoseconds, paid on every step of a march
+        if n == size:
+            return _quadratic_values(c, b, u, out, tmp)
+        return _quadratic_values(c, b, u, out[:n], tmp[:n])
+    return kernel
 
 
 def custom_flux(func: Callable, deriv: Callable, *, interval: tuple[float, float]) -> FluxSegment:
@@ -275,18 +283,21 @@ def invert(seg: FluxSegment, w: float, bracket: tuple[float, float]) -> float:
     return _inverse(seg, bracket)(w)
 
 
-def _inverse(seg: FluxSegment, bracket: tuple[float, float]) -> Callable[[float], float]:
+def _inverse(seg: FluxSegment, bracket: tuple[float, float],
+             image: tuple[float, float] = None) -> Callable[[float], float]:
     """The map ``w -> invert(seg, w, bracket)``, resolved once.
 
     The bracket is checked and the law evaluated at its ends here, not on
-    each call; results and error texts are those of :func:`invert`.
+    each call; results and error texts are those of :func:`invert`.  A
+    caller that has already evaluated the law at the bracket ends passes
+    those values as ``image``.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
         def reject(w):
             raise ValueError(f"bad inversion request: w={float(w)}, bracket=[{lo}, {hi}]")
         return reject
-    f_lo, f_hi = float(seg(lo)), float(seg(hi))
+    f_lo, f_hi = (float(seg(lo)), float(seg(hi))) if image is None else image
     slack = 1e-9 * max(1.0, abs(f_lo), abs(f_hi))
     kind, params = seg.kind, seg.params
 
@@ -336,7 +347,8 @@ def _inverse(seg: FluxSegment, bracket: tuple[float, float]) -> Callable[[float]
 def invert_near(seg: FluxSegment, w: float, seed: tuple[float, float]) -> float:
     """Like :func:`invert`, but grows the bracket outward from ``seed``.
 
-    Used when only a rough idea of where the root lives is available.  Raises
+    Used when only a rough idea of where the root lives is available.  The
+    law is evaluated once at each end of the bracket found.  Raises
     :class:`FluxRangeError` if doubling the bracket 200 times never captures
     ``w`` (the flux image is bounded away from it).
     """
@@ -348,7 +360,7 @@ def invert_near(seg: FluxSegment, w: float, seed: tuple[float, float]) -> float:
         f_lo, f_hi = float(seg(lo)), float(seg(hi))
         slack = 1e-9 * max(1.0, abs(f_lo), abs(f_hi))
         if f_lo - slack <= w <= f_hi + slack:
-            return invert(seg, w, (lo, hi))
+            return _inverse(seg, (lo, hi), (f_lo, f_hi))(w)
         if w < f_lo:
             lo -= width
         if w > f_hi:

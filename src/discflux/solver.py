@@ -23,6 +23,10 @@ from .grid import Grid, SampledTable, cell_average, _evaluate, _GL_NODES, _GL_WE
 
 _CFL_SLACK = 1e-12
 
+# Full steps between two narrowings of the march's recompute spans to the
+# cells that changed.
+_NARROW_EVERY = 32
+
 # Accepted edge-flux names.  For increasing laws each is f(u_left) (see
 # numerical_flux_value), so a name selects no code; verify checks the collapse.
 _NUMERICAL_FLUXES = ("upwind", "godunov", "engquist_osher")
@@ -187,8 +191,8 @@ class _March:
     last edge.  Each interface coupling ``(p, left law, inverse)`` holds the
     right law's inverse on the bracket, with the bracket's flux image
     computed once.  Also kept: the left-boundary trace and a scratch buffer.
-    :meth:`advance` writes every cell of a caller-owned array, so a march can
-    alternate between two buffers.
+    :meth:`advance` writes a caller-owned array, so a march can alternate
+    between two buffers.
     """
 
     def __init__(self, grid: Grid, model: PiecewiseFlux, config: SolverConfig,
@@ -196,10 +200,12 @@ class _March:
         segs = model.segments
         bounds = (0, *grid.interface_cells, grid.n)
         # a one-cell subdomain has no interior: its cell is the boundary or
-        # an interface cell
+        # an interface cell.  The last entry says whether the block follows
+        # its span: a custom law is always called on the whole interior, so
+        # it sees the arguments it would without spans.
         self.updates = [
-            (a, b, seg.params[0], None, None) if seg.kind == "linear"
-            else (a, b, None, _array_form(seg, b - 1 - a), seg.func)
+            (a, b, seg.params[0], None, None, True) if seg.kind == "linear"
+            else (a, b, None, _array_form(seg, b - 1 - a), seg.func, seg.kind != "custom")
             for seg, a, b in zip(segs, bounds, bounds[1:])
             if b - a > 1
         ]
@@ -212,26 +218,82 @@ class _March:
         self.t_end = config.t_end
         self.scratch = np.empty(grid.n)
 
-    def advance(self, u: np.ndarray, new: np.ndarray, t: float, dt: float, lam: float):
-        """Write the level after ``u`` (at time ``t``, step ``dt = lam * dx``) into ``new``."""
+    def whole_spans(self) -> list:
+        """Spans that recompute every block's whole interior, for a first step."""
+        return [(a + 1, b) for a, b, *_ in self.updates]
+
+    def advance(self, u: np.ndarray, new: np.ndarray, t: float, dt: float, lam: float,
+                spans: list = None, narrow: bool = False):
+        """Write the level after ``u`` (at time ``t``, step ``dt = lam * dx``) into ``new``.
+
+        Without ``spans`` every cell of ``new`` is written.  ``spans`` holds,
+        for each update block, the half-open range ``(s, e)`` of its interior
+        cells to recompute (empty as ``s == e``); only those cells, the
+        boundary cell and the interface cells are written, except that a
+        custom-law block always recomputes its whole interior.  That is
+        exact under the span invariant: ``new`` holds the level that ``u``
+        was computed from by a step of the same ``lam``, and every interior
+        cell in which the two differ bitwise lies in its block's span
+        together with its downwind neighbour.  A cell outside the span then
+        has the inputs it had one step ago, so its new value is its value in
+        ``u``, which ``new`` already holds.
+
+        The spans are then moved on so the invariant holds for the next
+        step.  With ``narrow``, a span first shrinks to the cells that
+        changed bitwise (so 0.0 and -0.0 differ).  Each span grows by one
+        cell downwind and reopens at the block's second cell when the
+        block's first cell may have moved: an inflow boundary cell, or an
+        interface cell whose upstream span reached the cell on its left.
+        Spans that cover a whole interior (:meth:`whole_spans`) satisfy the
+        invariant for any content of ``new``.
+        """
         scratch = self.scratch
-        for a, b, slope, array_form, scalar_form in self.updates:
-            dst, tmp = new[a + 1:b], scratch[a + 1:b]
-            if slope is not None:
-                # convex combination of the two upwind cells, exact at weight one
-                w = lam * slope
-                np.multiply(u[a + 1:b], 1.0 - w, out=dst)
-                np.multiply(u[a:b - 1], w, out=tmp)
-                np.add(dst, tmp, out=dst)
-            else:
-                # conservative difference of the upwind edge fluxes f(u_left);
-                # the last cell's right edge uses the law's scalar form, as
-                # the interior ones use its array form
-                edge = np.asarray(array_form(u[a:b - 1]))
-                np.subtract(edge[1:], edge[:-1], out=tmp[:-1])
-                tmp[-1] = scalar_form(float(u[b - 1])) - edge[-1]
-                np.multiply(tmp, lam, out=tmp)
-                np.subtract(u[a + 1:b], tmp, out=dst)
+        whole = spans is None
+        moved = self.trace is not None
+        if narrow:
+            u_bits, new_bits = u.view(np.int64), new.view(np.int64)
+        for i, (a, b, slope, array_form, scalar_form, windowed) in enumerate(self.updates):
+            s, e = (a + 1, b) if whole else spans[i]
+            if s < e:
+                dst, tmp = new[s:e], scratch[s:e]
+                if slope is not None:
+                    # convex combination of the two upwind cells, exact at weight one
+                    w = lam * slope
+                    np.multiply(u[s:e], 1.0 - w, out=dst)
+                    np.multiply(u[s - 1:e - 1], w, out=tmp)
+                    np.add(dst, tmp, out=dst)
+                else:
+                    # conservative difference of the upwind edge fluxes
+                    # f(u_left); the block's last cell takes its right edge
+                    # from the law's scalar form, as the interior ones use
+                    # its array form
+                    if e < b:
+                        edge = np.asarray(array_form(u[s - 1:e]))
+                        np.subtract(edge[1:], edge[:-1], out=tmp)
+                    else:
+                        edge = np.asarray(array_form(u[s - 1:b - 1]))
+                        np.subtract(edge[1:], edge[:-1], out=tmp[:-1])
+                        tmp[-1] = scalar_form(float(u[b - 1])) - edge[-1]
+                    np.multiply(tmp, lam, out=tmp)
+                    np.subtract(u[s:e], tmp, out=dst)
+            if whole or not windowed:
+                moved = True
+                continue
+            if narrow and s < e:
+                changed = np.flatnonzero(new_bits[s:e] != u_bits[s:e])
+                s, e = (s + int(changed[0]), s + int(changed[-1]) + 1) if changed.size \
+                    else (a + 1, a + 1)
+            elif moved and e == b and s == a + 1:
+                # a whole span whose first cell may have moved stays whole,
+                # and its last cell may have moved too
+                continue
+            last = s < e == b
+            if s < e < b:
+                e += 1
+            if moved:
+                s, e = a + 1, (e if s < e else a + 2)
+            spans[i] = (s, e)
+            moved = last
 
         if self.trace is not None:
             t_new = t + dt
@@ -401,10 +463,15 @@ def run(
     levels = [State(u.copy(), t, k)] if retain_levels else None
     last_lam = remainder / grid.dx
 
+    # full steps recompute only the cells in their spans (see _March.advance);
+    # the first step writes a whole level into the empty spare buffer
+    spans = march.whole_spans()
+
     for k in range(1, len(level_times)):
         if k <= n_full:
-            march.advance(u, spare, t, dt, config.lam)
+            march.advance(u, spare, t, dt, config.lam, spans, k % _NARROW_EVERY == 0)
         else:
+            # the shortened step's lam differs, so no cell is known to be fixed
             march.advance(u, spare, t, remainder, last_lam)
         if record_increments:
             np.subtract(spare, u, out=change)

@@ -1,16 +1,18 @@
 """Slow, independent re-implementations used to cross-check the library.
 
 Everything here is written from the definitions with plain loops and
-bisection so that agreement with the package is meaningful.  The one
-exception is :func:`reference_advance`, the march's allocating array-form
-update: the march plan must reproduce it bit for bit.
+bisection so that agreement with the package is meaningful.  The
+exceptions are :func:`reference_advance`, the march's allocating array-form
+update, and :func:`entropy_residual_whole`, the entropy residual over all
+levels at once: the package must reproduce both bit for bit.
 """
 
 import bisect
 
 import numpy as np
 
-from discflux import invert
+from discflux import EntropyResidualReport, invert
+from discflux.analysis import _adapted_constants
 
 
 def bisect_root(func, lo, hi, tol=5e-15, itmax=300):
@@ -158,6 +160,30 @@ def reference_advance(u, t, dt, lam, model, interface_cells, bracket, trace=None
     return new
 
 
+def reference_levels(u0, grid, model, config, bracket):
+    """Every level of a march of :func:`reference_advance` from ``u0`` to ``config.t_end``.
+
+    Full steps of ``dt = lam * dx`` and, when the end time is not a whole
+    number of them, one shortened step; level ``k`` of the full steps
+    starts at ``k * dt``, as the march pins it.  An inflow boundary takes
+    ``config.left.trace``'s slab means, a slab reaching past the end time
+    being cut there.
+    """
+    trace = getattr(config.left, "trace", None)
+    dt = config.lam * grid.dx
+    n_full = int(np.floor(config.t_end / dt + 1e-12))
+    remainder = config.t_end - n_full * dt
+    if remainder <= 1e-12 * max(dt, 1.0):
+        remainder = 0.0
+    levels = [u0]
+    for k in range(1, n_full + 1 + (remainder > 0.0)):
+        step_dt = dt if k <= n_full else remainder
+        levels.append(reference_advance(
+            levels[-1], (k - 1) * dt, step_dt, step_dt / grid.dx if k > n_full else config.lam,
+            model, grid.interface_cells, bracket, trace=trace, slab=dt, t_end=config.t_end))
+    return levels
+
+
 def flux_lipschitz_all_pairs(levels, times, centers, fluxes, interface_cells):
     """Largest space-Lipschitz quotient of the flux over every same-law cell pair.
 
@@ -178,3 +204,37 @@ def flux_lipschitz_all_pairs(levels, times, centers, fluxes, interface_cells):
                     total = np.sum(dts * np.abs(flux[j] - flux[k]))
                     worst = max(worst, float(total / (centers[k] - centers[j])))
     return worst
+
+
+def entropy_residual_whole(trajectory, grid, model, c_samples):
+    """``analysis.entropy_residual`` with every (levels x cells) array allocated whole.
+
+    For each constant the residual is formed over all steps at once, the
+    in-law cells are picked by fancy indexing and the first argmax is kept
+    across constants by a strict comparison.
+    """
+    u_all = np.stack([lv.u for lv in trajectory.levels])
+    dts = np.diff(np.asarray([lv.t for lv in trajectory.levels]))
+    flux_all = np.empty_like(u_all)
+    for seg, sl in zip(model.segments, grid.subdomain_slices()):
+        flux_all[:, sl] = seg(u_all[:, sl])
+    same_law = grid.subdomain_of_cell[1:] == grid.subdomain_of_cell[:-1]
+    seed = (float(u_all.min()), float(u_all.max()))
+    best, best_where = -np.inf, (0, 0, 0.0)
+    constants = tuple(float(c) for c in c_samples)
+    for c in constants:
+        adapted = _adapted_constants(model, c, seed)
+        c_cell = adapted[grid.subdomain_of_cell]
+        fc = float(model.segments[0](adapted[0]))
+        eta = np.abs(u_all - c_cell)
+        q = np.abs(flux_all - fc)
+        rate = (eta[1:, 1:] - eta[:-1, 1:]) / dts[:, None]
+        div = (q[:-1, 1:] - q[:-1, :-1]) / grid.dx
+        residual = (rate + div)[:, same_law]
+        idx = int(np.argmax(residual))
+        value = float(residual.flat[idx])
+        if value > best:
+            step_i, col = np.unravel_index(idx, residual.shape)
+            cell = int(np.nonzero(same_law)[0][col]) + 1
+            best, best_where = value, (cell, int(step_i), c)
+    return EntropyResidualReport(max_residual=best, argmax=best_where, sampled_c=constants)

@@ -27,6 +27,7 @@ from discflux import (
     spatial_tv,
     temporal_tv,
 )
+from discflux import analysis
 from discflux.analysis import _adapted_constants
 from discflux.errors import (
     MissingDataError,
@@ -34,7 +35,7 @@ from discflux.errors import (
     SequencingError,
     ValidityError,
 )
-from oracles import flux_lipschitz_all_pairs
+from oracles import entropy_residual_whole, flux_lipschitz_all_pairs
 
 
 def _state(u, t=0.0, step=0):
@@ -213,6 +214,42 @@ def test_entropy_residual_nonpositive_on_upwind_run():
     assert 0 <= step < traj.final.step
     assert c in report.sampled_c
     assert report.sampled_c == tuple(constants)
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1], ids=["default-blocks", "one-step-blocks"])
+@pytest.mark.parametrize("name, n", [("experiment1", 256), ("experiment2", 256)])
+def test_entropy_residual_equals_the_whole_array_form(monkeypatch, name, n, block_bytes):
+    # blocks of steps in reused buffers, the out-of-law cells masked with
+    # -inf: the same report as one allocation per (levels x cells) array
+    if block_bytes is not None:
+        monkeypatch.setattr(analysis, "_RESIDUAL_BLOCK_BYTES", block_bytes)
+    config = preset(name)
+    grid = build_grid(config.xmin, config.xmax, n, config.interfaces)
+    model = build_model(config)
+    traj = run(build_problem(config), grid, model, build_solver_config(config),
+               retain_levels=True)
+    u0 = traj.levels[0].u
+    constants = np.linspace(float(u0.min()), float(u0.max()), 17)
+    # more steps than one block holds, so blocks meet inside the run
+    assert len(traj.levels) - 1 > analysis._RESIDUAL_BLOCK_BYTES // (32 * n)
+    assert entropy_residual(traj, grid, model, constants) == entropy_residual_whole(
+        traj, grid, model, constants)
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1], ids=["default-blocks", "one-step-blocks"])
+def test_entropy_residual_keeps_the_first_of_tied_maxima(monkeypatch, block_bytes):
+    # a steady state gives a zero residual at every in-law cell, step and
+    # constant: the first cell of the first step under the first constant wins
+    if block_bytes is not None:
+        monkeypatch.setattr(analysis, "_RESIDUAL_BLOCK_BYTES", block_bytes)
+    config = preset("experiment1")
+    grid = build_grid(config.xmin, config.xmax, 32, config.interfaces)
+    model = build_model(config)
+    levels = [_state(np.full(32, 1.5), t=0.01 * k, step=k) for k in range(6)]
+    traj = Trajectory(final=levels[-1], snapshots=(), levels=levels)
+    report = entropy_residual(traj, grid, model, [0.5, 1.0, 2.0])
+    assert report == entropy_residual_whole(traj, grid, model, [0.5, 1.0, 2.0])
+    assert (report.max_residual, report.argmax) == (0.0, (1, 0, 0.5))
 
 
 def test_entropy_residual_catches_downwind_march():

@@ -289,6 +289,44 @@ def test_invert_near_gives_up_on_bounded_image():
         invert_near(seg, 2.0, (0.0, 1.0))
 
 
+def test_invert_near_evaluates_each_bracket_end_once():
+    # the bracket search hands the flux image it computed to the inversion;
+    # a search that calls invert on the found bracket evaluates both ends twice
+    scalar_calls = 0
+
+    def law(u):
+        nonlocal scalar_calls
+        if not isinstance(u, np.ndarray):
+            scalar_calls += 1
+        return sin_law(u)
+
+    def invert_near_through_invert(seg, w, seed):
+        lo, hi = seed
+        width = max(hi - lo, 1e-6 * max(1.0, abs(lo), abs(hi)))
+        while True:
+            f_lo, f_hi = float(seg(lo)), float(seg(hi))
+            slack = 1e-9 * max(1.0, abs(f_lo), abs(f_hi))
+            if f_lo - slack <= w <= f_hi + slack:
+                return invert(seg, w, (lo, hi))
+            if w < f_lo:
+                lo -= width
+            if w > f_hi:
+                hi += width
+            width *= 2.0
+
+    seg = custom_flux(law, sin_law_deriv, interval=(-20.0, 20.0))
+    rng = np.random.default_rng(29)
+    # targets inside the seed's image and up to ten seed widths outside it
+    for w in np.concatenate((rng.uniform(0.9, 2.1, 100), rng.uniform(-10.0, 15.0, 100))):
+        scalar_calls = 0
+        got = invert_near(seg, w, (1.0, 2.0))
+        calls = scalar_calls
+        scalar_calls = 0
+        want = invert_near_through_invert(seg, w, (1.0, 2.0))
+        assert same_bits(got, want)
+        assert calls == scalar_calls - 2
+
+
 def test_invariant_interval_single_law():
     model = PiecewiseFlux((), (linear_flux(1.0),))
     assert invariant_interval(model, (0.5, 2.0)) == (0.5, 2.0)

@@ -27,10 +27,11 @@ from discflux import (
     run,
     step,
 )
+from discflux import solver
 from discflux.solver import _slab_average
 from oracles import (
     godunov_edge,
-    reference_advance,
+    reference_levels,
     reference_step,
     slab_average_oracle,
     upwind_edge,
@@ -407,19 +408,88 @@ def test_interface_flux_is_continuous_to_machine_precision(three_interface_model
 # {{{ run against the public step
 
 
-@pytest.mark.parametrize("kind", ["upwind", "godunov", "engquist_osher"])
-def test_run_equals_a_loop_of_public_steps(three_interface_model, kind):
-    model = three_interface_model
-    grid = build_grid(-1.0, 1.0, 64, model.interfaces)
-    values = (1.6, 0.6, 1.9, 0.8, 1.3)
-    trace = np.random.default_rng(11).uniform(0.5, 2.0, 9)
-    t_end = 0.31  # 33 full steps of 0.009375 and a shortened one
-    config = SolverConfig(lam=0.3, t_end=t_end, numerical_flux=kind,
-                          left=Inflow(SampledTable(np.linspace(0.0, t_end, 9), trace)))
-    problem = ProblemSpec((-1.0, 1.0), PiecewiseConstant((-0.7, -0.2, 0.3, 0.8), values))
+# Transport | Burgers | transport at slope 2.  Data 2 | 2 | 1 are a steady
+# state bit for bit: every interface map sends 2 to 2 and 2 to 1 exactly, so
+# the recompute spans of the blocks downstream of a disturbance empty out.
+STEADY_2_2_1 = PiecewiseFlux((-0.5, 0.0), (
+    linear_flux(1.0), quadratic_flux(1.0, interval=(0.05, 4.0)), linear_flux(2.0)))
+
+
+def window_case(name, three_interface_model=None):
+    """``(problem, grid, model, config, data range)`` of a march the recompute spans shape.
+
+    - ``flat-runs``: a pulse in the first block of the steady state at
+      n=2048; the spans of the quiet blocks empty out and reopen when the
+      pulse's domain of dependence reaches them.
+    - ``signed-zeros``: a linear block holding 0.0 left of -0.9 and -0.0
+      right of it; the front where -0.0 turns into 0.0 moves one cell a step
+      without changing any value.
+    - ``one-cell-subdomain``: the Burgers subdomain is one cell between two
+      interfaces, so the block right of it reopens through two interface maps.
+    - ``inflow-shortened``: transport of a step from 1 to 0.9, fed by an
+      inflow table that holds 1 and then moves.  The final step is half a
+      step: 0.9 is a fixed point of the full step's convex combination but,
+      in rounding, not of the shortened step's, so that step must recompute
+      every cell.
+    - ``three-interfaces``: every law kind, the custom one included, with a
+      9-point inflow table and a shortened final step.
+    """
+    if name == "flat-runs":
+        model, n, lam, t_end = STEADY_2_2_1, 2048, 0.3, 0.1
+        datum = PiecewiseConstant((-0.6, -0.55, -0.5, 0.0), (2.0, 2.4, 2.0, 2.0, 1.0))
+        left = Outflow()
+    elif name == "signed-zeros":
+        model = PiecewiseFlux((0.5,), (linear_flux(1.0),
+                                       quadratic_flux(1.0, 1.0, interval=(-0.5, 3.0))))
+        n, lam, t_end = 256, 0.5, 0.6
+        datum = PiecewiseConstant((-0.9, 0.5), (0.0, -0.0, 1.0))
+        left = Outflow()
+    elif name == "one-cell-subdomain":
+        model = PiecewiseFlux((0.0, 2.0 / 256), STEADY_2_2_1.segments)
+        n, lam, t_end = 256, 0.3, 0.4
+        datum = PiecewiseConstant((-0.9, -0.85, 0.0, 2.0 / 256), (2.0, 2.4, 2.0, 2.0, 1.0))
+        left = Outflow()
+    elif name == "inflow-shortened":
+        model, n, lam = PiecewiseFlux((), (linear_flux(1.0),)), 256, 0.3
+        t_end = 0.3 + 0.5 * lam * 2.0 / n  # 128 full steps and half of one
+        datum = PiecewiseConstant((-0.5,), (1.0, 0.9))
+        left = Inflow(SampledTable(np.array([0.0, 0.1, 0.15, 0.2, t_end]),
+                                   np.array([1.0, 1.0, 1.2, 0.7, 1.0])))
+    elif name == "three-interfaces":
+        model, n, lam, t_end = three_interface_model, 64, 0.3, 0.31
+        datum = PiecewiseConstant((-0.7, -0.2, 0.3, 0.8), (1.6, 0.6, 1.9, 0.8, 1.3))
+        trace = np.random.default_rng(11).uniform(0.5, 2.0, 9)
+        left = Inflow(SampledTable(np.linspace(0.0, t_end, 9), trace))
+    values = list(datum.values)
+    if isinstance(left, Inflow):
+        values += list(left.trace.values)
+    return (ProblemSpec((-1.0, 1.0), datum), build_grid(-1.0, 1.0, n, model.interfaces),
+            model, SolverConfig(lam=lam, t_end=t_end, left=left), (min(values), max(values)))
+
+
+def record_spans(monkeypatch):
+    """Log a copy of the spans each windowed step of the march starts from."""
+    log = []
+    advance = solver._March.advance
+
+    def logged(self, u, new, t, dt, lam, spans=None, narrow=False):
+        if spans is not None:
+            log.append(list(spans))
+        return advance(self, u, new, t, dt, lam, spans, narrow)
+
+    monkeypatch.setattr(solver._March, "advance", logged)
+    return log
+
+
+@pytest.mark.parametrize(
+    "case", ["signed-zeros", "one-cell-subdomain", "inflow-shortened", "three-interfaces"])
+def test_run_equals_a_loop_of_public_steps(three_interface_model, case):
+    # run recomputes only the cells in its spans; public step recomputes all
+    problem, grid, model, config, data_range = window_case(case, three_interface_model)
     trajectory = run(problem, grid, model, config, retain_levels=True)
 
-    u_range = invariant_interval(model, (min(*values, *trace), max(*values, *trace)))
+    u_range = invariant_interval(model, data_range)
+    t_end = config.t_end
     dt = config.lam * grid.dx
     n_full = int(t_end // dt)
     state = State(cell_average(problem.initial, grid), 0.0, 0)
@@ -432,6 +502,7 @@ def test_run_equals_a_loop_of_public_steps(three_interface_model, kind):
         state = State(nxt.u, k * dt if full else t_end, k)
         levels.append(state)
 
+    assert len(levels) > 2 * solver._NARROW_EVERY or case == "three-interfaces"
     assert 0.0 < levels[-1].t - levels[-2].t < dt
     assert len(trajectory.levels) == len(levels)
     for got, want in zip(trajectory.levels, levels):
@@ -444,32 +515,18 @@ def assert_run_matches_reference_advance(problem, grid, model, config, data_rang
     # every retained level against an independent march of the allocating
     # array-form update, bit for bit
     trajectory = run(problem, grid, model, config, retain_levels=True)
-    bracket = invariant_interval(model, data_range)
-    trace = config.left.trace if isinstance(config.left, Inflow) else None
-    dt = config.lam * grid.dx
-    n_full = int(np.floor(config.t_end / dt + 1e-12))
-    u = cell_average(problem.initial, grid)
-    assert np.array_equal(trajectory.levels[0].u, u)
-    for k, level in enumerate(trajectory.levels[1:], start=1):
-        step_dt = dt if k <= n_full else config.t_end - n_full * dt
-        lam = config.lam if k <= n_full else step_dt / grid.dx
-        u = reference_advance(u, (k - 1) * dt, step_dt, lam, model, grid.interface_cells,
-                              bracket, trace=trace, slab=dt, t_end=config.t_end)
+    levels = reference_levels(cell_average(problem.initial, grid), grid, model, config,
+                              invariant_interval(model, data_range))
+    assert len(trajectory.levels) == len(levels)
+    for k, (level, u) in enumerate(zip(trajectory.levels, levels)):
         assert np.array_equal(level.u, u), f"level {k}"
     return trajectory
 
 
 def test_run_matches_the_reference_advance_on_three_interfaces(three_interface_model):
-    model = three_interface_model
-    grid = build_grid(-1.0, 1.0, 64, model.interfaces)
-    values = (1.6, 0.6, 1.9, 0.8, 1.3)
-    trace = np.random.default_rng(11).uniform(0.5, 2.0, 9)
-    t_end = 0.31  # 33 full steps of 0.009375 and a shortened one
-    config = SolverConfig(lam=0.3, t_end=t_end,
-                          left=Inflow(SampledTable(np.linspace(0.0, t_end, 9), trace)))
-    problem = ProblemSpec((-1.0, 1.0), PiecewiseConstant((-0.7, -0.2, 0.3, 0.8), values))
     trajectory = assert_run_matches_reference_advance(
-        problem, grid, model, config, (min(*values, *trace), max(*values, *trace)))
+        *window_case("three-interfaces", three_interface_model))
+    # 33 full steps of 0.009375 and a shortened one
     assert trajectory.final.step == 34
 
 
@@ -481,6 +538,72 @@ def test_run_matches_the_reference_advance_on_presets(name):
     u0 = cell_average(problem.initial, grid)
     assert_run_matches_reference_advance(problem, grid, model, build_solver_config(cfg),
                                          (float(u0.min()), float(u0.max())))
+
+
+@pytest.mark.parametrize(
+    "case", ["flat-runs", "signed-zeros", "one-cell-subdomain", "inflow-shortened"])
+def test_run_matches_the_reference_advance_where_spans_shrink_and_reopen(monkeypatch, case):
+    problem, grid, model, config, data_range = window_case(case)
+    log = record_spans(monkeypatch)
+    assert_run_matches_reference_advance(problem, grid, model, config, data_range)
+    blocks = list(zip(*log))
+    # every case narrows some span below its block's whole interior
+    assert any(e - s < spans[0][1] - spans[0][0] for spans in blocks for s, e in spans)
+    if case == "signed-zeros":
+        # no value moves in the linear block, but its sign front keeps it open
+        assert all(s < e for s, e in blocks[0])
+    elif case != "inflow-shortened":
+        # an inflow cell may move on any step, so its block always starts at
+        # the boundary's neighbour; elsewhere some span empties out and reopens
+        assert any(s0 >= e0 and s1 < e1
+                   for spans in blocks for (s0, e0), (s1, e1) in zip(spans, spans[1:]))
+
+
+def test_a_custom_law_sees_its_whole_block_on_every_step():
+    # a user law is called with the arrays it would get without spans, so it
+    # need not be elementwise for the march to stay exact
+    sizes = []
+
+    def law(u):
+        if isinstance(u, np.ndarray):
+            sizes.append(u.size)
+        return u + 0.1 * np.sin(u)
+
+    model = PiecewiseFlux((0.0,), (
+        linear_flux(1.0),
+        custom_flux(law, lambda u: 1.0 + 0.1 * np.cos(u), interval=(0.0, 4.0))))
+    grid = build_grid(-1.0, 1.0, 256, model.interfaces)
+    problem = ProblemSpec((-1.0, 1.0), PiecewiseConstant((), (1.0,)))
+    sizes.clear()
+    # the interface map moves the first custom cell off 1.0 on the first step;
+    # the change spreads one cell a step, far short of the block's 127
+    trajectory = run(problem, grid, model, SolverConfig(lam=0.3, t_end=0.25))
+    assert trajectory.final.step > 3 * solver._NARROW_EVERY
+    assert sizes == [127] * trajectory.final.step
+
+
+def test_run_hands_experiment1_kernels_fewer_than_half_of_its_cells(monkeypatch):
+    # cells whose upwind inputs did not change keep their value, so most of
+    # the nominal cell updates of a Riemann problem never reach a kernel
+    received, sizes = 0, []
+    array_form = solver._array_form
+
+    def counting(seg, size):
+        form = array_form(seg, size)
+        sizes.append(size)
+
+        def kernel(u):
+            nonlocal received
+            received += u.size
+            return form(u)
+        return kernel
+
+    monkeypatch.setattr(solver, "_array_form", counting)
+    cfg = preset("experiment1")
+    grid = build_grid(cfg.xmin, cfg.xmax, 4096, cfg.interfaces)
+    trajectory = run(build_problem(cfg), grid, build_model(cfg), build_solver_config(cfg))
+    assert sizes == [grid.n // 2 - 1]
+    assert received < 0.5 * trajectory.final.step * sizes[0]
 
 
 def test_march_evaluates_the_right_law_at_the_bracket_ends_once(three_interface_model):
