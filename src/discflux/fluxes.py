@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -112,42 +113,50 @@ def quadratic_flux(a: float, b: float = 0.0, *, interval: tuple[float, float]) -
     )
 
 
-def _quadratic_values(c: float, b, u: np.ndarray, out=None, tmp=None):
+def _now(ufunc, *args):
+    return ufunc(*args)
+
+
+def _quadratic_values(c: float, b, u: np.ndarray, out=None, tmp=None, call=_now):
     """``c*u**2 + b*u`` elementwise: square, scale by ``c``, add ``b*u``.
 
     The one home of a quadratic law's array form.  Given float buffers of
     ``u``'s shape, ``out`` receives the result and ``tmp`` the ``b*u`` term,
-    and nothing is allocated.  ``b=None`` leaves that term out.
+    and nothing is allocated.  ``b=None`` leaves that term out.  Each ufunc
+    is applied as ``call(ufunc, *inputs, out)``, which returns the result;
+    a ``call`` that records instead of applying binds the law to ``u``.
     """
-    out = np.multiply(np.square(u, out=out), c, out=out)
+    out = call(np.multiply, call(np.square, u, out), c, out)
     if b is None:
         return out
-    return np.add(out, np.multiply(u, b, out=tmp), out=out)
+    return call(np.add, out, call(np.multiply, u, b, tmp), out)
 
 
 def _array_form(seg: FluxSegment, size: int) -> Callable:
-    """``seg`` on float arrays of up to ``size`` values, resolved once for repeated calls.
+    """A quadratic ``seg`` on float views of up to ``size`` values, resolved once.
 
-    A quadratic law writes into the first ``u.size`` entries of two buffers
-    of that size which it owns, so each result is overwritten by the next
-    call; other laws are returned as they are.  Where ``b == 0`` the
-    ``b*u`` term is dropped: it is a zero of ``u``'s sign, which is ``a``'s
-    sign wherever the law increases, and adding it changes no value there.
+    Returns ``bind(u)``, which gives the argument-free ufunc calls that
+    write ``seg(u)`` into the first ``u.size`` entries of two buffers of
+    that size owned by the form, and the view of the result they fill.  The
+    calls can be run any number of times, and each run of calls bound to
+    any view overwrites the previous result.  Where ``b == 0`` the ``b*u``
+    term is dropped: it is a zero of ``u``'s sign, which is ``a``'s sign
+    wherever the law increases, and adding it changes no value there.
     """
-    if seg.kind != "quadratic":
-        return seg.func
     a, b = seg.params
-    c, b = 0.5 * a, (b if b != 0.0 else None)
+    # constants as 0-d arrays: a ufunc converts a Python float on every call
+    c, b = np.array(0.5 * a), (np.array(b) if b != 0.0 else None)
     out, tmp = np.empty(size), np.empty(size)
 
-    def kernel(u):
+    def bind(u):
+        calls = []
+
+        def record(ufunc, *args):
+            calls.append(partial(ufunc, *args))
+            return args[-1]
         n = u.size
-        # a full-size call takes the buffers as they are: slicing them costs
-        # a few hundred nanoseconds, paid on every step of a march
-        if n == size:
-            return _quadratic_values(c, b, u, out, tmp)
-        return _quadratic_values(c, b, u, out[:n], tmp[:n])
-    return kernel
+        return calls, _quadratic_values(c, b, u, out[:n], tmp[:n], record)
+    return bind
 
 
 def custom_flux(func: Callable, deriv: Callable, *, interval: tuple[float, float]) -> FluxSegment:

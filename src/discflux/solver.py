@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -23,8 +25,7 @@ from .grid import Grid, SampledTable, cell_average, _evaluate, _GL_NODES, _GL_WE
 
 _CFL_SLACK = 1e-12
 
-# Full steps between two narrowings of the march's recompute spans to the
-# cells that changed.
+# Full steps in one window of the march, which share their recompute spans.
 _NARROW_EVERY = 32
 
 # Accepted edge-flux names.  For increasing laws each is f(u_left) (see
@@ -185,30 +186,43 @@ class _March:
     """Everything one level-to-level update needs, resolved once.
 
     Holds each subdomain's cell bounds ``(a, b)`` with its update: the slope
-    of a linear law, whose update is a convex combination, or else the law's
-    array form for the block's upwind edge fluxes (a quadratic law writes
-    them into two buffers of the block's size) and its scalar form for the
-    last edge.  Each interface coupling ``(p, left law, inverse)`` holds the
-    right law's inverse on the bracket, with the bracket's flux image
-    computed once.  Also kept: the left-boundary trace and a scratch buffer.
-    :meth:`advance` writes a caller-owned array, so a march can alternate
-    between two buffers.
+    of a linear law, whose update is a convex combination, or else the
+    law's scalar form for the block's last edge together with, for a
+    quadratic law, its array form bound through two buffers of the block's
+    size.  Each interface coupling ``(p, left law, inverse)`` holds the right
+    law's inverse on the bracket, with the bracket's flux image computed
+    once.  Also kept: the left-boundary trace and a scratch buffer.
+
+    :meth:`bind` resolves one step from a caller-owned array into another as
+    argument-free ufunc calls on views, and :meth:`advance` runs a bound
+    step, so a march can alternate between two buffers with the step of
+    each direction bound once.  Steps bound without spans write every cell.
+
+    Full steps of :func:`run` go in windows of ``_NARROW_EVERY`` steps that
+    share their spans (:meth:`window`).  The window invariant: at its start
+    the buffer written next holds the level before the current one, and
+    over the window a cell's value can only change if it lies in its
+    block's span or is a block's first cell whose interface map is live.
+    A cell outside its span then has, on every step, the inputs it had one
+    step before, so its new value is the one the target buffer already
+    holds.  An interface map is live when its left neighbour may move in
+    the window, or when its cell differed bitwise at the window's start.
     """
 
     def __init__(self, grid: Grid, model: PiecewiseFlux, config: SolverConfig,
                  bracket: tuple[float, float]):
         segs = model.segments
         bounds = (0, *grid.interface_cells, grid.n)
-        # a one-cell subdomain has no interior: its cell is the boundary or
-        # an interface cell.  The last entry says whether the block follows
-        # its span: a custom law is always called on the whole interior, so
-        # it sees the arguments it would without spans.
-        self.updates = [
-            (a, b, seg.params[0], None, None, True) if seg.kind == "linear"
-            else (a, b, None, _array_form(seg, b - 1 - a), seg.func, seg.kind != "custom")
+        # every subdomain, one-cell ones included: a one-cell subdomain has
+        # no interior, its cell is the boundary or an interface cell
+        self.subdomains = [
+            (a, b, seg.params[0] if seg.kind == "linear" else None,
+             _array_form(seg, b - 1 - a) if seg.kind == "quadratic" and b - a > 1 else None,
+             seg.func)
             for seg, a, b in zip(segs, bounds, bounds[1:])
-            if b - a > 1
         ]
+        self.whole = [(a + 1, b) for a, b in zip(bounds, bounds[1:])]
+        self.firsts = np.array(bounds)
         self.couplings = tuple(
             (p, left.func, _inverse(right, bracket))
             for p, left, right in zip(grid.interface_cells, segs, segs[1:])
@@ -218,93 +232,111 @@ class _March:
         self.t_end = config.t_end
         self.scratch = np.empty(grid.n)
 
-    def whole_spans(self) -> list:
-        """Spans that recompute every block's whole interior, for a first step."""
-        return [(a + 1, b) for a, b, *_ in self.updates]
-
-    def advance(self, u: np.ndarray, new: np.ndarray, t: float, dt: float, lam: float,
-                spans: list = None, narrow: bool = False):
-        """Write the level after ``u`` (at time ``t``, step ``dt = lam * dx``) into ``new``.
+    def bind(self, u: np.ndarray, new: np.ndarray, lam: float,
+             spans: list = None, live: list = None) -> tuple:
+        """The step from ``u`` into ``new`` at ``lam``, for :meth:`advance`.
 
         Without ``spans`` every cell of ``new`` is written.  ``spans`` holds,
-        for each update block, the half-open range ``(s, e)`` of its interior
-        cells to recompute (empty as ``s == e``); only those cells, the
-        boundary cell and the interface cells are written, except that a
-        custom-law block always recomputes its whole interior.  That is
-        exact under the span invariant: ``new`` holds the level that ``u``
-        was computed from by a step of the same ``lam``, and every interior
-        cell in which the two differ bitwise lies in its block's span
-        together with its downwind neighbour.  A cell outside the span then
-        has the inputs it had one step ago, so its new value is its value in
-        ``u``, which ``new`` already holds.
-
-        The spans are then moved on so the invariant holds for the next
-        step.  With ``narrow``, a span first shrinks to the cells that
-        changed bitwise (so 0.0 and -0.0 differ).  Each span grows by one
-        cell downwind and reopens at the block's second cell when the
-        block's first cell may have moved: an inflow boundary cell, or an
-        interface cell whose upstream span reached the cell on its left.
-        Spans that cover a whole interior (:meth:`whole_spans`) satisfy the
-        invariant for any content of ``new``.
+        for each subdomain, the half-open range ``(s, e)`` of its interior
+        cells to recompute (empty as ``s == e``), and ``live`` whether each
+        interface map runs; only those cells and, with an inflow, the
+        boundary cell are written.  A custom law's span is its whole
+        interior: it is called with the arrays it would get without spans.
         """
-        scratch = self.scratch
-        whole = spans is None
-        moved = self.trace is not None
-        if narrow:
-            u_bits, new_bits = u.view(np.int64), new.view(np.int64)
-        for i, (a, b, slope, array_form, scalar_form, windowed) in enumerate(self.updates):
-            s, e = (a + 1, b) if whole else spans[i]
-            if s < e:
-                dst, tmp = new[s:e], scratch[s:e]
-                if slope is not None:
-                    # convex combination of the two upwind cells, exact at weight one
-                    w = lam * slope
-                    np.multiply(u[s:e], 1.0 - w, out=dst)
-                    np.multiply(u[s - 1:e - 1], w, out=tmp)
-                    np.add(dst, tmp, out=dst)
-                else:
-                    # conservative difference of the upwind edge fluxes
-                    # f(u_left); the block's last cell takes its right edge
-                    # from the law's scalar form, as the interior ones use
-                    # its array form
-                    if e < b:
-                        edge = np.asarray(array_form(u[s - 1:e]))
-                        np.subtract(edge[1:], edge[:-1], out=tmp)
-                    else:
-                        edge = np.asarray(array_form(u[s - 1:b - 1]))
-                        np.subtract(edge[1:], edge[:-1], out=tmp[:-1])
-                        tmp[-1] = scalar_form(float(u[b - 1])) - edge[-1]
-                    np.multiply(tmp, lam, out=tmp)
-                    np.subtract(u[s:e], tmp, out=dst)
-            if whole or not windowed:
-                moved = True
+        # constants as 0-d arrays: a ufunc converts a Python float on every call
+        calls, scale = [], np.array(lam)
+        for (a, b, slope, array_form, scalar_form), (s, e) in zip(self.subdomains,
+                                                                  spans or self.whole):
+            if s >= e:
                 continue
-            if narrow and s < e:
-                changed = np.flatnonzero(new_bits[s:e] != u_bits[s:e])
-                s, e = (s + int(changed[0]), s + int(changed[-1]) + 1) if changed.size \
-                    else (a + 1, a + 1)
-            elif moved and e == b and s == a + 1:
-                # a whole span whose first cell may have moved stays whole,
-                # and its last cell may have moved too
+            dst, tmp = new[s:e], self.scratch[s:e]
+            if slope is not None:
+                # convex combination of the two upwind cells, exact at weight one
+                w = lam * slope
+                calls += (partial(np.multiply, u[s:e], np.array(1.0 - w), dst),
+                          partial(np.multiply, u[s - 1:e - 1], np.array(w), tmp),
+                          partial(np.add, dst, tmp, dst))
                 continue
-            last = s < e == b
-            if s < e < b:
-                e += 1
-            if moved:
-                s, e = a + 1, (e if s < e else a + 2)
-            spans[i] = (s, e)
-            moved = last
+            # conservative difference of the upwind edge fluxes f(u_left);
+            # the block's last cell takes its right edge from the law's
+            # scalar form, as the interior ones use its array form
+            if array_form is None:
+                calls.append(partial(_law_differences, scalar_form, u, a, b, tmp))
+            else:
+                last = e == b
+                kernel, edge = array_form(u[s - 1:e - last])
+                calls += kernel
+                calls.append(partial(np.subtract, edge[1:], edge[:-1], tmp[:e - s - last]))
+                if last:
+                    calls.append(partial(_last_edge, scalar_form, u, b, edge, tmp))
+            calls += (partial(np.multiply, tmp, scale, tmp), partial(np.subtract, u[s:e], tmp, dst))
+        maps = [c for c, on in zip(self.couplings, live or repeat(True)) if on]
+        return calls, new, (u if spans is None else None), maps
 
+    def advance(self, bound: tuple, t: float, dt: float):
+        """Run a step bound by :meth:`bind`; its level starts at ``t`` and lasts ``dt``."""
+        calls, new, outflow, maps = bound
+        for call in calls:
+            call()
         if self.trace is not None:
             t_new = t + dt
             new[0] = _slab_average(self.trace, t_new, min(t_new + self.slab, self.t_end))
-        else:
+        elif outflow is not None:
             # ghost repeats the boundary cell, so the update cancels exactly
-            new[0] = u[0]
+            new[0] = outflow[0]
 
         # interface cells: match the flux of the updated left neighbour
-        for p, left, inverse in self.couplings:
+        for p, left, inverse in maps:
             new[p] = inverse(left(float(new[p - 1])))
+
+    def window(self, u: np.ndarray, prev: np.ndarray) -> tuple[list, list]:
+        """Spans and live interface maps of a window starting from ``u``.
+
+        ``prev`` holds the level before ``u``.  A block's span is its range
+        of cells that differ bitwise between the two (so 0.0 and -0.0
+        differ), widened downwind by the window's length, as a change
+        travels one cell a step, and capped at the block's end.  It opens
+        at the block's second cell when the first cell differs or may move
+        in the window: an inflow cell, an interface cell whose upstream
+        span reaches its block's last cell, or one that follows a chain of
+        one-cell subdomains from such a cell.  A custom-law block recomputes
+        its whole interior and counts as moving.
+        """
+        changed = (u.view(np.int64) != prev.view(np.int64)).nonzero()[0]
+        # changed[i:j] are the changed cells of a subdomain
+        starts = changed.searchsorted(self.firsts).tolist()
+        spans, live = [], []
+        moving = self.trace is not None
+        for (a, b, slope, array_form, _), i, j in zip(self.subdomains, starts, starts[1:]):
+            first_changed = i < j and int(changed[i]) == a
+            if a:
+                live.append(moving or first_changed)
+            if b - a < 2:
+                # the next interface cell's left neighbour is this block's first cell
+                spans.append((b, b))
+            elif slope is None and array_form is None:
+                spans.append((a + 1, b))
+                moving = True
+            else:
+                if moving or i < j:
+                    s = a + 1 if moving or first_changed else int(changed[i])
+                    e = min((int(changed[j - 1]) if i < j else a) + 1 + _NARROW_EVERY, b)
+                else:
+                    s = e = a + 1
+                spans.append((s, e))
+                moving = e == b
+        return spans, live
+
+
+def _last_edge(scalar_form, u, b, edge, tmp):
+    tmp[-1] = scalar_form(float(u[b - 1])) - edge[-1]
+
+
+def _law_differences(func, u, a, b, tmp):
+    # a law without a bound array form returns a new array on every call
+    edge = np.asarray(func(u[a:b - 1]))
+    np.subtract(edge[1:], edge[:-1], out=tmp[:-1])
+    _last_edge(func, u, b, edge, tmp)
 
 
 # }}}
@@ -350,7 +382,8 @@ def step(
     if u_range is None:
         u_range = _bracket(model, config, u)
     new = np.empty_like(u)
-    _March(grid, model, config, u_range).advance(u, new, state.t, dt, lam)
+    march = _March(grid, model, config, u_range)
+    march.advance(march.bind(u, new, lam), state.t, dt)
     return State(new, state.t + dt, state.step + 1)
 
 
@@ -463,16 +496,21 @@ def run(
     levels = [State(u.copy(), t, k)] if retain_levels else None
     last_lam = remainder / grid.dx
 
-    # full steps recompute only the cells in their spans (see _March.advance);
-    # the first step writes a whole level into the empty spare buffer
-    spans = march.whole_spans()
-
     for k in range(1, len(level_times)):
-        if k <= n_full:
-            march.advance(u, spare, t, dt, config.lam, spans, k % _NARROW_EVERY == 0)
-        else:
+        if k > n_full:
             # the shortened step's lam differs, so no cell is known to be fixed
-            march.advance(u, spare, t, remainder, last_lam)
+            march.advance(march.bind(u, spare, last_lam), t, remainder)
+        elif k == 1:
+            # the first step writes a whole level into the empty spare buffer
+            march.advance(march.bind(u, spare, config.lam), t, dt)
+        else:
+            # full steps recompute only their window's spans (see _March);
+            # a window starts on an even step, with u and spare as bound first
+            if (k - 2) % _NARROW_EVERY == 0:
+                spans, live = march.window(u, spare)
+                window = (march.bind(u, spare, config.lam, spans, live),
+                          march.bind(spare, u, config.lam, spans, live))
+            march.advance(window[k % 2], t, dt)
         if record_increments:
             np.subtract(spare, u, out=change)
             increments += np.abs(change, out=change)

@@ -15,7 +15,11 @@ from discflux import EntropyResidualReport, invert
 from discflux.analysis import _adapted_constants
 
 
-def bisect_root(func, lo, hi, tol=5e-15, itmax=300):
+# bisect_root's stopping tolerance: a residual, or a bracket relative to the root
+BISECT_TOL = 5e-15
+
+
+def bisect_root(func, lo, hi, tol=BISECT_TOL, itmax=300):
     """Root of an increasing function by pure bisection."""
     f_lo, f_hi = func(lo), func(hi)
     if f_lo > 0.0 or f_hi < 0.0:
@@ -118,11 +122,41 @@ def reference_step(u, lam, fluxes, interface_cells, brackets, edge_flux=upwind_e
     for i, f in enumerate(fluxes):
         for j in range(bounds[i] + 1, bounds[i + 1]):
             new[j] = u[j] - lam * (edge_flux(f, u[j], ghost[j + 1]) - edge_flux(f, u[j - 1], u[j]))
+    lo, hi = brackets
+    # a flux on the edge of the bracket's image may miss it by an ulp, so
+    # the search reaches one bisection tolerance past the bracket
+    pad = BISECT_TOL * max(1.0, abs(lo), abs(hi))
     for i, p in enumerate(interface_cells):
         w = fluxes[i](new[p - 1])
-        lo, hi = brackets
-        new[p] = bisect_root(lambda v: fluxes[i + 1](v) - w, lo, hi)
+        new[p] = bisect_root(lambda v: fluxes[i + 1](v) - w, lo - pad, hi + pad)
     return np.asarray(new)
+
+
+def reference_step_gap(segments, bracket, lam, tol=BISECT_TOL):
+    """Largest gap a march step may show against :func:`reference_step` on ``bracket``.
+
+    With U = max(1, |lo|, |hi|), F the largest |f| at the bracket ends,
+    alpha and L the smallest and largest slope of any law on the bracket:
+
+    - an interior cell is a few roundings apart on each side: the update's
+      own (one ulp of U) and, scaled by ``lam``, four in each flux
+      evaluation and their difference (ulps of F), so at most
+      ``2 eps (U + 8 lam F)``;
+    - an interface cell carries its left neighbour's gap through the map's
+      slope, at most L / alpha; ``bisect_root`` stops at a residual ``tol``,
+      which is ``tol / alpha`` in the root, or at a bracket ``tol * U``
+      wide; the residual is evaluated with a roundoff of ``2 eps F``; and
+      the march's inverse rounds by an ulp or two of U.
+    """
+    lo, hi = bracket
+    eps = float(np.finfo(float).eps)
+    scale = max(1.0, abs(lo), abs(hi))
+    flux = max(abs(float(seg(v))) for seg in segments for v in (lo, hi))
+    slopes = [seg.deriv_bounds(lo, hi) for seg in segments]
+    alpha, top = min(d for d, _ in slopes), max(d for _, d in slopes)
+    interior = 2.0 * eps * (scale + 8.0 * lam * flux)
+    return (interior * (1.0 + top / alpha) + max(tol / alpha, tol * scale)
+            + 2.0 * eps * flux / alpha + 2.0 * eps * scale)
 
 
 def reference_advance(u, t, dt, lam, model, interface_cells, bracket, trace=None,

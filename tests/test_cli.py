@@ -79,20 +79,25 @@ def test_run_csv_bytes_match_per_row_formatting(tmp_path, monkeypatch, capsys):
     # a non-terminating binary fraction, an integer above 2**53
     values = np.array([-0.0, 5e-324, 1.0 / 3.0, 2.0**53 + 2.0, -1e300, 0.1, 2.5, 7.0])
     grid = build_grid(-1.0, 1.0, values.size, (0.0,))
+    # each snapshot holds the values in another order, so a row that took
+    # another snapshot's value or another row's center would show
+    levels = {0.05: values, 0.08: values[::-1].copy(), 0.1: np.roll(values, 3)}
 
     def fake_run(problem, grid, model, config, snapshot_times=()):
-        state = State(values.copy(), 0.1, 1)
-        return discflux.Trajectory(state, [discflux.Snapshot(0.1, state)])
+        snaps = [discflux.Snapshot(t, State(u.copy(), t, k))
+                 for k, (t, u) in enumerate(levels.items(), start=1)]
+        return discflux.Trajectory(snaps[-1].state, snaps)
 
     monkeypatch.setattr("discflux.cli.run", fake_run)
     path = tmp_path / "exp.yaml"
-    save_config(small_config(snapshots=[0.1]), path)
+    save_config(small_config(snapshots=list(levels)), path)
     assert main(["run", "--config", str(path), "--n", str(values.size),
                  "--out", str(tmp_path / "out")]) == 0
-    expected = "x_center,u\n" + "".join(f"{x:.17g},{u:.17g}\n"
-                                        for x, u in zip(grid.centers, values))
-    assert (tmp_path / "out" / "snapshot_t0.1.csv").read_bytes() == expected.encode()
-    assert ",-0\n" in expected and "e-324\n" in expected
+    for t, u in levels.items():
+        expected = "x_center,u\n" + "".join(f"{x:.17g},{v:.17g}\n"
+                                            for x, v in zip(grid.centers, u))
+        assert (tmp_path / "out" / f"snapshot_t{t:g}.csv").read_bytes() == expected.encode()
+        assert ",-0\n" in expected and "e-324\n" in expected
 
 
 def test_run_accepts_config_file(tmp_path):

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from discflux import (
     build_solver_config,
     cell_average,
     custom_flux,
+    data_range,
     inflow_boundary_value,
     invariant_interval,
     linear_flux,
@@ -33,6 +36,7 @@ from oracles import (
     godunov_edge,
     reference_levels,
     reference_step,
+    reference_step_gap,
     slab_average_oracle,
     upwind_edge,
 )
@@ -118,15 +122,21 @@ def test_outflow_keeps_boundary_cell():
 
 
 def test_scheme_kinds_agree_stepwise():
-    grid = build_grid(-1.0, 1.0, 32, (0.0,))
-    state = random_state(grid, 0.5, 2.0, seed=13)
-    results = {}
-    for kind in ("upwind", "godunov", "engquist_osher"):
-        config = SolverConfig(lam=0.5, t_end=1.0, numerical_flux=kind)
-        results[kind] = step(state.copy(), grid, TRANSPORT_THEN_BURGERS, config,
-                             u_range=(0.5, 2.0)).u
-    assert np.array_equal(results["upwind"], results["godunov"])
-    assert np.array_equal(results["upwind"], results["engquist_osher"])
+    # public step under the godunov name against the plain-loop Godunov
+    # min/max edge flux, from the preset data on
+    for name in ("experiment1", "experiment2"):
+        cfg = preset(name)
+        model = build_model(cfg)
+        grid = build_grid(cfg.xmin, cfg.xmax, 64, cfg.interfaces)
+        config = build_solver_config(cfg, "godunov")
+        bracket = invariant_interval(model, data_range(cfg))
+        limit = reference_step_gap(model.segments, bracket, config.lam)
+        state = State(cell_average(build_problem(cfg).initial, grid), 0.0, 0)
+        for _ in range(40):
+            expected = reference_step(state.u, config.lam, model.segments,
+                                      grid.interface_cells, bracket, edge_flux=godunov_edge)
+            state = step(state, grid, model, config, u_range=bracket)
+            assert np.max(np.abs(state.u - expected)) <= limit
 
 
 def test_numerical_flux_forms():
@@ -433,6 +443,11 @@ def window_case(name, three_interface_model=None):
       every cell.
     - ``three-interfaces``: every law kind, the custom one included, with a
       9-point inflow table and a shortened final step.
+    - ``reaches-last-cell``: ``flat-runs``' pulse at n=256; it first reaches
+      each interface on a step inside a window.
+    - ``one-cell-chain``: ``one-cell-subdomain`` with the pulse near the
+      interface; it first reaches the one-cell subdomain, and through its
+      map the next interface cell, on a step inside a window.
     """
     if name == "flat-runs":
         model, n, lam, t_end = STEADY_2_2_1, 2048, 0.3, 0.1
@@ -444,10 +459,16 @@ def window_case(name, three_interface_model=None):
         n, lam, t_end = 256, 0.5, 0.6
         datum = PiecewiseConstant((-0.9, 0.5), (0.0, -0.0, 1.0))
         left = Outflow()
-    elif name == "one-cell-subdomain":
+    elif name == "reaches-last-cell":
+        model, n, lam, t_end = STEADY_2_2_1, 256, 0.3, 0.3
+        datum = PiecewiseConstant((-0.9, -0.85, -0.5, 0.0), (2.0, 2.4, 2.0, 2.0, 1.0))
+        left = Outflow()
+    elif name in ("one-cell-subdomain", "one-cell-chain"):
         model = PiecewiseFlux((0.0, 2.0 / 256), STEADY_2_2_1.segments)
         n, lam, t_end = 256, 0.3, 0.4
-        datum = PiecewiseConstant((-0.9, -0.85, 0.0, 2.0 / 256), (2.0, 2.4, 2.0, 2.0, 1.0))
+        pulse = -0.9 if name == "one-cell-subdomain" else -0.4
+        datum = PiecewiseConstant((pulse, pulse + 0.05, 0.0, 2.0 / 256),
+                                  (2.0, 2.4, 2.0, 2.0, 1.0))
         left = Outflow()
     elif name == "inflow-shortened":
         model, n, lam = PiecewiseFlux((), (linear_flux(1.0),)), 256, 0.3
@@ -468,16 +489,16 @@ def window_case(name, three_interface_model=None):
 
 
 def record_spans(monkeypatch):
-    """Log a copy of the spans each windowed step of the march starts from."""
+    """Log the spans each window of the march's full steps starts from."""
     log = []
-    advance = solver._March.advance
+    window = solver._March.window
 
-    def logged(self, u, new, t, dt, lam, spans=None, narrow=False):
-        if spans is not None:
-            log.append(list(spans))
-        return advance(self, u, new, t, dt, lam, spans, narrow)
+    def logged(self, u, prev):
+        spans, live = window(self, u, prev)
+        log.append(list(spans))
+        return spans, live
 
-    monkeypatch.setattr(solver._March, "advance", logged)
+    monkeypatch.setattr(solver._March, "window", logged)
     return log
 
 
@@ -546,15 +567,20 @@ def test_run_matches_the_reference_advance_where_spans_shrink_and_reopen(monkeyp
     problem, grid, model, config, data_range = window_case(case)
     log = record_spans(monkeypatch)
     assert_run_matches_reference_advance(problem, grid, model, config, data_range)
+    bounds = (0, *grid.interface_cells, grid.n)
     blocks = list(zip(*log))
     # every case narrows some span below its block's whole interior
-    assert any(e - s < spans[0][1] - spans[0][0] for spans in blocks for s, e in spans)
+    assert any(e - s < b - a - 1
+               for spans, a, b in zip(blocks, bounds, bounds[1:]) for s, e in spans)
     if case == "signed-zeros":
         # no value moves in the linear block, but its sign front keeps it open
         assert all(s < e for s, e in blocks[0])
-    elif case != "inflow-shortened":
+    elif case == "inflow-shortened":
         # an inflow cell may move on any step, so its block always starts at
-        # the boundary's neighbour; elsewhere some span empties out and reopens
+        # the boundary's neighbour
+        assert all(s == 1 < e for s, e in blocks[0])
+    else:
+        # some span empties out and reopens
         assert any(s0 >= e0 and s1 < e1
                    for spans in blocks for (s0, e0), (s1, e1) in zip(spans, spans[1:]))
 
@@ -582,28 +608,75 @@ def test_a_custom_law_sees_its_whole_block_on_every_step():
     assert sizes == [127] * trajectory.final.step
 
 
+@pytest.mark.parametrize("case", ["reaches-last-cell", "one-cell-chain"])
+def test_a_disturbance_reaching_an_interface_within_a_window(monkeypatch, case):
+    # a window's spans are fixed at its start; a change that reaches a
+    # block's last cell later in the window must still reach the interface
+    # cells downstream, through a one-cell subdomain too
+    problem, grid, model, config, data_range = window_case(case)
+    log = record_spans(monkeypatch)
+    trajectory = assert_run_matches_reference_advance(problem, grid, model, config, data_range)
+    levels = np.stack([level.u for level in trajectory.levels])
+    bounds = (0, *grid.interface_cells, grid.n)
+    for p in grid.interface_cells:
+        k = int(np.flatnonzero(levels[1:, p] != levels[:-1, p])[0]) + 1
+        # full steps from the second on go in windows starting at step 2
+        assert 2 < k < trajectory.final.step and (k - 2) % solver._NARROW_EVERY != 0
+        # the nearest block upstream with an interior reached its end when
+        # the window started
+        i = max(i for i, (a, b) in enumerate(zip(bounds, bounds[1:])) if b <= p and b - a > 1)
+        assert log[(k - 2) // solver._NARROW_EVERY][i][1] == bounds[i + 1]
+
+
 def test_run_hands_experiment1_kernels_fewer_than_half_of_its_cells(monkeypatch):
     # cells whose upwind inputs did not change keep their value, so most of
     # the nominal cell updates of a Riemann problem never reach a kernel
     received, sizes = 0, []
     array_form = solver._array_form
 
+    def count(size):
+        nonlocal received
+        received += size
+
     def counting(seg, size):
-        form = array_form(seg, size)
+        bind = array_form(seg, size)
         sizes.append(size)
 
-        def kernel(u):
-            nonlocal received
-            received += u.size
-            return form(u)
-        return kernel
+        def counting_bind(u):
+            # the bound step runs every call, so this one counts each step's cells
+            calls, values = bind(u)
+            return [partial(count, u.size)] + calls, values
+        return counting_bind
 
     monkeypatch.setattr(solver, "_array_form", counting)
     cfg = preset("experiment1")
     grid = build_grid(cfg.xmin, cfg.xmax, 4096, cfg.interfaces)
     trajectory = run(build_problem(cfg), grid, build_model(cfg), build_solver_config(cfg))
     assert sizes == [grid.n // 2 - 1]
-    assert received < 0.5 * trajectory.final.step * sizes[0]
+    assert 0 < received < 0.5 * trajectory.final.step * sizes[0]
+
+
+def test_quiet_interface_maps_are_skipped_bit_for_bit(monkeypatch):
+    # a map whose left neighbour cannot move in a window, and whose cell did
+    # not change when it started, would write the value its cell holds
+    inversions = 0
+    resolve = solver._inverse
+
+    def counting(seg, bracket, image=None):
+        inverse = resolve(seg, bracket, image)
+
+        def counted(w):
+            nonlocal inversions
+            inversions += 1
+            return inverse(w)
+        return counted
+
+    monkeypatch.setattr(solver, "_inverse", counting)
+    cfg = preset("experiment1")
+    grid = build_grid(cfg.xmin, cfg.xmax, 1024, cfg.interfaces)
+    trajectory = assert_run_matches_reference_advance(
+        build_problem(cfg), grid, build_model(cfg), build_solver_config(cfg), data_range(cfg))
+    assert 0 < inversions < trajectory.final.step
 
 
 def test_march_evaluates_the_right_law_at_the_bracket_ends_once(three_interface_model):
