@@ -202,60 +202,111 @@ def entropy_residual(
     is evaluated at every cell whose left neighbour shares its law (this keeps
     out the boundary cell and the interface cells, which are not produced by
     the conservative update), and should be nonpositive up to roundoff on any
-    stable run.
+    stable run.  The argmax is the first occurrence over constants, then
+    steps, then cells.
+
+    The steps go in blocks of about ``_RESIDUAL_BLOCK_BYTES``.  A cell is
+    quiet in a step when u_j^{n+1}, u_j^n and u_{j-1}^n are bitwise equal:
+    with the entropy and flux differences finite, both terms are x - x and
+    its residual is +0.0 for every constant.  Each block evaluates the
+    constants only on its active band, from its first to its last in-law
+    column holding a cell that is not quiet, and counts the quiet cells
+    outside the band as one +0.0 at the block's first step and first such
+    cell.  The cost follows the band; the report is the one the whole
+    (steps x cells) residual gives.
     """
     levels = _require_levels(trajectory)
     u_all = np.stack([lv.u for lv in levels])  # (L, n)
-    times = np.asarray([lv.t for lv in levels])
-    dts = np.diff(times)
-    if np.any(dts <= 0.0):
+    dts = np.diff(np.asarray([lv.t for lv in levels]))
+    if not np.all(dts > 0.0):
         raise ValueError("trajectory levels must be strictly increasing in time")
-    slices = grid.subdomain_slices()
-
-    flux_all = np.empty_like(u_all)
-    for seg, sl in zip(model.segments, slices):
-        flux_all[:, sl] = seg(u_all[:, sl])
-
     # cells eligible for the conservative-update inequality
-    same_law = grid.subdomain_of_cell[1:] == grid.subdomain_of_cell[:-1]
-    if not np.any(same_law):
+    in_law = np.zeros(grid.n, dtype=bool)
+    in_law[1:] = grid.subdomain_of_cell[1:] == grid.subdomain_of_cell[:-1]
+    eligible = np.flatnonzero(in_law)
+    if eligible.size == 0:
         raise ValueError("no interior cell has an in-law left neighbour")
 
     seed = (float(u_all.min()), float(u_all.max()))
-    best = -math.inf
-    best_where = (0, 0, 0.0)
     constants = tuple(float(c) for c in c_samples)
-    # blocks of steps in reused buffers: per step row, eta takes n values
-    # and q, the rate and the divergence about n each
+    adapted = np.array([_adapted_constants(model, c, seed) for c in constants])
+    adapted = adapted.reshape(len(constants), model.n_interfaces + 1)
+    c_cells = adapted[:, grid.subdomain_of_cell]
+    f_cs = np.array([float(model.segments[0](a[0])) for a in adapted])
+    # A quiet cell holds one value x through its block, and its residual is
+    # +0.0 while |x - c_i| and |f(x) - f(c)| are finite: the first is where
+    # it is at both ends of the data's range, the second where it is at the
+    # least and largest flux of the block's first step.
+    finite_eta = bool(np.isfinite(np.subtract.outer(seed, adapted)).all())
+    laws = [(seg, sl.start, sl.stop) for seg, sl in zip(model.segments, grid.subdomain_slices())]
+    bits = u_all.view(np.int64)
+    # per constant, the first occurrence of its largest value
+    bests = [(-math.inf, 0, 0)] * len(constants)  # (value, step, cell)
+    # blocks of steps in five reused buffers of at most n values a step row
+    # (eta takes one row more), about 1.25 x _RESIDUAL_BLOCK_BYTES in all
     n, steps = grid.n, dts.size
     rows = min(steps, max(1, _RESIDUAL_BLOCK_BYTES // (4 * n * u_all.itemsize)))
-    eta_buf, q_buf = np.empty((rows + 1, n)), np.empty((rows, n))
-    res_buf, div_buf = np.empty((rows, n - 1)), np.empty((rows, n - 1))
-    out_of_law = ~same_law
-    for c in constants:
-        adapted = _adapted_constants(model, c, seed)
-        c_cell = adapted[grid.subdomain_of_cell]
-        fc = float(model.segments[0](adapted[0]))
-        for i0 in range(0, steps, rows):
-            m = min(rows, steps - i0)
-            eta, q, residual, div = eta_buf[:m + 1], q_buf[:m], res_buf[:m], div_buf[:m]
-            np.abs(np.subtract(u_all[i0:i0 + m + 1], c_cell, out=eta), out=eta)
-            np.abs(np.subtract(flux_all[i0:i0 + m], fc, out=q), out=q)
-            # the rate, then the rate plus the divergence, in place
-            np.subtract(eta[1:, 1:], eta[:-1, 1:], out=residual)
-            np.divide(residual, dts[i0:i0 + m, None], out=residual)
-            np.divide(np.subtract(q[:, 1:], q[:, :-1], out=div), grid.dx, out=div)
-            np.add(residual, div, out=residual)
-            # cells without an in-law left neighbour never win the argmax
-            np.copyto(residual, -math.inf, where=out_of_law)
-            idx = int(np.argmax(residual))
-            value = float(residual.flat[idx])
-            # strict: the first occurrence over constants, then steps, then cells
-            if value > best:
-                step_i, col = divmod(idx, n - 1)
-                best = value
-                best_where = (col + 1, i0 + step_i, c)
+    eta_buf, f_buf, q_buf = np.empty((rows + 1) * n), np.empty(rows * n), np.empty(rows * n)
+    res_buf, div_buf = np.empty(rows * n), np.empty(rows * n)
+    f_first = np.empty(n)
+    for i0 in range(0, steps, rows):
+        m = min(rows, steps - i0)
+        u, ub = u_all[i0:i0 + m + 1], bits[i0:i0 + m + 1]
+        moving = np.any(ub[1:] != ub[:-1], axis=0)
+        moving[1:] |= np.any(ub[:-1, 1:] != ub[:-1, :-1], axis=0)
+        _evaluate_laws(laws, u[:1], 0, n, f_first[None, :])
+        f_range = (f_first.min(), f_first.max())
+        if not (finite_eta and np.isfinite(np.subtract.outer(f_range, f_cs)).all()):
+            moving[:] = True
+        active = eligible[moving[eligible]]
+        lo, hi = (int(active[0]), int(active[-1]) + 1) if active.size else (0, 0)
+        w = hi - lo
+        # the quiet candidate: the first in-law cell outside the band
+        outside = eligible[(eligible < lo) | (eligible >= hi)]
+        quiet = int(outside[0]) if outside.size else None
+        if w:
+            eta = eta_buf[:(m + 1) * w].reshape(m + 1, w)
+            flux = _evaluate_laws(laws, u[:m], lo - 1, hi, f_buf[:m * (w + 1)].reshape(m, w + 1))
+            q = q_buf[:m * (w + 1)].reshape(m, w + 1)
+            residual, div = res_buf[:m * w].reshape(m, w), div_buf[:m * w].reshape(m, w)
+            out_of_law, dt = ~in_law[lo:hi], dts[i0:i0 + m, None]
+        for k, c_cell in enumerate(c_cells):
+            value, step, cell = 0.0, i0, quiet
+            if w:
+                np.abs(np.subtract(u[:, lo:hi], c_cell[lo:hi], out=eta), out=eta)
+                np.abs(np.subtract(flux, f_cs[k], out=q), out=q)
+                # the rate, then the rate plus the divergence, in place
+                np.subtract(eta[1:], eta[:-1], out=residual)
+                np.divide(residual, dt, out=residual)
+                np.divide(np.subtract(q[:, 1:], q[:, :-1], out=div), grid.dx, out=div)
+                np.add(residual, div, out=residual)
+                # cells without an in-law left neighbour never win the argmax
+                np.copyto(residual, -math.inf, where=out_of_law)
+                idx = int(np.argmax(residual))
+                row, col = divmod(idx, w)
+                band = float(residual.flat[idx])
+                # the band's first maximum beats the quiet +0.0 when larger or
+                # NaN (which drops the block as a whole), or equal and first
+                first = band == 0.0 and quiet is not None and (row, lo + col) < (0, quiet)
+                if quiet is None or not band <= 0.0 or first:
+                    value, step, cell = band, i0 + row, lo + col
+            # strict: the earlier step keeps a tie, and a NaN never wins
+            if value > bests[k][0]:
+                bests[k] = (value, step, cell)
+    best, best_where = -math.inf, (0, 0, 0.0)
+    for c, (value, step, cell) in zip(constants, bests):
+        if value > best:
+            best, best_where = value, (cell, step, c)
     return EntropyResidualReport(max_residual=best, argmax=best_where, sampled_c=constants)
+
+
+def _evaluate_laws(laws, u, lo, hi, out):
+    """Each law's flux on its columns of ``u[:, lo:hi]``, written to ``out``."""
+    for seg, start, stop in laws:
+        a, b = max(start, lo), min(stop, hi)
+        if a < b:
+            out[:, a - lo:b - lo] = seg(u[:, a:b])
+    return out
 
 
 def _adapted_constants(model: PiecewiseFlux, c: float, seed: tuple[float, float]) -> np.ndarray:

@@ -29,6 +29,13 @@ class DomainError(DiscfluxError):
     """Data was referenced outside the region where it is defined."""
 
 
+class MonotonicityError(DiscfluxError, ValueError):
+    """A flux law stops increasing on the values the march needs.
+
+    Also a ``ValueError``, which callers caught before it had its own type.
+    """
+
+
 class StabilityError(DiscfluxError):
     """Time step violates the CFL restriction for the current data."""
 

@@ -357,28 +357,48 @@ def invert_near(seg: FluxSegment, w: float, seed: tuple[float, float]) -> float:
     """Like :func:`invert`, but grows the bracket outward from ``seed``.
 
     Used when only a rough idea of where the root lives is available.  The
-    law is evaluated once at each end of the bracket found.  Raises
-    :class:`FluxRangeError` if doubling the bracket 200 times never captures
+    bracket stays where a quadratic law increases, right of the vertex
+    ``-b/a`` of a convex one and left of a concave one's; the seed is
+    clamped there first.  Linear and custom laws grow without a bound (a
+    custom law beyond its declared interval is the caller's responsibility).
+    The law is evaluated once at each end of the bracket found.  Raises
+    :class:`FluxRangeError` when ``w`` lies outside a quadratic's image over
+    its increasing side, or if doubling the bracket 200 times never captures
     ``w`` (the flux image is bounded away from it).
     """
     lo, hi = float(seed[0]), float(seed[1])
     if hi < lo:
         lo, hi = hi, lo
+    cap_lo, cap_hi = _increasing_range(seg)
+    lo, hi = min(max(lo, cap_lo), cap_hi), min(max(hi, cap_lo), cap_hi)
     width = max(hi - lo, 1e-6 * max(1.0, abs(lo), abs(hi)))
     for _ in range(200):
         f_lo, f_hi = float(seg(lo)), float(seg(hi))
         slack = 1e-9 * max(1.0, abs(f_lo), abs(f_hi))
         if f_lo - slack <= w <= f_hi + slack:
             return _inverse(seg, (lo, hi), (f_lo, f_hi))(w)
+        if (w < f_lo and lo <= cap_lo) or (w > f_hi and hi >= cap_hi):
+            raise FluxRangeError(
+                f"could not bracket w={w}: the law increases on [{cap_lo}, {cap_hi}], "
+                f"and its image stops at [{f_lo}, {f_hi}] on [{lo}, {hi}]"
+            )
         if w < f_lo:
-            lo -= width
+            lo = max(lo - width, cap_lo)
         if w > f_hi:
-            hi += width
+            hi = min(hi + width, cap_hi)
         width *= 2.0
     raise FluxRangeError(
         f"could not bracket w={w}: flux image still [{float(seg(lo))}, "
         f"{float(seg(hi))}] after growing the bracket to [{lo}, {hi}]"
     )
+
+
+def _increasing_range(seg: FluxSegment) -> tuple[float, float]:
+    """Where a quadratic ``seg`` increases; the whole line for other kinds."""
+    if seg.kind != "quadratic":
+        return -math.inf, math.inf
+    a, b = seg.params
+    return (-b / a, math.inf) if a > 0.0 else (-math.inf, -b / a)
 
 
 # }}}

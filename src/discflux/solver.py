@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import StabilityError
+from .errors import MonotonicityError, StabilityError
 from .fluxes import PiecewiseFlux, FluxSegment, invariant_interval, _array_form, _inverse
 from .grid import Grid, SampledTable, cell_average, _evaluate, _GL_NODES, _GL_WEIGHTS
 
@@ -153,15 +153,15 @@ def numerical_flux_value(kind: str, seg: FluxSegment, u_left, u_right):
 def _check_cfl(lam: float, laws) -> float:
     """``lam`` times the largest wave speed of ``(law, lo, hi)`` triples.
 
-    The march's one stability rule.  Raises ``ValueError`` when the ``k``-th
-    law stops increasing on its interval and :class:`StabilityError` when the
-    product exceeds one beyond roundoff.
+    The march's one stability rule.  Raises :class:`MonotonicityError` when
+    the ``k``-th law stops increasing on its interval and
+    :class:`StabilityError` when the product exceeds one beyond roundoff.
     """
     speed, fastest = 0.0, None
     for k, (seg, lo, hi) in enumerate(laws):
         d_min, d_max = seg.deriv_bounds(lo, hi)
         if d_min <= 0.0:
-            raise ValueError(
+            raise MonotonicityError(
                 f"flux law {k} stops increasing on [{lo:.6g}, {hi:.6g}]: "
                 f"min derivative {d_min:.6g}"
             )
@@ -362,7 +362,7 @@ def step(
     current data (and of an inflow trace, as in :func:`run`).
 
     Applies :func:`run`'s stability rule to each subdomain's own values:
-    raises ``ValueError`` when a law stops increasing on them and
+    raises :class:`MonotonicityError` when a law stops increasing on them and
     :class:`StabilityError` when ``dt`` exceeds what they allow.
     """
     u = state.u
@@ -404,7 +404,10 @@ def inflow_boundary_value(trace, step_index: int, dt: float) -> float:
 
 
 def _slab_average(trace, t0: float, t1: float) -> float:
-    """Mean of the trace over (t0, t1); point value when the slab is empty."""
+    """Mean of the trace over (t0, t1); point value when the slab is empty.
+
+    A table that is constant over the slab gives its value exactly.
+    """
     if t1 - t0 <= 1e-15 * max(1.0, abs(t0)):
         return float(trace(t1))
     if isinstance(trace, SampledTable):
@@ -415,10 +418,15 @@ def _slab_average(trace, t0: float, t1: float) -> float:
         if 0 < i == j < pts.size:
             # one piece inside the table: the one-term trapezoid, in scalars
             y0, y1 = np.interp((t0, t1), pts, trace.values)
+            if y0 == y1:
+                return float(y0)
             return float(0.5 * (y1 + y0) * (t1 - t0)) / (t1 - t0)
         # otherwise the table call also rejects slabs past its ends
         xs = np.concatenate(([t0], pts[i:j], [t1]))
         ys = trace(xs)
+        if np.all(ys == ys[0]):
+            # a constant stretch: the trapezoid need not round back to it
+            return float(ys[0])
         return float(np.sum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs))) / (t1 - t0)
     x = 0.5 * (t0 + t1) + (0.5 * (t1 - t0)) * _GL_NODES
     return float(_evaluate(trace, x) @ _GL_WEIGHTS) / 2.0

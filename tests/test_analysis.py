@@ -15,9 +15,11 @@ from discflux import (
     build_problem,
     build_solver_config,
     cell_average,
+    custom_flux,
     entropy_residual,
     exact_linear_advection,
     flux_lipschitz_in_space,
+    linear_flux,
     l1_error,
     l1_error_vs_oracle,
     ooc,
@@ -35,7 +37,7 @@ from discflux.errors import (
     SequencingError,
     ValidityError,
 )
-from oracles import entropy_residual_whole, flux_lipschitz_all_pairs
+from oracles import entropy_residual_whole, flux_lipschitz_all_pairs, same_report
 
 
 def _state(u, t=0.0, step=0):
@@ -250,6 +252,145 @@ def test_entropy_residual_keeps_the_first_of_tied_maxima(monkeypatch, block_byte
     report = entropy_residual(traj, grid, model, [0.5, 1.0, 2.0])
     assert report == entropy_residual_whole(traj, grid, model, [0.5, 1.0, 2.0])
     assert (report.max_residual, report.argmax) == (0.0, (1, 0, 0.5))
+
+
+def _levels(rows, dt=1.0):
+    return [_state(u, t=dt * k, step=k) for k, u in enumerate(rows)]
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1], ids=["default-blocks", "one-step-blocks"])
+def test_entropy_residual_counts_a_fully_quiet_block(monkeypatch, block_bytes):
+    # every cell falls by 0.1 in steps 0 and 2, whose residuals are -0.1/dt
+    # for constants below the data; step 1 is flat in space and time, a
+    # block without an active band, and its first cell's +0.0 wins
+    if block_bytes is not None:
+        monkeypatch.setattr(analysis, "_RESIDUAL_BLOCK_BYTES", block_bytes)
+    grid = build_grid(0.0, 1.0, 8, ())
+    model = PiecewiseFlux((), (quadratic_flux(1.0, interval=(0.5, 2.5)),))
+    levels = _levels([np.full(8, v) for v in (1.5, 1.4, 1.4, 1.3)], dt=0.01)
+    traj = Trajectory(final=levels[-1], snapshots=(), levels=levels)
+    report = entropy_residual(traj, grid, model, [0.5, 1.0])
+    same_report(report, entropy_residual_whole(traj, grid, model, [0.5, 1.0]))
+    assert (report.max_residual, report.argmax) == (0.0, (1, 1, 0.5))
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1], ids=["default-blocks", "one-step-blocks"])
+def test_entropy_residual_sees_a_cell_that_moves_only_in_space(monkeypatch, block_bytes):
+    # a rising step held still is no solution: nothing moves in time, and
+    # the residual at the step's right cell is the flux jump over dx
+    if block_bytes is not None:
+        monkeypatch.setattr(analysis, "_RESIDUAL_BLOCK_BYTES", block_bytes)
+    grid = build_grid(0.0, 1.0, 8, ())
+    model = PiecewiseFlux((), (quadratic_flux(1.0, interval=(0.5, 2.5)),))
+    levels = _levels([np.array([1.0] * 5 + [2.0] * 3)] * 4, dt=0.01)
+    traj = Trajectory(final=levels[-1], snapshots=(), levels=levels)
+    report = entropy_residual(traj, grid, model, [0.5])
+    same_report(report, entropy_residual_whole(traj, grid, model, [0.5]))
+    assert (report.max_residual, report.argmax) == ((2.0 - 0.5) / grid.dx, (5, 0, 0.5))
+
+
+# One linear law u on [0, 16] in 4 cells, dt = dx = 4, the constant 0: a
+# step whose two differences are each minus the smallest subnormal,
+# divided by 4, gives the residual -0.0.  U is that unit.
+U = 5e-324
+SIGNED_ZERO_CASES = {
+    # the -0.0 at cell 1 comes before the quiet cells 2 and 3
+    "band-first": ([[3 * U, 2 * U, 2 * U, 2 * U], [3 * U, U, 2 * U, 2 * U]], "-0x0.0p+0", 1),
+    # the quiet cell 1 comes before the -0.0 at cell 2
+    "quiet-first": ([[3 * U, 3 * U, 2 * U, 2 * U], [3 * U, 3 * U, U, 2 * U]], "0x0.0p+0", 1),
+    # cell 1 is +0.0 in the band: it moves in space, by a flux difference
+    # of -0.0, and stays in time
+    "band-plus-zero": ([[3 * U, 2 * U, 2 * U, 2 * U]] * 2, "0x0.0p+0", 1),
+}
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1], ids=["default-blocks", "one-step-blocks"])
+@pytest.mark.parametrize("name", sorted(SIGNED_ZERO_CASES))
+def test_entropy_residual_ties_a_quiet_zero_with_a_band_zero_in_order(monkeypatch, name,
+                                                                       block_bytes):
+    if block_bytes is not None:
+        monkeypatch.setattr(analysis, "_RESIDUAL_BLOCK_BYTES", block_bytes)
+    rows, sign, cell = SIGNED_ZERO_CASES[name]
+    grid = build_grid(0.0, 16.0, 4, ())
+    model = PiecewiseFlux((), (linear_flux(1.0),))
+    levels = _levels(rows, dt=4.0)
+    traj = Trajectory(final=levels[-1], snapshots=(), levels=levels)
+    report = entropy_residual(traj, grid, model, [0.0])
+    same_report(report, entropy_residual_whole(traj, grid, model, [0.0]))
+    assert report.max_residual.hex() == sign
+    assert report.argmax == (cell, 0, 0.0)
+
+
+def _burgers_levels(n=32):
+    # one law: the adapted constants need no inversion, which a non-finite
+    # level would defeat
+    grid = build_grid(0.0, 1.0, n, ())
+    model = PiecewiseFlux((), (quadratic_flux(1.0, interval=(0.5, 2.5)),))
+    problem = ProblemSpec((0.0, 1.0), PiecewiseConstant((0.3,), (2.0, 1.0)))
+    traj = run(problem, grid, model, SolverConfig(lam=0.4, t_end=0.3), retain_levels=True)
+    return grid, model, traj.levels
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_entropy_residual_reports_an_infinite_last_level():
+    # an inf at the last level only enters a rate: +inf at the step before
+    grid, model, levels = _burgers_levels()
+    levels[-1] = _state(np.where(np.arange(grid.n) == 20, np.inf, levels[-1].u),
+                        t=levels[-1].t, step=levels[-1].step)
+    traj = Trajectory(final=levels[-1], snapshots=(), levels=levels)
+    constants = np.linspace(0.5, 2.0, 17)
+    report = entropy_residual(traj, grid, model, constants)
+    same_report(report, entropy_residual_whole(traj, grid, model, constants))
+    assert report.max_residual == np.inf
+    assert report.argmax == (20, len(levels) - 2, 0.5)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_entropy_residual_matches_the_whole_form_on_a_non_finite_level(bad):
+    # a NaN, or an inf met by the flux difference, makes the residual NaN,
+    # which never wins; the quiet cells outside the band are not +0.0 then,
+    # and the band widens to every cell
+    grid, model, levels = _burgers_levels()
+    k = len(levels) // 2
+    u = levels[k].u.copy()
+    u[3] = bad
+    levels[k] = _state(u, t=levels[k].t, step=levels[k].step)
+    traj = Trajectory(final=levels[-1], snapshots=(), levels=levels)
+    assert len(levels) - 1 <= analysis._RESIDUAL_BLOCK_BYTES // (32 * grid.n)
+    constants = np.linspace(0.5, 2.0, 17)
+    report = entropy_residual(traj, grid, model, constants)
+    same_report(report, entropy_residual_whole(traj, grid, model, constants))
+
+
+# u^1.5 is NaN below 0.  "quiet-nan": on the flat, finite run of -1 at the
+# left, NaN - NaN is not +0.0, so those cells are evaluated like every
+# other.  "band-nan": a NaN flux inside the band drops its block, quiet
+# cells included, as the whole residual's argmax does.
+NAN_FLUX_CASES = {
+    "quiet-nan": [[-1.0, -1.0, -1.0, 2.0, 2.0, 1.5, 1.0, 1.0],
+                  [-1.0, -1.0, -1.0, 2.0, 1.9, 1.6, 1.1, 1.0],
+                  [-1.0, -1.0, -1.0, 2.0, 1.8, 1.7, 1.2, 1.0]],
+    "band-nan": [[2.0, 2.0, 2.0, 2.0, 1.5, 1.5, 1.0, 1.0],
+                 [2.0, 2.0, 2.0, 2.0, 1.5, -1.0, 1.0, 1.0],
+                 [2.0, 2.0, 2.0, 2.0, 1.6, 1.4, 1.2, 1.0]],
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name, block_bytes", [("quiet-nan", None), ("quiet-nan", 1),
+                                               ("band-nan", None)])
+def test_entropy_residual_does_not_call_a_nan_flux_quiet(monkeypatch, name, block_bytes):
+    if block_bytes is not None:
+        monkeypatch.setattr(analysis, "_RESIDUAL_BLOCK_BYTES", block_bytes)
+    grid = build_grid(0.0, 1.0, 8, ())
+    law = custom_flux(lambda u: u * np.sqrt(u), lambda u: 1.5 * np.sqrt(u), interval=(0.5, 2.5))
+    model = PiecewiseFlux((), (law,))
+    levels = _levels([np.array(r) for r in NAN_FLUX_CASES[name]], dt=0.01)
+    traj = Trajectory(final=levels[-1], snapshots=(), levels=levels)
+    constants = [0.5, 1.5]
+    same_report(entropy_residual(traj, grid, model, constants),
+                entropy_residual_whole(traj, grid, model, constants))
 
 
 def test_entropy_residual_catches_downwind_march():

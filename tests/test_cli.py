@@ -11,6 +11,7 @@ import pytest
 
 import discflux
 from discflux import (
+    MonotonicityError,
     StabilityError,
     State,
     build_grid,
@@ -98,6 +99,21 @@ def test_run_csv_bytes_match_per_row_formatting(tmp_path, monkeypatch, capsys):
                                             for x, v in zip(grid.centers, u))
         assert (tmp_path / "out" / f"snapshot_t{t:g}.csv").read_bytes() == expected.encode()
         assert ",-0\n" in expected and "e-324\n" in expected
+
+
+def test_run_transmits_past_the_padded_data_range_towards_a_vertex(tmp_path, capsys):
+    # u^2/2 | u^2 with data 2 | 0.5: the right law transmits sqrt(0.125),
+    # below the data and its padded interval but right of the vertex at 0
+    path = tmp_path / "exp.yaml"
+    save_config(small_config(
+        fluxes=[{"kind": "quadratic", "a": 1.0}, {"kind": "quadratic", "a": 2.0}],
+        initial={"kind": "piecewise_constant", "breakpoints": [-0.5], "values": [2.0, 0.5]},
+        snapshots=[0.1], **{"lambda": 0.2}), path)
+    assert main(["run", "--config", str(path), "--n", "64",
+                 "--out", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "snapshot_t0.1.csv").read_text().splitlines()[1:]
+    u = np.array([float(ln.split(",")[1]) for ln in lines])
+    assert np.sqrt(0.125) - 1e-15 <= u.min() and u.max() <= 2.0
 
 
 def test_run_accepts_config_file(tmp_path):
@@ -239,6 +255,16 @@ def test_missing_config_is_reported_not_raised(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "no.yaml"),
                  "--n", "16", "--out", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_a_law_that_stops_increasing_exits_one(tmp_path, monkeypatch, capsys):
+    def stop(*args):
+        raise MonotonicityError("flux law 0 stops increasing")
+
+    monkeypatch.setattr("discflux.cli.cmd_run", stop)
+    assert main(["run", "--preset", "experiment1", "--n", "16",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "stops increasing" in capsys.readouterr().err
 
 
 def test_unstable_march_exits_two(tmp_path, capsys):

@@ -296,6 +296,51 @@ def test_invert_near_gives_up_on_bounded_image():
         invert_near(seg, 2.0, (0.0, 1.0))
 
 
+# Data (0.5, 2.0) with a transmitted state that growing the bracket by
+# doubling steps would overshoot: past the vertex of u^2 at 0, and past the
+# peak of -u^2/2 + 3u at 3.
+VERTEX_CASES = {
+    "convex": (PiecewiseFlux((0.0,), (quadratic_flux(1.0, interval=(0.05, 4.0)),
+                                      quadratic_flux(2.0, interval=(0.05, 4.0)))),
+               (np.sqrt(0.125), 2.0)),
+    "concave": (PiecewiseFlux((0.0,), (linear_flux(2.2),
+                                       quadratic_flux(-1.0, 3.0, interval=(0.05, 2.9)))),
+                (3.0 - np.sqrt(6.8), 3.0 - np.sqrt(0.2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERTEX_CASES))
+def test_invert_near_stops_growing_at_a_quadratics_vertex(name):
+    model, (root_lo, root_hi) = VERTEX_CASES[name]
+    left, right = model.segments
+    root = root_lo if name == "convex" else root_hi
+    w = float(left(0.5 if name == "convex" else 2.0))
+    got = invert_near(right, w, (0.5, 2.0))
+    assert got == pytest.approx(root, rel=4 * EPS)
+    assert got == invert(right, w, (0.05, 2.9))
+
+
+def test_invariant_interval_reaches_past_the_seed_towards_a_vertex():
+    convex, want = VERTEX_CASES["convex"]
+    assert invariant_interval(convex, (0.5, 2.0)) == pytest.approx(want, rel=4 * EPS)
+    concave, want = VERTEX_CASES["concave"]
+    assert invariant_interval(concave, (0.5, 2.0)) == pytest.approx(want, rel=4 * EPS)
+
+
+def test_invert_near_rejects_a_target_below_a_quadratics_vertex():
+    # u^2/2 never goes below 0 where it increases, and -u^2/2 + 3u never
+    # above 4.5; the bracket stops at the vertex instead of running past it
+    convex = quadratic_flux(1.0, interval=(0.05, 4.0))
+    with pytest.raises(FluxRangeError,
+                       match=r"could not bracket w=-0.1: the law increases on \[-?0.0, inf\]"):
+        invert_near(convex, -0.1, (0.5, 2.0))
+    concave = quadratic_flux(-1.0, 3.0, interval=(0.05, 2.9))
+    with pytest.raises(FluxRangeError, match=r"increases on \[-inf, 3.0\]"):
+        invert_near(concave, 4.6, (0.5, 2.0))
+    # a seed past the vertex is clamped to the increasing side first
+    assert invert_near(convex, 0.5, (-3.0, 0.2)) == pytest.approx(1.0, rel=4 * EPS)
+
+
 def test_invert_near_evaluates_each_bracket_end_once():
     # the bracket search hands the flux image it computed to the inversion;
     # a search that calls invert on the found bracket evaluates both ends twice

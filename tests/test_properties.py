@@ -1,4 +1,6 @@
-"""Properties of the march over drawn models, grids and data."""
+"""Properties of the march and its diagnostics over drawn models, grids and data."""
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
@@ -15,12 +17,14 @@ from discflux import (
     build_grid,
     cell_average,
     custom_flux,
+    entropy_residual,
     invariant_interval,
     linear_flux,
     quadratic_flux,
     run,
 )
-from oracles import reference_levels
+from discflux import analysis
+from oracles import entropy_residual_whole, reference_levels, same_report
 
 # Built once: a custom law is sampled densely when it is wrapped.
 CUSTOM_LAWS = (
@@ -64,31 +68,63 @@ def marches(draw):
     return model, grid, datum, steps + fraction, trace, cfl
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(marches())
-def test_run_equals_the_reference_update_at_every_level(case):
+def march_config(case):
+    """The drawn case's data range, bracket and solver config, or ``None``.
+
+    Keeps the draws whose laws all increase on the invariant interval, and
+    takes lam from its fastest wave speed.
+    """
     model, grid, datum, steps, trace, cfl = case
     u0 = cell_average(datum, grid)
     lo, hi = float(u0.min()), float(u0.max())
     if trace is not None:
         lo, hi = min(lo, float(trace.min())), max(hi, float(trace.max()))
-    # keep the draws whose laws all increase on the invariant interval, and
-    # take lam from its fastest wave speed
     try:
         bracket = invariant_interval(model, (lo, hi))
     except DivergentRangeError:
-        assume(False)
+        return None
     bounds = [seg.deriv_bounds(*bracket) for seg in model.segments]
-    assume(all(d_min > 0.0 for d_min, _ in bounds))
+    if not all(d_min > 0.0 for d_min, _ in bounds):
+        return None
     lam = cfl / max(d_max for _, d_max in bounds)
     t_end = steps * lam * grid.dx
     left = Outflow()
     if trace is not None:
         left = Inflow(SampledTable(np.linspace(0.0, t_end, trace.size), trace))
-    config = SolverConfig(lam=lam, t_end=t_end, left=left)
+    return (lo, hi), bracket, SolverConfig(lam=lam, t_end=t_end, left=left)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(marches())
+def test_run_equals_the_reference_update_at_every_level(case):
+    model, grid, datum, steps, trace, cfl = case
+    drawn = march_config(case)
+    assume(drawn is not None)
+    _, bracket, config = drawn
+    u0 = cell_average(datum, grid)
 
     trajectory = run(ProblemSpec((0.0, 1.0), datum), grid, model, config, retain_levels=True)
     levels = reference_levels(u0, grid, model, config, bracket)
     assert len(trajectory.levels) == len(levels) == int(np.ceil(steps)) + 1
     for level, u in zip(trajectory.levels, levels):
         assert np.array_equal(level.u, u)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(marches(), st.integers(1, 17))
+def test_entropy_residual_equals_the_whole_array_form(case, n_constants):
+    # the active band, the quiet +0.0 and the per-constant merge give the
+    # whole residual's value, sign of zero and first argmax, in blocks of
+    # the default size and of one step each
+    model, grid, datum, _, _, _ = case
+    drawn = march_config(case)
+    assume(drawn is not None)
+    data_range, _, config = drawn
+    trajectory = run(ProblemSpec((0.0, 1.0), datum), grid, model, config, retain_levels=True)
+    # constants from the data's range, as verify samples them: each one's
+    # adapted chain stays inside the invariant interval
+    constants = np.linspace(*data_range, n_constants)
+    want = entropy_residual_whole(trajectory, grid, model, constants)
+    same_report(entropy_residual(trajectory, grid, model, constants), want)
+    with mock.patch.object(analysis, "_RESIDUAL_BLOCK_BYTES", 1):
+        same_report(entropy_residual(trajectory, grid, model, constants), want)

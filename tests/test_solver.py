@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from discflux import (
+    DiscfluxError,
     DomainError,
     Inflow,
     Outflow,
@@ -24,6 +25,7 @@ from discflux import (
     inflow_boundary_value,
     invariant_interval,
     linear_flux,
+    MonotonicityError,
     numerical_flux_value,
     preset,
     quadratic_flux,
@@ -218,6 +220,29 @@ def test_table_slab_average_matches_the_masked_trapezoid_bit_for_bit():
                 seen["inner points" if inner else "one piece"] += 1
     assert sum(seen.values()) >= 10000
     assert min(seen.values()) >= 500, seen
+
+
+def test_table_slab_average_returns_a_constant_stretch_exactly():
+    # 0.9 on [0, 0.4], then a ramp: the trapezoid's (y0 + y1)/2 * w / w does
+    # not always round back to 0.9, so a constant stretch returns its value
+    table = SampledTable(np.array([0.0, 0.1, 0.25, 0.4, 1.0]),
+                         np.array([0.9, 0.9, 0.9, 0.9, 2.0]))
+    rng = np.random.default_rng(3)
+    for t0, t1 in np.sort(rng.uniform(0.0, 0.4, (200, 2)), axis=1):
+        assert _slab_average(table, t0, t1) == slab_average_oracle(table, t0, t1) == 0.9
+    assert _slab_average(table, 0.3, 0.5) == slab_average_oracle(table, 0.3, 0.5) > 0.9
+
+
+def test_tabulated_inflow_holding_the_datum_keeps_a_run_bitwise_steady():
+    grid = build_grid(0.0, 1.0, 256)
+    model = PiecewiseFlux((), (quadratic_flux(1.0, interval=(0.25, 3.0)),))
+    trace = SampledTable(np.array([0.0, 0.07, 0.2, 0.33, 0.5]), np.full(5, 0.9))
+    config = SolverConfig(lam=0.4, t_end=0.5, left=Inflow(trace))
+    problem = ProblemSpec((0.0, 1.0), PiecewiseConstant((), (0.9,)))
+    trajectory = run(problem, grid, model, config, retain_levels=True)
+    assert len(trajectory.levels) > 300
+    for level in trajectory.levels:
+        assert np.array_equal(level.u, np.full(grid.n, 0.9))
 
 
 def test_inflow_table_slab_past_the_end_raises():
@@ -788,6 +813,17 @@ def test_step_rejects_a_law_that_stops_increasing_as_run_does():
     with pytest.raises(ValueError, match="flux law 0 stops increasing") as from_step:
         step(state, grid, model, config)
     assert str(from_step.value) == str(from_run.value)
+
+
+def test_a_law_that_stops_increasing_raises_a_typed_value_error():
+    model = PiecewiseFlux((), (quadratic_flux(-0.2, 2.0, interval=(0.0, 4.0)),))
+    grid = build_grid(0.0, 1.0, 8)
+    problem = ProblemSpec((0.0, 1.0), PiecewiseConstant((0.5,), (9.0, 12.0)))
+    with pytest.raises(MonotonicityError) as exc:
+        run(problem, grid, model, SolverConfig(lam=0.05, t_end=0.1))
+    # both bases: existing `except ValueError` callers still catch it
+    assert isinstance(exc.value, DiscfluxError)
+    assert isinstance(exc.value, ValueError)
 
 
 # }}}
