@@ -203,7 +203,8 @@ def entropy_residual(
     out the boundary cell and the interface cells, which are not produced by
     the conservative update), and should be nonpositive up to roundoff on any
     stable run.  The argmax is the first occurrence over constants, then
-    steps, then cells.
+    steps, then cells.  A NaN residual wins and sticks: the report is then
+    NaN, with its argmax at the first NaN.
 
     The steps go in blocks of about ``_RESIDUAL_BLOCK_BYTES``.  A cell is
     quiet in a step when u_j^{n+1}, u_j^n and u_{j-1}^n are bitwise equal:
@@ -285,19 +286,26 @@ def entropy_residual(
                 idx = int(np.argmax(residual))
                 row, col = divmod(idx, w)
                 band = float(residual.flat[idx])
-                # the band's first maximum beats the quiet +0.0 when larger or
-                # NaN (which drops the block as a whole), or equal and first
+                # argmax gives the band's first NaN, else its first maximum;
+                # it beats the quiet +0.0 when larger or NaN, or equal and first
                 first = band == 0.0 and quiet is not None and (row, lo + col) < (0, quiet)
                 if quiet is None or not band <= 0.0 or first:
                     value, step, cell = band, i0 + row, lo + col
-            # strict: the earlier step keeps a tie, and a NaN never wins
-            if value > bests[k][0]:
+            if _wins(value, bests[k][0]):
                 bests[k] = (value, step, cell)
     best, best_where = -math.inf, (0, 0, 0.0)
     for c, (value, step, cell) in zip(constants, bests):
-        if value > best:
+        if _wins(value, best):
             best, best_where = value, (cell, step, c)
     return EntropyResidualReport(max_residual=best, argmax=best_where, sampled_c=constants)
+
+
+def _wins(value: float, best: float) -> bool:
+    """Whether ``value`` replaces an earlier ``best``: larger, or the first NaN.
+
+    An earlier maximum keeps a tie, and a NaN, once in, stays.
+    """
+    return value > best or (math.isnan(value) and not math.isnan(best))
 
 
 def _evaluate_laws(laws, u, lo, hi, out):

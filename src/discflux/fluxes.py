@@ -133,20 +133,25 @@ def _quadratic_values(c: float, b, u: np.ndarray, out=None, tmp=None, call=_now)
 
 
 def _array_form(seg: FluxSegment, size: int) -> Callable:
-    """A quadratic ``seg`` on float views of up to ``size`` values, resolved once.
+    """A nonlinear ``seg`` on float views of up to ``size`` values, resolved once.
 
-    Returns ``bind(u)``, which gives the argument-free ufunc calls that
-    write ``seg(u)`` into the first ``u.size`` entries of two buffers of
-    that size owned by the form, and the view of the result they fill.  The
-    calls can be run any number of times, and each run of calls bound to
-    any view overwrites the previous result.  Where ``b == 0`` the ``b*u``
-    term is dropped: it is a zero of ``u``'s sign, which is ``a``'s sign
-    wherever the law increases, and adding it changes no value there.
+    Returns ``bind(u)``, which gives the argument-free calls that write
+    ``seg(u)`` into the first ``u.size`` entries of a buffer of that size
+    owned by the form, and the view of the result they fill.  The calls can
+    be run any number of times, and each run of calls bound to any view
+    overwrites the previous result.  A quadratic law is bound as ufunc calls
+    through two such buffers.  Where ``b == 0`` the ``b*u`` term is dropped:
+    it is a zero of ``u``'s sign, which is ``a``'s sign wherever the law
+    increases, and adding it changes no value there.  A custom law is one
+    call of its ``func``, elementwise as :func:`custom_flux` checks.
     """
+    out = np.empty(size)
+    if seg.kind == "custom":
+        return lambda u: ([partial(_fill, seg.func, u, out[:u.size])], out[:u.size])
     a, b = seg.params
     # constants as 0-d arrays: a ufunc converts a Python float on every call
     c, b = np.array(0.5 * a), (np.array(b) if b != 0.0 else None)
-    out, tmp = np.empty(size), np.empty(size)
+    tmp = np.empty(size)
 
     def bind(u):
         calls = []
@@ -159,12 +164,20 @@ def _array_form(seg: FluxSegment, size: int) -> Callable:
     return bind
 
 
+def _fill(func, u, out):
+    out[...] = func(u)
+
+
 def custom_flux(func: Callable, deriv: Callable, *, interval: tuple[float, float]) -> FluxSegment:
     """Wrap a user-supplied flux and its derivative after sampling checks.
 
     The pair is sampled densely on ``interval``: the derivative must stay
     strictly positive and must agree with a central difference of ``func``.
-    Behaviour outside the sampled interval is the caller's responsibility.
+    ``func`` must be elementwise: its value at an entry of an array may not
+    depend on the other entries, as the march evaluates it on sub-slices of
+    a block and at single values.  It is checked by evaluating ``func`` on
+    the sample without its first entry.  Behaviour outside the sampled
+    interval is the caller's responsibility.
     """
     lo, hi = _checked_interval(interval)
     u = np.linspace(lo, hi, _N_SAMPLES)
@@ -174,6 +187,16 @@ def custom_flux(func: Callable, deriv: Callable, *, interval: tuple[float, float
         raise ValueError("flux and derivative must evaluate elementwise on arrays")
     if not (np.all(np.isfinite(fu)) and np.all(np.isfinite(du))):
         raise ValueError(f"flux or derivative is not finite on [{lo}, {hi}]")
+    # an evaluation rounded once in its input and once in its output is
+    # within eps * (|f| + |u f'|) of the law, so two evaluations of an
+    # elementwise law at one point differ by at most twice that
+    roundoff = 2.0 * _EPS * float(np.max(np.abs(fu)) + np.max(np.abs(u * du)))
+    shifted = np.asarray(func(u[1:]), dtype=float)
+    if shifted.shape != fu[1:].shape or not np.all(np.abs(shifted - fu[1:]) <= roundoff):
+        raise ValueError(
+            "flux is not elementwise: evaluated without the first sample, its "
+            f"values at the others move by more than the roundoff {roundoff:.3e}"
+        )
     dmin = float(du.min())
     if dmin <= 0.0:
         worst = float(u[np.argmin(du)])

@@ -187,14 +187,14 @@ class _March:
 
     Holds each subdomain's cell bounds ``(a, b)`` with its update: the slope
     of a linear law, whose update is a convex combination, or else the
-    law's scalar form for the block's last edge together with, for a
-    quadratic law, its array form bound through two buffers of the block's
-    size.  Each interface coupling ``(p, left law, inverse)`` holds the right
-    law's inverse on the bracket, with the bracket's flux image computed
-    once.  Also kept: the left-boundary trace and a scratch buffer.
+    law's scalar form for the block's last edge together with its array
+    form bound through buffers of the block's size.  Each interface
+    coupling ``(p, left law, inverse)`` holds the right law's inverse on the
+    bracket, with the bracket's flux image computed once.  Also kept: the
+    left-boundary trace and a scratch buffer.
 
     :meth:`bind` resolves one step from a caller-owned array into another as
-    argument-free ufunc calls on views, and :meth:`advance` runs a bound
+    argument-free calls on views, and :meth:`advance` runs a bound
     step, so a march can alternate between two buffers with the step of
     each direction bound once.  Steps bound without spans write every cell.
 
@@ -204,8 +204,8 @@ class _March:
     over the window a cell's value can only change if it lies in its
     block's span or is a block's first cell whose interface map is live.
     A cell outside its span then has, on every step, the inputs it had one
-    step before, so its new value is the one the target buffer already
-    holds.  An interface map is live when its left neighbour may move in
+    step before, so its new value, a function of those inputs alone (every
+    law is elementwise), is the one the target buffer already holds.  An interface map is live when its left neighbour may move in
     the window, or when its cell differed bitwise at the window's start.
     """
 
@@ -217,7 +217,7 @@ class _March:
         # no interior, its cell is the boundary or an interface cell
         self.subdomains = [
             (a, b, seg.params[0] if seg.kind == "linear" else None,
-             _array_form(seg, b - 1 - a) if seg.kind == "quadratic" and b - a > 1 else None,
+             _array_form(seg, b - 1 - a) if seg.kind != "linear" and b - a > 1 else None,
              seg.func)
             for seg, a, b in zip(segs, bounds, bounds[1:])
         ]
@@ -240,8 +240,7 @@ class _March:
         for each subdomain, the half-open range ``(s, e)`` of its interior
         cells to recompute (empty as ``s == e``), and ``live`` whether each
         interface map runs; only those cells and, with an inflow, the
-        boundary cell are written.  A custom law's span is its whole
-        interior: it is called with the arrays it would get without spans.
+        boundary cell are written.
         """
         # constants as 0-d arrays: a ufunc converts a Python float on every call
         calls, scale = [], np.array(lam)
@@ -260,15 +259,12 @@ class _March:
             # conservative difference of the upwind edge fluxes f(u_left);
             # the block's last cell takes its right edge from the law's
             # scalar form, as the interior ones use its array form
-            if array_form is None:
-                calls.append(partial(_law_differences, scalar_form, u, a, b, tmp))
-            else:
-                last = e == b
-                kernel, edge = array_form(u[s - 1:e - last])
-                calls += kernel
-                calls.append(partial(np.subtract, edge[1:], edge[:-1], tmp[:e - s - last]))
-                if last:
-                    calls.append(partial(_last_edge, scalar_form, u, b, edge, tmp))
+            last = e == b
+            kernel, edge = array_form(u[s - 1:e - last])
+            calls += kernel
+            calls.append(partial(np.subtract, edge[1:], edge[:-1], tmp[:e - s - last]))
+            if last:
+                calls.append(partial(_last_edge, scalar_form, u, b, edge, tmp))
             calls += (partial(np.multiply, tmp, scale, tmp), partial(np.subtract, u[s:e], tmp, dst))
         maps = [c for c, on in zip(self.couplings, live or repeat(True)) if on]
         return calls, new, (u if spans is None else None), maps
@@ -299,44 +295,33 @@ class _March:
         at the block's second cell when the first cell differs or may move
         in the window: an inflow cell, an interface cell whose upstream
         span reaches its block's last cell, or one that follows a chain of
-        one-cell subdomains from such a cell.  A custom-law block recomputes
-        its whole interior and counts as moving.
+        one-cell subdomains from such a cell.
         """
         changed = (u.view(np.int64) != prev.view(np.int64)).nonzero()[0]
         # changed[i:j] are the changed cells of a subdomain
         starts = changed.searchsorted(self.firsts).tolist()
         spans, live = [], []
         moving = self.trace is not None
-        for (a, b, slope, array_form, _), i, j in zip(self.subdomains, starts, starts[1:]):
+        for (a, b, *_), i, j in zip(self.subdomains, starts, starts[1:]):
             first_changed = i < j and int(changed[i]) == a
             if a:
                 live.append(moving or first_changed)
             if b - a < 2:
                 # the next interface cell's left neighbour is this block's first cell
                 spans.append((b, b))
-            elif slope is None and array_form is None:
-                spans.append((a + 1, b))
-                moving = True
+                continue
+            if moving or i < j:
+                s = a + 1 if moving or first_changed else int(changed[i])
+                e = min((int(changed[j - 1]) if i < j else a) + 1 + _NARROW_EVERY, b)
             else:
-                if moving or i < j:
-                    s = a + 1 if moving or first_changed else int(changed[i])
-                    e = min((int(changed[j - 1]) if i < j else a) + 1 + _NARROW_EVERY, b)
-                else:
-                    s = e = a + 1
-                spans.append((s, e))
-                moving = e == b
+                s = e = a + 1
+            spans.append((s, e))
+            moving = e == b
         return spans, live
 
 
 def _last_edge(scalar_form, u, b, edge, tmp):
     tmp[-1] = scalar_form(float(u[b - 1])) - edge[-1]
-
-
-def _law_differences(func, u, a, b, tmp):
-    # a law without a bound array form returns a new array on every call
-    edge = np.asarray(func(u[a:b - 1]))
-    np.subtract(edge[1:], edge[:-1], out=tmp[:-1])
-    _last_edge(func, u, b, edge, tmp)
 
 
 # }}}

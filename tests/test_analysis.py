@@ -1,5 +1,7 @@
 """Error norms, rates, and the variation/entropy diagnostics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -349,8 +351,8 @@ def test_entropy_residual_reports_an_infinite_last_level():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_entropy_residual_matches_the_whole_form_on_a_non_finite_level(bad):
     # a NaN, or an inf met by the flux difference, makes the residual NaN,
-    # which never wins; the quiet cells outside the band are not +0.0 then,
-    # and the band widens to every cell
+    # which wins; the quiet cells outside the band are not +0.0 then, and
+    # the band widens to every cell
     grid, model, levels = _burgers_levels()
     k = len(levels) // 2
     u = levels[k].u.copy()
@@ -365,8 +367,7 @@ def test_entropy_residual_matches_the_whole_form_on_a_non_finite_level(bad):
 
 # u^1.5 is NaN below 0.  "quiet-nan": on the flat, finite run of -1 at the
 # left, NaN - NaN is not +0.0, so those cells are evaluated like every
-# other.  "band-nan": a NaN flux inside the band drops its block, quiet
-# cells included, as the whole residual's argmax does.
+# other.  "band-nan": one negative value gives a NaN flux inside the band.
 NAN_FLUX_CASES = {
     "quiet-nan": [[-1.0, -1.0, -1.0, 2.0, 2.0, 1.5, 1.0, 1.0],
                   [-1.0, -1.0, -1.0, 2.0, 1.9, 1.6, 1.1, 1.0],
@@ -375,11 +376,13 @@ NAN_FLUX_CASES = {
                  [2.0, 2.0, 2.0, 2.0, 1.5, -1.0, 1.0, 1.0],
                  [2.0, 2.0, 2.0, 2.0, 1.6, 1.4, 1.2, 1.0]],
 }
+# (cell, step, constant) of each case's first NaN residual
+NAN_FLUX_FIRST = {"quiet-nan": (1, 0, 0.5), "band-nan": (5, 1, 0.5)}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("name, block_bytes", [("quiet-nan", None), ("quiet-nan", 1),
-                                               ("band-nan", None)])
+                                               ("band-nan", None), ("band-nan", 1)])
 def test_entropy_residual_does_not_call_a_nan_flux_quiet(monkeypatch, name, block_bytes):
     if block_bytes is not None:
         monkeypatch.setattr(analysis, "_RESIDUAL_BLOCK_BYTES", block_bytes)
@@ -389,8 +392,11 @@ def test_entropy_residual_does_not_call_a_nan_flux_quiet(monkeypatch, name, bloc
     levels = _levels([np.array(r) for r in NAN_FLUX_CASES[name]], dt=0.01)
     traj = Trajectory(final=levels[-1], snapshots=(), levels=levels)
     constants = [0.5, 1.5]
-    same_report(entropy_residual(traj, grid, model, constants),
-                entropy_residual_whole(traj, grid, model, constants))
+    report = entropy_residual(traj, grid, model, constants)
+    same_report(report, entropy_residual_whole(traj, grid, model, constants))
+    # a NaN wins and sticks: the first constant's first NaN, by step then cell
+    assert math.isnan(report.max_residual)
+    assert report.argmax == NAN_FLUX_FIRST[name]
 
 
 def test_entropy_residual_catches_downwind_march():

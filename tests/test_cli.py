@@ -12,10 +12,15 @@ import pytest
 import discflux
 from discflux import (
     MonotonicityError,
+    PiecewiseFlux,
     StabilityError,
     State,
+    Trajectory,
+    analysis,
     build_grid,
+    cli,
     config_digest,
+    custom_flux,
     invariant_interval,
     preset,
     run,
@@ -230,6 +235,52 @@ def test_order_check_reports_a_cfl_violation_instead_of_raising():
         config, model, build_solver_config(config), grid, u_range)
     assert (name, status) == ("monotonicity", "FAIL")
     assert float(detail.split()[3]) > 1.0
+
+
+def test_verify_does_not_error_where_constants_chain_past_a_law(tmp_path, capsys):
+    # the invariant range [0.51, 6] holds constants whose adapted chain
+    # reaches flux 27 at the concave law, whose peak is 10: run accepts the
+    # model, the steady datum of such a constant cannot run, and 7 of the 17
+    # entropy constants have no entropy pair
+    config = small_config(
+        interfaces=[-0.5, 0.0, 0.5],
+        fluxes=[{"kind": "quadratic", "a": 1.5}, {"kind": "linear", "a": 0.5},
+                {"kind": "quadratic", "a": -0.2, "b": 2.0}, {"kind": "linear"}],
+        initial={"kind": "piecewise_constant", "breakpoints": [], "values": [2.0]},
+        t_end=0.5, resolutions=[64, 128], reference_n=256, **{"lambda": 0.1})
+    path = tmp_path / "exp.yaml"
+    save_config(config, path)
+    assert main(["run", "--config", str(path), "--n", "64", "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--config", str(path)]) != 2
+    lines = {ln.split()[0]: ln for ln in capsys.readouterr().out.splitlines()}
+    assert lines["steady_state"].split()[1] == "SKIP"
+    assert "could not bracket w=27" in lines["steady_state"]
+    assert "over 10 of 17 constants" in lines["entropy_residual"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("block_bytes", [None, 1])
+def test_verify_fails_a_nan_entropy_residual(monkeypatch, block_bytes):
+    # u^1.5 is NaN below 0, so one negative value makes the residual NaN,
+    # which must not pass as a residual below the limit
+    if block_bytes is not None:
+        monkeypatch.setattr(analysis, "_RESIDUAL_BLOCK_BYTES", block_bytes)
+    law = custom_flux(lambda u: u * np.sqrt(u), lambda u: 1.5 * np.sqrt(u), interval=(0.5, 2.5))
+    model = PiecewiseFlux((), (law,))
+    rows = [[2.0, 2.0, 2.0, 2.0, 1.5, 1.5, 1.0, 1.0],
+            [2.0, 2.0, 2.0, 2.0, 1.5, -1.0, 1.0, 1.0],
+            [2.0, 2.0, 2.0, 2.0, 1.6, 1.4, 1.2, 1.0]]
+    levels = [State(np.array(r), 0.01 * k, k) for k, r in enumerate(rows)]
+    # the check's run is replaced by these levels; no monotone run makes them
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: Trajectory(
+        final=levels[-1], snapshots=[], levels=levels))
+    config = small_config(interfaces=[], fluxes=[{"kind": "quadratic"}],
+                          resolutions=[8], reference_n=8)
+    name, status, detail = cli._check_entropy(
+        config, build_problem(config), model, build_solver_config(config), (0.5, 2.5))
+    assert (name, status) == ("entropy_residual", "FAIL")
+    assert detail.startswith("max residual nan at cell 5, step 1, c=0.5 ")
 
 
 # }}}

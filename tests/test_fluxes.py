@@ -86,6 +86,18 @@ def test_custom_flux_rejects_inconsistent_derivative():
         custom_flux(lambda u: u * u, lambda u: 2.1 * u + 0.3, interval=(1.0, 2.0))
 
 
+def test_custom_flux_must_be_elementwise():
+    # the march evaluates a law on sub-slices of a block; a value that
+    # depends on the other entries would change with the slice
+    with pytest.raises(ValueError, match="not elementwise"):
+        custom_flux(lambda u: u + 0.01 * np.mean(u), lambda u: 1.0 + 0.0 * u,
+                    interval=(0.0, 4.0))
+    # an ulp that depends on the array is roundoff, not a dependence
+    seg = custom_flux(lambda u: u + (np.size(u) % 2) * np.spacing(u), lambda u: 1.0 + 0.0 * u,
+                      interval=(0.0, 4.0))
+    assert seg.kind == "custom"
+
+
 def test_piecewise_model_validation():
     with pytest.raises(ValueError, match="flux laws"):
         PiecewiseFlux((0.0,), (linear_flux(1.0),))

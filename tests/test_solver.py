@@ -355,14 +355,19 @@ def test_run_checks_domain_and_stability():
             SolverConfig(lam=0.9, t_end=0.1))
 
 
-def test_run_records_increments():
-    grid = build_grid(-1.0, 1.0, 32, (0.0,))
-    config = SolverConfig(lam=0.5, t_end=0.3)
-    trajectory = run(exp1_problem(), grid, TRANSPORT_THEN_BURGERS, config,
-                     record_increments=True, retain_levels=True)
-    u_all = np.stack([lv.u for lv in trajectory.levels])
-    expected = np.sum(np.abs(np.diff(u_all, axis=0)), axis=0)
-    assert np.allclose(trajectory.temporal_increments, expected, atol=1e-15)
+def test_run_records_increments(three_interface_model):
+    # verify's temporal-TV check takes these sums for the retained levels'
+    # summed increments, so the two agree bit for bit, with inflow and a
+    # custom law too
+    cases = [(exp1_problem(), build_grid(-1.0, 1.0, 32, (0.0,)), TRANSPORT_THEN_BURGERS,
+              SolverConfig(lam=0.5, t_end=0.3)),
+             window_case("three-interfaces", three_interface_model)[:4]]
+    for problem, grid, model, config in cases:
+        trajectory = run(problem, grid, model, config,
+                         record_increments=True, retain_levels=True)
+        u_all = np.stack([lv.u for lv in trajectory.levels])
+        expected = np.sum(np.abs(np.diff(u_all, axis=0)), axis=0)
+        assert np.array_equal(trajectory.temporal_increments, expected)
 
 
 def test_constant_state_is_a_fixed_point_of_run():
@@ -610,9 +615,9 @@ def test_run_matches_the_reference_advance_where_spans_shrink_and_reopen(monkeyp
                    for spans in blocks for (s0, e0), (s1, e1) in zip(spans, spans[1:]))
 
 
-def test_a_custom_law_sees_its_whole_block_on_every_step():
-    # a user law is called with the arrays it would get without spans, so it
-    # need not be elementwise for the march to stay exact
+def test_a_custom_law_block_narrows_with_the_window():
+    # a custom law is elementwise, so its block recomputes only its span, as
+    # a quadratic block does, and the levels stay those of the whole update
     sizes = []
 
     def law(u):
@@ -625,12 +630,22 @@ def test_a_custom_law_sees_its_whole_block_on_every_step():
         custom_flux(law, lambda u: 1.0 + 0.1 * np.cos(u), interval=(0.0, 4.0))))
     grid = build_grid(-1.0, 1.0, 256, model.interfaces)
     problem = ProblemSpec((-1.0, 1.0), PiecewiseConstant((), (1.0,)))
+    config = SolverConfig(lam=0.3, t_end=0.25)
     sizes.clear()
-    # the interface map moves the first custom cell off 1.0 on the first step;
-    # the change spreads one cell a step, far short of the block's 127
-    trajectory = run(problem, grid, model, SolverConfig(lam=0.3, t_end=0.25))
-    assert trajectory.final.step > 3 * solver._NARROW_EVERY
-    assert sizes == [127] * trajectory.final.step
+    trajectory = run(problem, grid, model, config, retain_levels=True)
+    steps = trajectory.final.step
+    assert steps > 3 * solver._NARROW_EVERY
+    # the interface map moves the first custom cell off 1.0 on the first
+    # step, a whole one; the change spreads one cell a step, so every later
+    # full step is far short of the block's 127 cells (the shortened last
+    # step recomputes them all)
+    assert len(sizes) == steps and sizes[0] == sizes[-1] == 127
+    assert max(sizes[1:-1]) < 127
+    levels = reference_levels(cell_average(problem.initial, grid), grid, model, config,
+                              invariant_interval(model, (1.0, 1.0)))
+    assert len(trajectory.levels) == len(levels)
+    for k, (level, u) in enumerate(zip(trajectory.levels, levels)):
+        assert np.array_equal(level.u, u), f"level {k}"
 
 
 @pytest.mark.parametrize("case", ["reaches-last-cell", "one-cell-chain"])
@@ -681,9 +696,12 @@ def test_run_hands_experiment1_kernels_fewer_than_half_of_its_cells(monkeypatch)
     assert 0 < received < 0.5 * trajectory.final.step * sizes[0]
 
 
-def test_quiet_interface_maps_are_skipped_bit_for_bit(monkeypatch):
+@pytest.mark.parametrize("left_law", ["transport", "custom"])
+def test_quiet_interface_maps_are_skipped_bit_for_bit(monkeypatch, three_interface_model,
+                                                      left_law):
     # a map whose left neighbour cannot move in a window, and whose cell did
-    # not change when it started, would write the value its cell holds
+    # not change when it started, would write the value its cell holds; a
+    # custom law upstream keeps the map live no more than a linear one
     inversions = 0
     resolve = solver._inverse
 
@@ -699,8 +717,15 @@ def test_quiet_interface_maps_are_skipped_bit_for_bit(monkeypatch):
     monkeypatch.setattr(solver, "_inverse", counting)
     cfg = preset("experiment1")
     grid = build_grid(cfg.xmin, cfg.xmax, 1024, cfg.interfaces)
+    model, config = build_model(cfg), build_solver_config(cfg)
+    if left_law == "custom":
+        # u + 0.1 sin u | Burgers; the transmitted state reaches 2.05, so
+        # lam comes down from 0.5 to stay stable
+        model = PiecewiseFlux(model.interfaces,
+                              (three_interface_model.segments[2], model.segments[1]))
+        config = SolverConfig(lam=0.4, t_end=cfg.t_end)
     trajectory = assert_run_matches_reference_advance(
-        build_problem(cfg), grid, build_model(cfg), build_solver_config(cfg), data_range(cfg))
+        build_problem(cfg), grid, model, config, data_range(cfg))
     assert 0 < inversions < trajectory.final.step
 
 
