@@ -90,7 +90,12 @@ def quadratic_flux(a: float, b: float = 0.0, *, interval: tuple[float, float]) -
     """Flux ``f(u) = a*u**2/2 + b*u``, increasing on the given interval.
 
     The derivative ``a*u + b`` is affine, so monotonicity on ``interval`` is
-    checked exactly at the endpoints.
+    checked exactly at the endpoints.  The law is evaluated as ``u*u * (a/2)
+    + u*b``, with the square ``u * u`` for a float and ``np.square(u)`` for an
+    array, both rounded once, so a value gives the same bits as a float and
+    inside an array.  Where ``b == 0`` the ``u*b`` term is left out: it is a
+    zero of ``u``'s sign, which is ``a``'s sign wherever the law increases,
+    and adding it changes no value there.
     """
     a, b = float(a), float(b)
     lo, hi = _checked_interval(interval)
@@ -102,34 +107,20 @@ def quadratic_flux(a: float, b: float = 0.0, *, interval: tuple[float, float]) -
             f"quadratic flux is not increasing on [{lo}, {hi}]: "
             f"min derivative {alpha}"
         )
+    c = 0.5 * a
+
+    def func(u):
+        square = np.square(u) if isinstance(u, np.ndarray) else u * u
+        return square * c + u * b if b != 0.0 else square * c
+
     return FluxSegment(
-        func=lambda u: _quadratic_values(0.5 * a, b, u) if isinstance(u, np.ndarray)
-        else 0.5 * a * u * u + b * u,
+        func=func,
         deriv=lambda u: a * np.asarray(u, dtype=float) + b,
         alpha=alpha,
         interval=(lo, hi),
         kind="quadratic",
         params=(a, b),
     )
-
-
-def _now(ufunc, *args):
-    return ufunc(*args)
-
-
-def _quadratic_values(c: float, b, u: np.ndarray, out=None, tmp=None, call=_now):
-    """``c*u**2 + b*u`` elementwise: square, scale by ``c``, add ``b*u``.
-
-    The one home of a quadratic law's array form.  Given float buffers of
-    ``u``'s shape, ``out`` receives the result and ``tmp`` the ``b*u`` term,
-    and nothing is allocated.  ``b=None`` leaves that term out.  Each ufunc
-    is applied as ``call(ufunc, *inputs, out)``, which returns the result;
-    a ``call`` that records instead of applying binds the law to ``u``.
-    """
-    out = call(np.multiply, call(np.square, u, out), c, out)
-    if b is None:
-        return out
-    return call(np.add, out, call(np.multiply, u, b, tmp), out)
 
 
 def _array_form(seg: FluxSegment, size: int) -> Callable:
@@ -139,11 +130,11 @@ def _array_form(seg: FluxSegment, size: int) -> Callable:
     ``seg(u)`` into the first ``u.size`` entries of a buffer of that size
     owned by the form, and the view of the result they fill.  The calls can
     be run any number of times, and each run of calls bound to any view
-    overwrites the previous result.  A quadratic law is bound as ufunc calls
-    through two such buffers.  Where ``b == 0`` the ``b*u`` term is dropped:
-    it is a zero of ``u``'s sign, which is ``a``'s sign wherever the law
-    increases, and adding it changes no value there.  A custom law is one
-    call of its ``func``, elementwise as :func:`custom_flux` checks.
+    overwrites the previous result.  A quadratic law is bound as the ufunc
+    calls of its formula (see :func:`quadratic_flux`) through two such
+    buffers, so each value has the bits of the law's float form.  A custom
+    law is one call of its ``func``, elementwise as :func:`custom_flux`
+    checks.
     """
     out = np.empty(size)
     if seg.kind == "custom":
@@ -154,13 +145,11 @@ def _array_form(seg: FluxSegment, size: int) -> Callable:
     tmp = np.empty(size)
 
     def bind(u):
-        calls = []
-
-        def record(ufunc, *args):
-            calls.append(partial(ufunc, *args))
-            return args[-1]
-        n = u.size
-        return calls, _quadratic_values(c, b, u, out[:n], tmp[:n], record)
+        dst, term = out[:u.size], tmp[:u.size]
+        calls = [partial(np.square, u, dst), partial(np.multiply, dst, c, dst)]
+        if b is not None:
+            calls += (partial(np.multiply, u, b, term), partial(np.add, dst, term, dst))
+        return calls, dst
     return bind
 
 

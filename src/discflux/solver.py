@@ -154,15 +154,17 @@ def _check_cfl(lam: float, laws) -> float:
     """``lam`` times the largest wave speed of ``(law, lo, hi)`` triples.
 
     The march's one stability rule.  Raises :class:`MonotonicityError` when
-    the ``k``-th law stops increasing on its interval and
-    :class:`StabilityError` when the product exceeds one beyond roundoff.
+    the ``k``-th law stops increasing on its interval or its derivative
+    there is NaN, and :class:`StabilityError` when the product exceeds one
+    beyond roundoff.
     """
     speed, fastest = 0.0, None
     for k, (seg, lo, hi) in enumerate(laws):
         d_min, d_max = seg.deriv_bounds(lo, hi)
-        if d_min <= 0.0:
+        if not d_min > 0.0:
+            what = "has a NaN derivative" if math.isnan(d_min) else "stops increasing"
             raise MonotonicityError(
-                f"flux law {k} stops increasing on [{lo:.6g}, {hi:.6g}]: "
+                f"flux law {k} {what} on [{lo:.6g}, {hi:.6g}]: "
                 f"min derivative {d_min:.6g}"
             )
         if d_max > speed:
@@ -187,11 +189,11 @@ class _March:
 
     Holds each subdomain's cell bounds ``(a, b)`` with its update: the slope
     of a linear law, whose update is a convex combination, or else the
-    law's scalar form for the block's last edge together with its array
-    form bound through buffers of the block's size.  Each interface
-    coupling ``(p, left law, inverse)`` holds the right law's inverse on the
-    bracket, with the bracket's flux image computed once.  Also kept: the
-    left-boundary trace and a scratch buffer.
+    law's array form on up to ``b - a`` values, which gives every upwind
+    edge flux of the block, its last cell's right edge included.  Each
+    interface coupling ``(p, left law, inverse)`` holds the right law's
+    inverse on the bracket, with the bracket's flux image computed once.
+    Also kept: the left-boundary trace and a scratch buffer.
 
     :meth:`bind` resolves one step from a caller-owned array into another as
     argument-free calls on views, and :meth:`advance` runs a bound
@@ -205,8 +207,9 @@ class _March:
     block's span or is a block's first cell whose interface map is live.
     A cell outside its span then has, on every step, the inputs it had one
     step before, so its new value, a function of those inputs alone (every
-    law is elementwise), is the one the target buffer already holds.  An interface map is live when its left neighbour may move in
-    the window, or when its cell differed bitwise at the window's start.
+    law is elementwise), is the one the target buffer already holds.  An
+    interface map is live when its left neighbour may move in the window,
+    or when its cell differed bitwise at the window's start.
     """
 
     def __init__(self, grid: Grid, model: PiecewiseFlux, config: SolverConfig,
@@ -217,8 +220,7 @@ class _March:
         # no interior, its cell is the boundary or an interface cell
         self.subdomains = [
             (a, b, seg.params[0] if seg.kind == "linear" else None,
-             _array_form(seg, b - 1 - a) if seg.kind != "linear" and b - a > 1 else None,
-             seg.func)
+             _array_form(seg, b - a) if seg.kind != "linear" and b - a > 1 else None)
             for seg, a, b in zip(segs, bounds, bounds[1:])
         ]
         self.whole = [(a + 1, b) for a, b in zip(bounds, bounds[1:])]
@@ -244,8 +246,7 @@ class _March:
         """
         # constants as 0-d arrays: a ufunc converts a Python float on every call
         calls, scale = [], np.array(lam)
-        for (a, b, slope, array_form, scalar_form), (s, e) in zip(self.subdomains,
-                                                                  spans or self.whole):
+        for (*_, slope, array_form), (s, e) in zip(self.subdomains, spans or self.whole):
             if s >= e:
                 continue
             dst, tmp = new[s:e], self.scratch[s:e]
@@ -256,30 +257,25 @@ class _March:
                           partial(np.multiply, u[s - 1:e - 1], np.array(w), tmp),
                           partial(np.add, dst, tmp, dst))
                 continue
-            # conservative difference of the upwind edge fluxes f(u_left);
-            # the block's last cell takes its right edge from the law's
-            # scalar form, as the interior ones use its array form
-            last = e == b
-            kernel, edge = array_form(u[s - 1:e - last])
+            # conservative difference of the upwind edge fluxes f(u_left)
+            kernel, edge = array_form(u[s - 1:e])
             calls += kernel
-            calls.append(partial(np.subtract, edge[1:], edge[:-1], tmp[:e - s - last]))
-            if last:
-                calls.append(partial(_last_edge, scalar_form, u, b, edge, tmp))
-            calls += (partial(np.multiply, tmp, scale, tmp), partial(np.subtract, u[s:e], tmp, dst))
+            calls += (partial(np.subtract, edge[1:], edge[:-1], tmp),
+                      partial(np.multiply, tmp, scale, tmp), partial(np.subtract, u[s:e], tmp, dst))
+        if spans is None and self.trace is None:
+            # ghost repeats the boundary cell, so the update cancels exactly
+            calls.append(partial(np.copyto, new[:1], u[:1]))
         maps = [c for c, on in zip(self.couplings, live or repeat(True)) if on]
-        return calls, new, (u if spans is None else None), maps
+        return calls, new, maps
 
     def advance(self, bound: tuple, t: float, dt: float):
         """Run a step bound by :meth:`bind`; its level starts at ``t`` and lasts ``dt``."""
-        calls, new, outflow, maps = bound
+        calls, new, maps = bound
         for call in calls:
             call()
         if self.trace is not None:
             t_new = t + dt
             new[0] = _slab_average(self.trace, t_new, min(t_new + self.slab, self.t_end))
-        elif outflow is not None:
-            # ghost repeats the boundary cell, so the update cancels exactly
-            new[0] = outflow[0]
 
         # interface cells: match the flux of the updated left neighbour
         for p, left, inverse in maps:
@@ -318,10 +314,6 @@ class _March:
             spans.append((s, e))
             moving = e == b
         return spans, live
-
-
-def _last_edge(scalar_form, u, b, edge, tmp):
-    tmp[-1] = scalar_form(float(u[b - 1])) - edge[-1]
 
 
 # }}}

@@ -168,8 +168,10 @@ def reference_advance(u, t, dt, lam, model, interface_cells, bracket, trace=None
 
     Each block of two or more cells is updated from the old level: a linear
     law ``a*u + b`` by the convex combination ``(1 - lam*a) u_j + lam*a
-    u_{j-1}``, any other law by upwind edge fluxes ``f(u[a:b-1])`` from its
-    array form and, past the block's last cell, its scalar form.  The
+    u_{j-1}``, any other law by upwind edge fluxes ``f(u[a:b-1])`` on an
+    array and, past the block's last cell, ``f`` at a float.  The march
+    takes that last edge from the array form too, so a march equal to this
+    update shows that the law gives one value per point either way.  The
     boundary cell keeps its value or, with an inflow table ``trace``, takes
     its mean over ``(t + dt, min(t + dt + slab, t_end))``.  Each interface
     cell is then one :func:`discflux.invert` of its updated left

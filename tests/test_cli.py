@@ -326,6 +326,26 @@ def test_unstable_march_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_verify_skips_the_step_checks_of_a_run_without_steps(tmp_path, capsys):
+    # t_end 0 leaves the initial level alone: the checks that compare levels
+    # have no step to check, the others still run
+    path = tmp_path / "exp.yaml"
+    save_config(small_config(t_end=0.0), path)
+    assert main(["verify", "--config", str(path)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert {ln.split()[0]: ln.split()[1] for ln in lines} == {
+        "cfl": "PASS",
+        "steady_state": "PASS",
+        "monotonicity": "PASS",
+        "tvd": "SKIP",
+        "entropy_residual": "SKIP",
+        "temporal_tv": "SKIP",
+        "scheme_equivalence": "SKIP",
+    }
+    assert all(ln.endswith("the run takes no step, so it has one time level")
+               for ln in lines[3:])
+
+
 # }}}
 
 
@@ -345,11 +365,16 @@ def _console_script(args, cwd):
     module, func = spec.split(":")
     code = (f"import sys; from {module} import {func}; "
             f"sys.argv[0] = 'discflux'; sys.exit({func}())")
+    return _python(["-c", code, *args], cwd)
+
+
+def _python(args, cwd):
+    """Run ``python args`` with this process's ``discflux`` first on the path."""
     import_root = str(Path(discflux.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in [import_root, env.get("PYTHONPATH")] if p)
-    return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd,
+    return subprocess.run([sys.executable, *args], cwd=cwd,
                           env=env, capture_output=True, text=True)
 
 
@@ -370,3 +395,14 @@ def test_console_script_entry_point(tmp_path):
                             "--n", "16", "--out", str(out)], cwd=tmp_path)
     assert proc.returncode == 1, proc.stderr
     assert "error:" in proc.stderr, proc.stderr
+
+
+def test_module_entry_point_runs_the_command(tmp_path):
+    # python -m discflux.cli must run the command, not import the module and
+    # exit 0 without output
+    proc = _python(["-m", "discflux.cli", "verify", "--preset", "experiment1"], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [ln.split()[:2] for ln in lines] == [
+        [name, "PASS"] for name in ("cfl", "steady_state", "monotonicity", "tvd",
+                                    "entropy_residual", "temporal_tv", "scheme_equivalence")]

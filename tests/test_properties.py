@@ -24,6 +24,7 @@ from discflux import (
     run,
 )
 from discflux import analysis
+from discflux.fluxes import _array_form
 from oracles import entropy_residual_whole, reference_levels, same_report
 
 # Built once: a custom law is sampled densely when it is wrapped.
@@ -46,6 +47,26 @@ laws = st.one_of(
     st.just(quadratic_flux(-0.2, 2.0, interval=(0.0, 8.0))),
     st.sampled_from(CUSTOM_LAWS),
 )
+
+
+# Law coefficients: any in a box, or one of a few named ones.  b = 0 drops
+# the b*u term, and a = -0.2 is a law whose float and array values once
+# differed by an ulp at about 2% of points.
+SLOPES = st.one_of(st.sampled_from([-0.2, 0.7, 1.5]), st.floats(0.1, 2.0), st.floats(-2.0, -0.1))
+OFFSETS = st.one_of(st.sampled_from([0.0, 2.0]), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def law_points(draw):
+    """A linear or quadratic law and up to 64 points where it increases."""
+    a, b = draw(SLOPES), draw(OFFSETS)
+    if draw(st.booleans()):
+        seg, (lo, hi) = linear_flux(abs(a), b), (-4.0, 4.0)
+    else:
+        vertex = -b / a
+        lo, hi = (vertex + 0.05, vertex + 4.0) if a > 0.0 else (vertex - 4.0, vertex - 0.05)
+        seg = quadratic_flux(a, b, interval=(lo, hi))
+    return seg, np.array(draw(st.lists(st.floats(lo, hi), min_size=1, max_size=64)))
 
 
 @st.composite
@@ -92,6 +113,22 @@ def march_config(case):
     if trace is not None:
         left = Inflow(SampledTable(np.linspace(0.0, t_end, trace.size), trace))
     return (lo, hi), bracket, SolverConfig(lam=lam, t_end=t_end, left=left)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(law_points())
+def test_a_law_gives_one_value_per_point(drawn):
+    # a law's value at a float, inside an array and from the march's bound
+    # array form has the same bits, so every edge flux of a block can come
+    # from the one array form
+    seg, u = drawn
+    values = seg(u)
+    assert np.array([seg(float(v)) for v in u]).tobytes() == values.tobytes()
+    if seg.kind == "quadratic":
+        calls, bound = _array_form(seg, u.size + 3)(u)
+        for call in calls:
+            call()
+        assert bound.tobytes() == values.tobytes()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -637,10 +637,11 @@ def test_a_custom_law_block_narrows_with_the_window():
     assert steps > 3 * solver._NARROW_EVERY
     # the interface map moves the first custom cell off 1.0 on the first
     # step, a whole one; the change spreads one cell a step, so every later
-    # full step is far short of the block's 127 cells (the shortened last
-    # step recomputes them all)
-    assert len(sizes) == steps and sizes[0] == sizes[-1] == 127
-    assert max(sizes[1:-1]) < 127
+    # full step is far short of the 128 values a whole update of the block
+    # takes, its 127 interior cells and the interface cell upwind of them
+    # (the shortened last step recomputes them all)
+    assert len(sizes) == steps and sizes[0] == sizes[-1] == 128
+    assert max(sizes[1:-1]) < 128
     levels = reference_levels(cell_average(problem.initial, grid), grid, model, config,
                               invariant_interval(model, (1.0, 1.0)))
     assert len(trajectory.levels) == len(levels)
@@ -692,7 +693,7 @@ def test_run_hands_experiment1_kernels_fewer_than_half_of_its_cells(monkeypatch)
     cfg = preset("experiment1")
     grid = build_grid(cfg.xmin, cfg.xmax, 4096, cfg.interfaces)
     trajectory = run(build_problem(cfg), grid, build_model(cfg), build_solver_config(cfg))
-    assert sizes == [grid.n // 2 - 1]
+    assert sizes == [grid.n // 2]
     assert 0 < received < 0.5 * trajectory.final.step * sizes[0]
 
 
@@ -838,6 +839,22 @@ def test_step_rejects_a_law_that_stops_increasing_as_run_does():
     with pytest.raises(ValueError, match="flux law 0 stops increasing") as from_step:
         step(state, grid, model, config)
     assert str(from_step.value) == str(from_run.value)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_law_with_a_nan_derivative_raises_in_run_and_step():
+    # u^1.5 has the derivative 1.5 sqrt(u), NaN below 0: the -1.0 piece
+    # makes the derivative bounds NaN, which a test d_min <= 0 lets through
+    law = custom_flux(lambda u: u * np.sqrt(u), lambda u: 1.5 * np.sqrt(u), interval=(0.5, 2.5))
+    model = PiecewiseFlux((), (law,))
+    grid = build_grid(-1.0, 1.0, 16)
+    problem = ProblemSpec((-1.0, 1.0), PiecewiseConstant((-0.5, 0.0), (1.0, -1.0, 1.0)))
+    config = SolverConfig(lam=0.3, t_end=0.2)
+    with pytest.raises(MonotonicityError, match="flux law 0 has a NaN derivative"):
+        run(problem, grid, model, config)
+    state = State(cell_average(problem.initial, grid), 0.0, 0)
+    with pytest.raises(MonotonicityError, match="flux law 0 has a NaN derivative"):
+        step(state, grid, model, config)
 
 
 def test_a_law_that_stops_increasing_raises_a_typed_value_error():
