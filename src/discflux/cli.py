@@ -13,7 +13,8 @@ import sys
 
 import numpy as np
 
-from .analysis import ErrorReport, _adapted_constants, entropy_residual, l1_error, ooc, spatial_tv
+from .analysis import (ErrorReport, _adapted_constants, _wins, entropy_residual, l1_error, ooc,
+                       spatial_tv)
 from .config import (
     ExperimentConfig,
     build_model,
@@ -254,35 +255,42 @@ def _check_steady_state(config, model, solver_config, grid, u_range):
 
 
 def _check_monotonicity(config, model, solver_config, grid, u_range):
-    # one plan for every pair, bracketed by the range the cfl line checked;
-    # a violated cfl shows up as an ordering violation, not as an error
-    march = _March(grid, model, solver_config, u_range)
-    lam = solver_config.lam
-    dt = lam * grid.dx
-    low, low_new, high, high_new, gap = (np.empty(grid.n) for _ in range(5))
-    # whole steps there and back for each member of a pair, and the pair
-    # each step writes
-    steps = [march.bind(old, new, lam) for old, new in
-             ((low, low_new), (low_new, low), (high, high_new), (high_new, high))]
-    targets = ((low_new, high_new), (low, high))
-    rng = np.random.default_rng(0)
-    lo, hi = data_range(config)
-    worst = 0.0
-    for _ in range(20):
-        a = lo + (hi - lo) * rng.random(grid.n)
-        b = lo + (hi - lo) * rng.random(grid.n)
-        np.minimum(a, b, out=low)
-        np.maximum(a, b, out=high)
-        t = 0.0
-        for i in range(100):
-            march.advance(steps[i % 2], t, dt)
-            march.advance(steps[2 + i % 2], t, dt)
-            np.subtract(*targets[i % 2], out=gap)
-            t += dt
-            worst = max(worst, float(np.max(gap)))
+    worst = _ordering_gap(config, model, solver_config, grid, u_range)
     status = "PASS" if worst <= 1e-13 else "FAIL"
     return ("monotonicity", status,
             f"max ordering violation {worst:.3e} over 20 pairs x 100 steps (limit 1e-13)")
+
+
+def _ordering_gap(config, model, solver_config, grid, u_range) -> float:
+    """Largest low-minus-high gap of 20 random ordered pairs over 100 steps.
+
+    Every pair's low and high members march as one stack on one plan,
+    bracketed by the range the cfl line checked, so a violated cfl shows up
+    as a gap, not as an error.  A NaN gap wins and stays, as in the entropy
+    report.
+    """
+    rng = np.random.default_rng(0)
+    lo, hi = data_range(config)
+    drawn = lo + (hi - lo) * rng.random((20, 2, grid.n))
+    state = np.empty((2, 20, grid.n))
+    np.minimum(drawn[:, 0], drawn[:, 1], out=state[0])
+    np.maximum(drawn[:, 0], drawn[:, 1], out=state[1])
+    spare, gap = np.empty_like(state), np.empty((20, grid.n))
+    march = _March(grid, model, solver_config, u_range, batch=state.shape[:-1])
+    lam = solver_config.lam
+    dt = lam * grid.dx
+    # whole steps there and back, and the stack each step writes
+    steps = ((march.bind(state, spare, lam), spare), (march.bind(spare, state, lam), state))
+    worst, t = 0.0, 0.0
+    for i in range(100):
+        bound, new = steps[i % 2]
+        march.advance(bound, t, dt)
+        np.subtract(new[0], new[1], out=gap)
+        t += dt
+        value = float(np.max(gap))
+        if _wins(value, worst):
+            worst = value
+    return worst
 
 
 def _check_tvd(trajectory, grid):

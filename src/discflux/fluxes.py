@@ -123,11 +123,12 @@ def quadratic_flux(a: float, b: float = 0.0, *, interval: tuple[float, float]) -
     )
 
 
-def _array_form(seg: FluxSegment, size: int) -> Callable:
-    """A nonlinear ``seg`` on float views of up to ``size`` values, resolved once.
+def _array_form(seg: FluxSegment, shape) -> Callable:
+    """A nonlinear ``seg`` on float views of up to ``shape``, resolved once.
 
-    Returns ``bind(u)``, which gives the argument-free calls that write
-    ``seg(u)`` into the first ``u.size`` entries of a buffer of that size
+    ``shape`` is a size or a tuple ``(*batch, size)``.  Returns ``bind(u)``,
+    which gives the argument-free calls that write ``seg(u)`` into the
+    first ``u.shape[-1]`` entries of each row of a buffer of that shape
     owned by the form, and the view of the result they fill.  The calls can
     be run any number of times, and each run of calls bound to any view
     overwrites the previous result.  A quadratic law is bound as the ufunc
@@ -136,16 +137,17 @@ def _array_form(seg: FluxSegment, size: int) -> Callable:
     law is one call of its ``func``, elementwise as :func:`custom_flux`
     checks.
     """
-    out = np.empty(size)
+    out = np.empty(shape)
     if seg.kind == "custom":
-        return lambda u: ([partial(_fill, seg.func, u, out[:u.size])], out[:u.size])
+        return lambda u: ([partial(_fill, seg.func, u, out[..., :u.shape[-1]])],
+                          out[..., :u.shape[-1]])
     a, b = seg.params
     # constants as 0-d arrays: a ufunc converts a Python float on every call
     c, b = np.array(0.5 * a), (np.array(b) if b != 0.0 else None)
-    tmp = np.empty(size)
+    tmp = np.empty(shape)
 
     def bind(u):
-        dst, term = out[:u.size], tmp[:u.size]
+        dst, term = out[..., :u.shape[-1]], tmp[..., :u.shape[-1]]
         calls = [partial(np.square, u, dst), partial(np.multiply, dst, c, dst)]
         if b is not None:
             calls += (partial(np.multiply, u, b, term), partial(np.add, dst, term, dst))

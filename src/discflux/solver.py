@@ -199,6 +199,9 @@ class _March:
     argument-free calls on views, and :meth:`advance` runs a bound
     step, so a march can alternate between two buffers with the step of
     each direction bound once.  Steps bound without spans write every cell.
+    A plan built with a ``batch`` shape marches arrays of shape
+    ``(*batch, n)``, each row a state of its own, as one step; every row
+    gets the bits a one-row march would give it.
 
     Full steps of :func:`run` go in windows of ``_NARROW_EVERY`` steps that
     share their spans (:meth:`window`).  The window invariant: at its start
@@ -213,14 +216,14 @@ class _March:
     """
 
     def __init__(self, grid: Grid, model: PiecewiseFlux, config: SolverConfig,
-                 bracket: tuple[float, float]):
+                 bracket: tuple[float, float], batch: tuple = ()):
         segs = model.segments
         bounds = (0, *grid.interface_cells, grid.n)
         # every subdomain, one-cell ones included: a one-cell subdomain has
         # no interior, its cell is the boundary or an interface cell
         self.subdomains = [
             (a, b, seg.params[0] if seg.kind == "linear" else None,
-             _array_form(seg, b - a) if seg.kind != "linear" and b - a > 1 else None)
+             _array_form(seg, (*batch, b - a)) if seg.kind != "linear" and b - a > 1 else None)
             for seg, a, b in zip(segs, bounds, bounds[1:])
         ]
         self.whole = [(a + 1, b) for a, b in zip(bounds, bounds[1:])]
@@ -232,7 +235,7 @@ class _March:
         self.trace = config.left.trace if isinstance(config.left, Inflow) else None
         self.slab = config.lam * grid.dx
         self.t_end = config.t_end
-        self.scratch = np.empty(grid.n)
+        self.scratch = np.empty((*batch, grid.n))
 
     def bind(self, u: np.ndarray, new: np.ndarray, lam: float,
              spans: list = None, live: list = None) -> tuple:
@@ -242,44 +245,47 @@ class _March:
         for each subdomain, the half-open range ``(s, e)`` of its interior
         cells to recompute (empty as ``s == e``), and ``live`` whether each
         interface map runs; only those cells and, with an inflow, the
-        boundary cell are written.
+        boundary cell are written.  In a batched plan the spans apply to
+        every row.
         """
         # constants as 0-d arrays: a ufunc converts a Python float on every call
         calls, scale = [], np.array(lam)
         for (*_, slope, array_form), (s, e) in zip(self.subdomains, spans or self.whole):
             if s >= e:
                 continue
-            dst, tmp = new[s:e], self.scratch[s:e]
+            dst, tmp = new[..., s:e], self.scratch[..., s:e]
             if slope is not None:
                 # convex combination of the two upwind cells, exact at weight one
                 w = lam * slope
-                calls += (partial(np.multiply, u[s:e], np.array(1.0 - w), dst),
-                          partial(np.multiply, u[s - 1:e - 1], np.array(w), tmp),
+                calls += (partial(np.multiply, u[..., s:e], np.array(1.0 - w), dst),
+                          partial(np.multiply, u[..., s - 1:e - 1], np.array(w), tmp),
                           partial(np.add, dst, tmp, dst))
                 continue
             # conservative difference of the upwind edge fluxes f(u_left)
-            kernel, edge = array_form(u[s - 1:e])
+            kernel, edge = array_form(u[..., s - 1:e])
             calls += kernel
-            calls += (partial(np.subtract, edge[1:], edge[:-1], tmp),
-                      partial(np.multiply, tmp, scale, tmp), partial(np.subtract, u[s:e], tmp, dst))
+            calls += (partial(np.subtract, edge[..., 1:], edge[..., :-1], tmp),
+                      partial(np.multiply, tmp, scale, tmp),
+                      partial(np.subtract, u[..., s:e], tmp, dst))
         if spans is None and self.trace is None:
             # ghost repeats the boundary cell, so the update cancels exactly
-            calls.append(partial(np.copyto, new[:1], u[:1]))
-        maps = [c for c, on in zip(self.couplings, live or repeat(True)) if on]
-        return calls, new, maps
+            calls.append(partial(np.copyto, new[..., :1], u[..., :1]))
+        couplings = [c for c, on in zip(self.couplings, live or repeat(True)) if on]
+        maps = [(new[row], *c) for row in np.ndindex(new.shape[:-1]) for c in couplings]
+        return calls, new[..., 0], maps
 
     def advance(self, bound: tuple, t: float, dt: float):
         """Run a step bound by :meth:`bind`; its level starts at ``t`` and lasts ``dt``."""
-        calls, new, maps = bound
+        calls, inflow, maps = bound
         for call in calls:
             call()
         if self.trace is not None:
             t_new = t + dt
-            new[0] = _slab_average(self.trace, t_new, min(t_new + self.slab, self.t_end))
+            inflow[()] = _slab_average(self.trace, t_new, min(t_new + self.slab, self.t_end))
 
         # interface cells: match the flux of the updated left neighbour
-        for p, left, inverse in maps:
-            new[p] = inverse(left(float(new[p - 1])))
+        for row, p, left, inverse in maps:
+            row[p] = inverse(left(float(row[p - 1])))
 
     def window(self, u: np.ndarray, prev: np.ndarray) -> tuple[list, list]:
         """Spans and live interface maps of a window starting from ``u``.

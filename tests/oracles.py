@@ -3,8 +3,9 @@
 Everything here is written from the definitions with plain loops and
 bisection so that agreement with the package is meaningful.  The
 exceptions are :func:`reference_advance`, the march's allocating array-form
-update, and :func:`entropy_residual_whole`, the entropy residual over all
-levels at once: the package must reproduce both bit for bit.
+update, :func:`entropy_residual_whole`, the entropy residual over all
+levels at once, and :func:`ordering_gap_per_pair`, verify's order check one
+pair member at a time: the package must reproduce each bit for bit.
 """
 
 import bisect
@@ -13,6 +14,8 @@ import numpy as np
 
 from discflux import EntropyResidualReport, invert
 from discflux.analysis import _adapted_constants
+from discflux.config import data_range
+from discflux.solver import _March
 
 
 # bisect_root's stopping tolerance: a residual, or a bracket relative to the root
@@ -221,6 +224,41 @@ def reference_levels(u0, grid, model, config, bracket):
             levels[-1], (k - 1) * dt, step_dt, step_dt / grid.dx if k > n_full else config.lam,
             model, grid.interface_cells, bracket, trace=trace, slab=dt, t_end=config.t_end))
     return levels
+
+
+def ordering_gap_per_pair(config, model, solver_config, grid, u_range):
+    """Verify's order-check gap with each member of each pair marched alone.
+
+    Draws 20 pairs from the config's data range in order, a pair's two
+    states one after the other, and marches the low and the high member of
+    each for 100 whole steps on a one-row plan, two buffers each.  Returns
+    the largest low-minus-high gap; the first NaN gap wins and stays.
+    """
+    march = _March(grid, model, solver_config, u_range)
+    lam = solver_config.lam
+    dt = lam * grid.dx
+    low, low_new, high, high_new, gap = (np.empty(grid.n) for _ in range(5))
+    steps = [march.bind(old, new, lam) for old, new in
+             ((low, low_new), (low_new, low), (high, high_new), (high_new, high))]
+    targets = ((low_new, high_new), (low, high))
+    rng = np.random.default_rng(0)
+    lo, hi = data_range(config)
+    worst = 0.0
+    for _ in range(20):
+        a = lo + (hi - lo) * rng.random(grid.n)
+        b = lo + (hi - lo) * rng.random(grid.n)
+        np.minimum(a, b, out=low)
+        np.maximum(a, b, out=high)
+        t = 0.0
+        for i in range(100):
+            march.advance(steps[i % 2], t, dt)
+            march.advance(steps[2 + i % 2], t, dt)
+            np.subtract(*targets[i % 2], out=gap)
+            t += dt
+            value = float(np.max(gap))
+            if value > worst or (np.isnan(value) and not np.isnan(worst)):
+                worst = value
+    return worst
 
 
 def flux_lipschitz_all_pairs(levels, times, centers, fluxes, interface_cells):

@@ -29,6 +29,7 @@ from discflux import (
 )
 from discflux.cli import _check_monotonicity, main
 from discflux.config import build_model, build_problem, build_solver_config, data_range, from_dict
+from oracles import ordering_gap_per_pair
 
 
 def small_config(**overrides):
@@ -224,17 +225,63 @@ def test_step_run_and_verify_share_one_cfl_rule(tmp_path, capsys, lam, ok):
         assert cfl_line[:2] == ["cfl", "FAIL"]
 
 
+def order_case(config):
+    """The order check's arguments, as ``cmd_verify`` passes them."""
+    model = build_model(config)
+    grid = build_grid(config.xmin, config.xmax, min(config.resolutions), config.interfaces)
+    return (config, model, build_solver_config(config), grid,
+            invariant_interval(model, data_range(config)))
+
+
 def test_order_check_reports_a_cfl_violation_instead_of_raising():
     # the check runs on one bracketed plan, with no per-step cfl guard; at
     # lam * speed = 1.4 the update is no longer monotone and it must say so
     config = small_config(interfaces=[], fluxes=[{"kind": "linear"}], **{"lambda": 1.4})
-    model = build_model(config)
-    grid = build_grid(config.xmin, config.xmax, min(config.resolutions), ())
-    u_range = invariant_interval(model, data_range(config))
-    name, status, detail = _check_monotonicity(
-        config, model, build_solver_config(config), grid, u_range)
+    name, status, detail = _check_monotonicity(*order_case(config))
     assert (name, status) == ("monotonicity", "FAIL")
     assert float(detail.split()[3]) > 1.0
+
+
+@pytest.mark.parametrize("config", [
+    preset("experiment1"),
+    preset("experiment2"),
+    small_config(interfaces=[], fluxes=[{"kind": "linear"}], **{"lambda": 1.4}),
+    small_config(interfaces=[], fluxes=[{"kind": "linear"}], **{"lambda": 1000.0}),
+    small_config(
+        interfaces=[-0.5, 0.0, 0.5],
+        fluxes=[{"kind": "quadratic", "a": 1.5}, {"kind": "linear", "a": 0.5},
+                {"kind": "quadratic", "a": -0.2, "b": 2.0}, {"kind": "linear"}],
+        boundary={"left": {"kind": "inflow", "trace": {"kind": "constant", "value": 1.5}}},
+        **{"lambda": 0.1}),
+], ids=["experiment1", "experiment2", "cfl-1.4", "cfl-1000", "three-interfaces-inflow"])
+def test_stacked_order_check_equals_the_per_pair_march(config):
+    # the 40 states marched as one (2, 20, n) stack give the gap of each
+    # pair member marched on its own, bit for bit; at lam = 1000 the march
+    # overflows and the gap is NaN both ways
+    args = order_case(config)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = cli._ordering_gap(*args), ordering_gap_per_pair(*args)
+    assert got.hex() == want.hex()
+
+
+def test_order_check_reports_a_nan_gap_as_a_failure():
+    # the march blows up at lam * speed = 1000: inf - inf gaps are NaN, and
+    # a NaN must not be dropped in favour of an earlier finite or inf gap
+    config = small_config(interfaces=[], fluxes=[{"kind": "linear"}], **{"lambda": 1000.0})
+    with np.errstate(over="ignore", invalid="ignore"):
+        name, status, detail = _check_monotonicity(*order_case(config))
+    assert (name, status) == ("monotonicity", "FAIL")
+    assert detail.split()[3] == "nan"
+
+
+def test_order_check_marches_its_pairs_in_100_steps(monkeypatch):
+    # one stacked plan takes the 20 pairs' 40 states a whole step at a time
+    calls = []
+    advance = cli._March.advance
+    monkeypatch.setattr(cli._March, "advance",
+                        lambda self, *args: calls.append(args) or advance(self, *args))
+    assert _check_monotonicity(*order_case(preset("experiment1")))[1] == "PASS"
+    assert len(calls) == 100
 
 
 def test_verify_does_not_error_where_constants_chain_past_a_law(tmp_path, capsys):

@@ -25,6 +25,7 @@ from discflux import (
 )
 from discflux import analysis
 from discflux.fluxes import _array_form
+from discflux.solver import _March
 from oracles import entropy_residual_whole, reference_levels, same_report
 
 # Built once: a custom law is sampled densely when it is wrapped.
@@ -145,6 +146,33 @@ def test_run_equals_the_reference_update_at_every_level(case):
     assert len(trajectory.levels) == len(levels) == int(np.ceil(steps)) + 1
     for level, u in zip(trajectory.levels, levels):
         assert np.array_equal(level.u, u)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(marches(), st.integers(0, 2**32 - 1))
+def test_a_stacked_plan_marches_each_row_as_a_one_row_plan(case, seed):
+    # a (2, 3) stack of states, the datum and five drawn from the data's
+    # range, marched in whole steps both ways between two buffers: every
+    # row of every level has the bits of its own one-row march
+    model, grid, datum, steps, _, _ = case
+    drawn = march_config(case)
+    assume(drawn is not None)
+    (lo, hi), bracket, config = drawn
+    lam, dt = config.lam, config.lam * grid.dx
+    stack = np.random.default_rng(seed).uniform(lo, hi, (2, 3, grid.n))
+    stack[0, 0] = cell_average(datum, grid)
+    spare = np.empty_like(stack)
+    stacked = _March(grid, model, config, bracket, batch=stack.shape[:-1])
+    both_ways = (stacked.bind(stack, spare, lam), stacked.bind(spare, stack, lam))
+    alone = _March(grid, model, config, bracket)
+    rows = [(row.copy(), np.empty(grid.n)) for row in stack.reshape(-1, grid.n)]
+    rows_both_ways = [(alone.bind(u, new, lam), alone.bind(new, u, lam)) for u, new in rows]
+    for k in range(int(np.ceil(steps))):
+        stacked.advance(both_ways[k % 2], k * dt, dt)
+        level = (spare, stack)[k % 2].reshape(-1, grid.n)
+        for got, buffers, row_ways in zip(level, rows, rows_both_ways):
+            alone.advance(row_ways[k % 2], k * dt, dt)
+            assert got.tobytes() == buffers[1 - k % 2].tobytes()
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
