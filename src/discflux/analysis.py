@@ -116,24 +116,10 @@ def ooc(errors: Sequence[tuple[int, float]]) -> list[float]:
 # {{{ variation diagnostics
 
 
-def spatial_tv(
-    state: State,
-    grid: Grid,
-    subdomain: Optional[int] = None,
-    split_at_interfaces: bool = False,
-) -> float:
-    """Total variation of the cell values.
-
-    ``subdomain=i`` restricts to that subdomain's cells; with
-    ``split_at_interfaces`` the whole-domain sum drops the pairs straddling an
-    interface (the interface cell may move against its left neighbour without
-    meaning anything for either law).
-    """
-    slices = grid.subdomain_slices()
+def spatial_tv(state: State, grid: Grid, subdomain: Optional[int] = None) -> float:
+    """Total variation of the cell values; ``subdomain=i`` restricts to its cells."""
     if subdomain is not None:
-        return float(_variation(state.u[slices[subdomain]]))
-    if split_at_interfaces:
-        return float(sum(_variation(state.u[sl]) for sl in slices))
+        return float(_variation(state.u[grid.subdomain_slices()[subdomain]]))
     return float(_variation(state.u))
 
 

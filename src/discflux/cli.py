@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import zip_longest
 
 import numpy as np
 
@@ -97,6 +98,11 @@ def _add_source(p):
 
 
 def cmd_run(config: ExperimentConfig, n: int, out_dir: str) -> int:
+    names = [f"snapshot_t{t:g}.csv" for t in config.snapshots]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"snapshots[{i}]: time {config.snapshots[i]!r} would overwrite "
+                              f"{name} of snapshots[{names.index(name)}]")
     grid = build_grid(config.xmin, config.xmax, n, config.interfaces)
     model = build_model(config)
     problem = build_problem(config)
@@ -107,8 +113,9 @@ def cmd_run(config: ExperimentConfig, n: int, out_dir: str) -> int:
     # the cell-center column is the same in every snapshot
     prefixes = [f"{x:.17g}," for x in grid.centers.tolist()]
     written = []
+    name_of = dict(zip(config.snapshots, names))
     for snap in trajectory.snapshots:
-        fname = f"snapshot_t{snap.requested:g}.csv"
+        fname = name_of[snap.requested]
         path = os.path.join(out_dir, fname)
         with open(path, "w") as fh:
             fh.write("x_center,u\n")
@@ -172,11 +179,12 @@ def convergence_report(config: ExperimentConfig) -> ErrorReport:
             final = run(problem, grid, model, solver_config).final
         pairs.append((n, l1_error(final, grid, reference, ref_grid)))
 
+    # the reference's own row has error 0 and takes no rate
     try:
-        rates = [None] + ooc(pairs)  # empty rate list when only one resolution
+        rates = ooc([(n, err) for n, err in pairs if n < config.reference_n])
     except SequencingError:
-        rates = [None] * len(pairs)  # non-doubling ladder: errors only, no rates
-    rows = tuple((n, err, rate) for (n, err), rate in zip(pairs, rates))
+        rates = []  # non-doubling ladder: errors only, no rates
+    rows = tuple((n, err, rate) for (n, err), rate in zip_longest(pairs, [None, *rates]))
     return ErrorReport(
         rows=rows,
         reference=f"n={config.reference_n}",

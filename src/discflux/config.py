@@ -12,7 +12,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 import yaml
@@ -41,7 +40,6 @@ class ExperimentConfig:
     numerical_flux: str = "upwind"
     boundary_left: dict = field(default_factory=lambda: {"kind": "outflow"})
     snapshots: tuple[float, ...] = ()
-    outputs: dict = field(default_factory=dict)
 
 
 # {{{ parsing and validation
@@ -85,7 +83,7 @@ def from_dict(raw: dict) -> ExperimentConfig:
         "config",
         required=("domain", "interfaces", "fluxes", "initial", "lambda",
                   "t_end", "resolutions", "reference_n"),
-        optional=("numerical_flux", "boundary", "snapshots", "outputs"),
+        optional=("numerical_flux", "boundary", "snapshots"),
     )
     dom = _as_map(raw["domain"], "domain", required=("xmin", "xmax"))
     xmin = _as_float(dom["xmin"], "domain.xmin")
@@ -161,11 +159,6 @@ def from_dict(raw: dict) -> ExperimentConfig:
     if any(not 0.0 <= s <= t_end for s in snapshots):
         _fail("snapshots", f"times must lie within [0, {t_end}]")
 
-    outputs = _as_map(
-        raw.get("outputs", {}), "outputs", optional=("run_dir", "convergence_csv")
-    )
-    outputs = {k: str(v) for k, v in outputs.items()}
-
     return ExperimentConfig(
         xmin=xmin,
         xmax=xmax,
@@ -179,7 +172,6 @@ def from_dict(raw: dict) -> ExperimentConfig:
         numerical_flux=numerical_flux,
         boundary_left=boundary_left,
         snapshots=snapshots,
-        outputs=outputs,
     )
 
 
@@ -271,7 +263,7 @@ def _validated_boundary(raw) -> dict:
 
 def to_dict(config: ExperimentConfig) -> dict:
     """Canonical plain mapping; ``from_dict`` of it reproduces ``config``."""
-    out = {
+    return {
         "domain": {"xmin": config.xmin, "xmax": config.xmax},
         "interfaces": list(config.interfaces),
         "fluxes": [dict(fx) for fx in config.fluxes],
@@ -284,9 +276,6 @@ def to_dict(config: ExperimentConfig) -> dict:
         "reference_n": config.reference_n,
         "snapshots": list(config.snapshots),
     }
-    if config.outputs:
-        out["outputs"] = dict(config.outputs)
-    return out
 
 
 def _boundary_to_dict(left: dict):
@@ -447,13 +436,8 @@ def build_boundary(config: ExperimentConfig):
     return Inflow(_load_table(trace["path"]))
 
 
-def build_solver_config(config: ExperimentConfig, numerical_flux: Optional[str] = None) -> SolverConfig:
-    return SolverConfig(
-        lam=config.lam,
-        t_end=config.t_end,
-        numerical_flux=numerical_flux or config.numerical_flux,
-        left=build_boundary(config),
-    )
+def build_solver_config(config: ExperimentConfig) -> SolverConfig:
+    return SolverConfig(lam=config.lam, t_end=config.t_end, left=build_boundary(config))
 
 
 def _load_table(path) -> SampledTable:

@@ -10,14 +10,13 @@ interface coupling (flux continuity) uniquely invertible.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .errors import DivergentRangeError, FluxRangeError, InterfaceAmbiguityError
+from .errors import DivergentRangeError, FluxRangeError
 
 # Number of samples used when validating or bounding a user-supplied flux.
 _N_SAMPLES = 4097
@@ -259,20 +258,6 @@ class PiecewiseFlux:
     @property
     def n_interfaces(self) -> int:
         return len(self.interfaces)
-
-
-def segment_at(model: PiecewiseFlux, x: float) -> FluxSegment:
-    """The flux law governing position ``x``.
-
-    Raises :class:`InterfaceAmbiguityError` when ``x`` sits exactly on an
-    interface, where two laws meet and the question has no single answer.
-    """
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"position must be finite, got {x}")
-    if x in model.interfaces:
-        raise InterfaceAmbiguityError(f"x={x} lies on a flux interface")
-    return model.segments[bisect_right(model.interfaces, x)]
 
 
 def max_wave_speed(model: PiecewiseFlux, interval: tuple[float, float]) -> float:

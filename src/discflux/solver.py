@@ -66,30 +66,21 @@ class ProblemSpec:
 class SolverConfig:
     """March parameters: ``lam`` is the time step divided by the cell width.
 
-    ``numerical_flux`` names an accepted edge flux; for increasing laws each
-    is the one upwind update, so the name is validated but selects no code.
+    Every edge flux is upwind and the right boundary is open: increasing laws
+    carry no information leftward, so only the left boundary is a choice.
     """
 
     lam: float
     t_end: float
-    numerical_flux: str = "upwind"
     left: Union[Outflow, Inflow] = Outflow()
-    right: Outflow = Outflow()
 
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam > 0.0):
             raise ValueError(f"lam must be positive and finite, got {self.lam}")
         if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
             raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
-        if self.numerical_flux not in _NUMERICAL_FLUXES:
-            raise ValueError(f"unknown numerical flux {self.numerical_flux!r}")
         if not isinstance(self.left, (Outflow, Inflow)):
             raise ValueError("left boundary must be Outflow or Inflow")
-        if not isinstance(self.right, Outflow):
-            raise ValueError(
-                "increasing laws carry no information leftward; "
-                "the right boundary must be Outflow"
-            )
 
 
 @dataclass
@@ -389,7 +380,8 @@ def inflow_boundary_value(trace, step_index: int, dt: float) -> float:
 def _slab_average(trace, t0: float, t1: float) -> float:
     """Mean of the trace over (t0, t1); point value when the slab is empty.
 
-    A table that is constant over the slab gives its value exactly.
+    A trace whose samples over the slab are all equal gives that value
+    exactly: neither the trapezoid nor the quadrature need round back to it.
     """
     if t1 - t0 <= 1e-15 * max(1.0, abs(t0)):
         return float(trace(t1))
@@ -408,11 +400,12 @@ def _slab_average(trace, t0: float, t1: float) -> float:
         xs = np.concatenate(([t0], pts[i:j], [t1]))
         ys = trace(xs)
         if np.all(ys == ys[0]):
-            # a constant stretch: the trapezoid need not round back to it
             return float(ys[0])
         return float(np.sum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs))) / (t1 - t0)
-    x = 0.5 * (t0 + t1) + (0.5 * (t1 - t0)) * _GL_NODES
-    return float(_evaluate(trace, x) @ _GL_WEIGHTS) / 2.0
+    ys = _evaluate(trace, 0.5 * (t0 + t1) + (0.5 * (t1 - t0)) * _GL_NODES)
+    if np.all(ys == ys[0]):
+        return float(ys[0])
+    return float(ys @ _GL_WEIGHTS) / 2.0
 
 
 # }}}

@@ -183,14 +183,14 @@ def test_07_temporal_variation_stability(announce):
 
 
 def test_08_numerical_flux_equivalence(announce):
-    # the march under the godunov name against the plain-loop Godunov
-    # min/max edge flux, one step at a time from every marched level
+    # the march against the plain-loop Godunov min/max edge flux, one step
+    # at a time from every marched level
     worst, details = 0.0, []
     for name in ("experiment1", "experiment2"):
         config = preset(name)
         model = build_model(config)
         grid = build_grid(config.xmin, config.xmax, 64, config.interfaces)
-        solver_config = build_solver_config(config, "godunov")
+        solver_config = build_solver_config(config)
         bracket = invariant_interval(model, data_range(config))
         levels = run(build_problem(config), grid, model, solver_config,
                      retain_levels=True).levels

@@ -118,8 +118,6 @@ def test_spatial_tv_whole_split_and_per_subdomain():
     grid = build_grid(-1.0, 1.0, 8, (0.0,))
     state = _state([0.0, 1.0, 0.0, 2.0, 5.0, 5.0, 6.0, 4.0])
     assert spatial_tv(state, grid) == pytest.approx(10.0)
-    # dropping the pair straddling the interface removes |5 - 2|
-    assert spatial_tv(state, grid, split_at_interfaces=True) == pytest.approx(7.0)
     assert spatial_tv(state, grid, subdomain=0) == pytest.approx(4.0)
     assert spatial_tv(state, grid, subdomain=1) == pytest.approx(3.0)
 

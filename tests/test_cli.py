@@ -122,6 +122,28 @@ def test_run_transmits_past_the_padded_data_range_towards_a_vertex(tmp_path, cap
     assert np.sqrt(0.125) - 1e-15 <= u.min() and u.max() <= 2.0
 
 
+def test_run_rejects_snapshot_times_that_share_a_file_name(tmp_path, capsys):
+    path = tmp_path / "exp.yaml"
+    save_config(small_config(snapshots=[0.05, 0.05000001, 0.05]), path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--n", "16", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "snapshots[1]: time 0.05000001 would overwrite snapshot_t0.05.csv of snapshots[0]" in err
+    assert not out.exists()
+
+
+def test_run_csv_bytes_do_not_depend_on_the_numerical_flux_name(tmp_path, capsys):
+    csvs = []
+    for name in ("upwind", "godunov", "engquist_osher"):
+        path = tmp_path / f"{name}.yaml"
+        save_config(small_config(numerical_flux=name, snapshots=[0.05, 0.1]), path)
+        out = tmp_path / name
+        assert main(["run", "--config", str(path), "--n", "64", "--out", str(out)]) == 0
+        csvs.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
+    assert sorted(csvs[0]) == ["snapshot_t0.05.csv", "snapshot_t0.1.csv"]
+    assert csvs[0] == csvs[1] == csvs[2]
+
+
 def test_run_accepts_config_file(tmp_path):
     path = tmp_path / "exp.yaml"
     save_config(small_config(snapshots=[0.1]), path)
@@ -157,6 +179,19 @@ def test_convergence_against_itself_is_exactly_zero(tmp_path, capsys):
     assert main(["convergence", "--config", str(path)]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[1] == "32,0,"
+
+
+def test_convergence_takes_no_rate_from_the_reference_row(tmp_path, capsys):
+    # the reference's own row reads 0 with no rate; the other rows are those
+    # of the study without it, bit for bit
+    tables = []
+    for resolutions in ([16, 32, 64], [16, 32]):
+        path = tmp_path / f"exp{len(resolutions)}.yaml"
+        save_config(small_config(resolutions=resolutions, reference_n=64), path)
+        assert main(["convergence", "--config", str(path)]) == 0
+        tables.append(capsys.readouterr().out.strip().splitlines())
+    assert tables[0] == tables[1] + ["64,0,"]
+    assert tables[1][2].startswith("32,") and not tables[1][2].endswith(",")
 
 
 # }}}

@@ -9,6 +9,7 @@ from discflux import (
     Inflow,
     Outflow,
     PiecewiseConstant,
+    SolverConfig,
     build_boundary,
     build_model,
     build_solver_config,
@@ -138,6 +139,7 @@ VALIDATION_CASES = [
      "expected a number, got None"),
     ("snapshots-range", _set("snapshots", [1.5]), "must lie within"),
     ("outputs-key", _set("outputs", {"weird": "x"}), "unknown key"),
+    ("outputs-block", _set("outputs", {"run_dir": "out"}), "config.outputs: unknown key"),
     ("gaussian-width", _set("initial", {"kind": "gaussian_offset", "base": 2.0,
                                         "amplitude": 1.0, "width": 0.0,
                                         "center": 0.0}),
@@ -250,11 +252,14 @@ def test_build_boundary_variants(tmp_path):
 
 
 def test_build_solver_config_flux_override():
-    config = preset("experiment1")
-    default = build_solver_config(config)
-    assert default.numerical_flux == "upwind"
-    assert default.lam == config.lam and default.t_end == config.t_end
-    assert build_solver_config(config, "godunov").numerical_flux == "godunov"
+    # every numerical_flux name is accepted and digested, and each builds the
+    # same march parameters: for increasing laws they all collapse to upwind
+    configs = [from_dict({**base_dict(), "numerical_flux": name})
+               for name in ("upwind", "godunov", "engquist_osher")]
+    built = [build_solver_config(config) for config in configs]
+    assert [f.name for f in dataclasses.fields(built[0])] == ["lam", "t_end", "left"]
+    assert built[0] == built[1] == built[2] == SolverConfig(lam=0.5, t_end=0.9, left=Outflow())
+    assert len({config_digest(config) for config in configs}) == 3
 
 
 # }}}

@@ -6,7 +6,6 @@ import pytest
 from discflux import (
     DivergentRangeError,
     FluxRangeError,
-    InterfaceAmbiguityError,
     PiecewiseFlux,
     custom_flux,
     invariant_interval,
@@ -103,16 +102,6 @@ def test_piecewise_model_validation():
         PiecewiseFlux((0.0,), (linear_flux(1.0),))
     with pytest.raises(ValueError, match="strictly increasing"):
         PiecewiseFlux((1.0, 1.0), (linear_flux(1.0),) * 3)
-
-
-def test_segment_at():
-    from discflux.fluxes import segment_at
-
-    model = make_two_law_model()
-    assert segment_at(model, -0.3) is model.segments[0]
-    assert segment_at(model, 0.7) is model.segments[1]
-    with pytest.raises(InterfaceAmbiguityError):
-        segment_at(model, 0.0)
 
 
 def test_max_wave_speed():

@@ -33,6 +33,7 @@ from discflux import (
     step,
 )
 from discflux import solver
+from discflux.config import from_dict
 from discflux.solver import _slab_average
 from oracles import (
     godunov_edge,
@@ -124,13 +125,13 @@ def test_outflow_keeps_boundary_cell():
 
 
 def test_scheme_kinds_agree_stepwise():
-    # public step under the godunov name against the plain-loop Godunov
-    # min/max edge flux, from the preset data on
+    # public step against the plain-loop Godunov min/max edge flux, from the
+    # preset data on
     for name in ("experiment1", "experiment2"):
         cfg = preset(name)
         model = build_model(cfg)
         grid = build_grid(cfg.xmin, cfg.xmax, 64, cfg.interfaces)
-        config = build_solver_config(cfg, "godunov")
+        config = build_solver_config(cfg)
         bracket = invariant_interval(model, data_range(cfg))
         limit = reference_step_gap(model.segments, bracket, config.lam)
         state = State(cell_average(build_problem(cfg).initial, grid), 0.0, 0)
@@ -158,10 +159,10 @@ def test_numerical_flux_forms():
 def test_solver_config_validation():
     with pytest.raises(ValueError, match="lam must be positive"):
         SolverConfig(lam=0.0, t_end=1.0)
-    with pytest.raises(ValueError, match="unknown numerical flux"):
-        SolverConfig(lam=0.5, t_end=1.0, numerical_flux="roe")
-    with pytest.raises(ValueError, match="right boundary"):
-        SolverConfig(lam=0.5, t_end=1.0, right=Inflow(lambda t: 1.0))
+    with pytest.raises(ValueError, match="t_end must be nonnegative"):
+        SolverConfig(lam=0.5, t_end=-1.0)
+    with pytest.raises(ValueError, match="left boundary"):
+        SolverConfig(lam=0.5, t_end=1.0, left="inflow")
 
 
 # }}}
@@ -243,6 +244,47 @@ def test_tabulated_inflow_holding_the_datum_keeps_a_run_bitwise_steady():
     assert len(trajectory.levels) > 300
     for level in trajectory.levels:
         assert np.array_equal(level.u, np.full(grid.n, 0.9))
+
+
+def constant_trace(v):
+    # the closure YAML `kind: constant` builds
+    return lambda t: v + 0.0 * np.asarray(t, dtype=float)
+
+
+def test_constant_callable_inflow_returns_its_value_exactly():
+    # five equal samples weighted by the Gauss-Legendre rule need not sum back
+    # to their value
+    rng = np.random.default_rng(11)
+    for v in rng.uniform(0.1, 10.0, 2000):
+        assert _slab_average(constant_trace(v), 0.1, 0.2) == v
+
+
+def constant_inflow_config(v):
+    return from_dict({
+        "domain": {"xmin": -1.0, "xmax": 1.0},
+        "interfaces": [],
+        "fluxes": [{"kind": "linear"}],
+        "initial": {"kind": "piecewise_constant", "breakpoints": [], "values": [v]},
+        "lambda": 0.5,
+        "t_end": 0.5,
+        "resolutions": [32],
+        "reference_n": 32,
+        "boundary": {"left": {"kind": "inflow", "trace": {"kind": "constant", "value": v}}},
+    })
+
+
+def test_constant_inflow_holding_the_datum_keeps_a_run_bitwise_steady():
+    grid = build_grid(-1.0, 1.0, 32)
+    model = PiecewiseFlux((), (linear_flux(1.0),))
+    rng = np.random.default_rng(12)
+    for v in rng.uniform(0.1, 10.0, 100):
+        # from the library, and from a YAML constant trace
+        problem = ProblemSpec((-1.0, 1.0), PiecewiseConstant((), (v,)))
+        config = SolverConfig(lam=0.5, t_end=0.5, left=Inflow(constant_trace(v)))
+        assert np.array_equal(run(problem, grid, model, config).final.u, np.full(grid.n, v))
+        cfg = constant_inflow_config(float(v))
+        final = run(build_problem(cfg), grid, build_model(cfg), build_solver_config(cfg)).final
+        assert np.array_equal(final.u, np.full(grid.n, v))
 
 
 def test_inflow_table_slab_past_the_end_raises():
