@@ -10,7 +10,7 @@ import argparse
 import json
 import os
 import sys
-from itertools import zip_longest
+from itertools import accumulate, repeat, zip_longest
 
 import numpy as np
 
@@ -37,8 +37,8 @@ from .errors import (
 )
 from .fluxes import invariant_interval
 from .grid import PiecewiseConstant, build_grid, cell_average
-from .solver import (_NUMERICAL_FLUXES, ProblemSpec, SolverConfig, _check_cfl, _March,
-                     numerical_flux_value, run)
+from .solver import (_NUMERICAL_FLUXES, ProblemSpec, SolverConfig, _check_cfl, _inflow_column,
+                     _March, numerical_flux_value, run)
 
 
 def main(argv=None) -> int:
@@ -179,9 +179,12 @@ def convergence_report(config: ExperimentConfig) -> ErrorReport:
             final = run(problem, grid, model, solver_config).final
         pairs.append((n, l1_error(final, grid, reference, ref_grid)))
 
-    # the reference's own row has error 0 and takes no rate
+    # the reference's own row has error 0 and takes no rate; so does a row
+    # next to an exact one below it, as an exact scheme on a steady datum gives
+    below = [(n, err) for n, err in pairs if n < config.reference_n]
     try:
-        rates = ooc([(n, err) for n, err in pairs if n < config.reference_n])
+        rates = [None if 0.0 in (e0, e1) else ooc([(n0, e0), (n1, e1)])[0]
+                 for (n0, e0), (n1, e1) in zip(below, below[1:])]
     except SequencingError:
         rates = []  # non-doubling ladder: errors only, no rates
     rows = tuple((n, err, rate) for (n, err), rate in zip_longest(pairs, [None, *rates]))
@@ -289,12 +292,14 @@ def _ordering_gap(config, model, solver_config, grid, u_range) -> float:
     dt = lam * grid.dx
     # whole steps there and back, and the stack each step writes
     steps = ((march.bind(state, spare, lam), spare), (march.bind(spare, state, lam), state))
-    worst, t = 0.0, 0.0
-    for i in range(100):
+    # level i + 1 starts at the running sum of i + 1 steps
+    column = _inflow_column(solver_config.left, list(accumulate(repeat(dt, 100))), dt,
+                            solver_config.t_end)
+    worst = 0.0
+    for i, boundary in enumerate(column):
         bound, new = steps[i % 2]
-        march.advance(bound, t, dt)
+        march.advance(bound, boundary)
         np.subtract(new[0], new[1], out=gap)
-        t += dt
         value = float(np.max(gap))
         if _wins(value, worst):
             worst = value

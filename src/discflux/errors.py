@@ -9,10 +9,6 @@ class DiscfluxError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InterfaceAmbiguityError(DiscfluxError):
-    """A point query landed exactly on a flux-switching interface."""
-
-
 class FluxRangeError(DiscfluxError):
     """Target value lies outside the image of the inversion bracket."""
 

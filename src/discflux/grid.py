@@ -186,7 +186,8 @@ def cell_average(u0, grid: Grid) -> np.ndarray:
 
     Step functions are averaged exactly (a cell fully inside one piece gets
     that piece's value bit for bit); callables and tables via 5-point
-    Gauss-Legendre per cell.
+    Gauss-Legendre per cell, a cell whose samples are all equal getting
+    that value.
     """
     if isinstance(u0, PiecewiseConstant):
         return _average_steps(u0, grid)
@@ -223,8 +224,10 @@ def _average_steps(u0: PiecewiseConstant, grid: Grid) -> np.ndarray:
 
 
 def _average_quadrature(f: Callable, grid: Grid) -> np.ndarray:
+    # five equal samples give their value; the weighted sum need not
     x = grid.centers[:, None] + (0.5 * grid.dx) * _GL_NODES[None, :]
-    return _evaluate(f, x) @ _GL_WEIGHTS / 2.0
+    fx = _evaluate(f, x)
+    return np.where((fx == fx[:, :1]).all(axis=1), fx[:, 0], fx @ _GL_WEIGHTS / 2.0)
 
 
 def _evaluate(f: Callable, x: np.ndarray) -> np.ndarray:

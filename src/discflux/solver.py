@@ -11,7 +11,6 @@ the conserved quantity generally is not.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
@@ -184,7 +183,8 @@ class _March:
     edge flux of the block, its last cell's right edge included.  Each
     interface coupling ``(p, left law, inverse)`` holds the right law's
     inverse on the bracket, with the bracket's flux image computed once.
-    Also kept: the left-boundary trace and a scratch buffer.
+    Also kept: whether the left boundary is an inflow (a plan holds no
+    times; :meth:`advance` takes each inflow value), and a scratch buffer.
 
     :meth:`bind` resolves one step from a caller-owned array into another as
     argument-free calls on views, and :meth:`advance` runs a bound
@@ -223,9 +223,7 @@ class _March:
             (p, left.func, _inverse(right, bracket))
             for p, left, right in zip(grid.interface_cells, segs, segs[1:])
         )
-        self.trace = config.left.trace if isinstance(config.left, Inflow) else None
-        self.slab = config.lam * grid.dx
-        self.t_end = config.t_end
+        self.inflow = isinstance(config.left, Inflow)
         self.scratch = np.empty((*batch, grid.n))
 
     def bind(self, u: np.ndarray, new: np.ndarray, lam: float,
@@ -258,21 +256,20 @@ class _March:
             calls += (partial(np.subtract, edge[..., 1:], edge[..., :-1], tmp),
                       partial(np.multiply, tmp, scale, tmp),
                       partial(np.subtract, u[..., s:e], tmp, dst))
-        if spans is None and self.trace is None:
+        if spans is None and not self.inflow:
             # ghost repeats the boundary cell, so the update cancels exactly
             calls.append(partial(np.copyto, new[..., :1], u[..., :1]))
         couplings = [c for c, on in zip(self.couplings, live or repeat(True)) if on]
         maps = [(new[row], *c) for row in np.ndindex(new.shape[:-1]) for c in couplings]
         return calls, new[..., 0], maps
 
-    def advance(self, bound: tuple, t: float, dt: float):
-        """Run a step bound by :meth:`bind`; its level starts at ``t`` and lasts ``dt``."""
+    def advance(self, bound: tuple, boundary: Optional[float]):
+        """Run a step bound by :meth:`bind`; ``boundary`` is its :func:`_inflow_column` entry."""
         calls, inflow, maps = bound
         for call in calls:
             call()
-        if self.trace is not None:
-            t_new = t + dt
-            inflow[()] = _slab_average(self.trace, t_new, min(t_new + self.slab, self.t_end))
+        if boundary is not None:
+            inflow[()] = boundary
 
         # interface cells: match the flux of the updated left neighbour
         for row, p, left, inverse in maps:
@@ -294,7 +291,7 @@ class _March:
         # changed[i:j] are the changed cells of a subdomain
         starts = changed.searchsorted(self.firsts).tolist()
         spans, live = [], []
-        moving = self.trace is not None
+        moving = self.inflow
         for (a, b, *_), i, j in zip(self.subdomains, starts, starts[1:]):
             first_changed = i < j and int(changed[i]) == a
             if a:
@@ -357,7 +354,8 @@ def step(
         u_range = _bracket(model, config, u)
     new = np.empty_like(u)
     march = _March(grid, model, config, u_range)
-    march.advance(march.bind(u, new, lam), state.t, dt)
+    boundary, = _inflow_column(config.left, [state.t + dt], config.lam * grid.dx, config.t_end)
+    march.advance(march.bind(u, new, lam), boundary)
     return State(new, state.t + dt, state.step + 1)
 
 
@@ -386,18 +384,11 @@ def _slab_average(trace, t0: float, t1: float) -> float:
     if t1 - t0 <= 1e-15 * max(1.0, abs(t0)):
         return float(trace(t1))
     if isinstance(trace, SampledTable):
-        # piecewise-linear data integrates exactly on its own kinks; i:j are
-        # the table points strictly inside the slab
+        # piecewise-linear data integrates exactly on its own kinks, the table
+        # points strictly inside the slab; the table call rejects slabs past
+        # its ends
         pts = trace.points
-        i, j = bisect_right(pts, t0), bisect_left(pts, t1)
-        if 0 < i == j < pts.size:
-            # one piece inside the table: the one-term trapezoid, in scalars
-            y0, y1 = np.interp((t0, t1), pts, trace.values)
-            if y0 == y1:
-                return float(y0)
-            return float(0.5 * (y1 + y0) * (t1 - t0)) / (t1 - t0)
-        # otherwise the table call also rejects slabs past its ends
-        xs = np.concatenate(([t0], pts[i:j], [t1]))
+        xs = np.concatenate(([t0], pts[pts.searchsorted(t0, "right"):pts.searchsorted(t1)], [t1]))
         ys = trace(xs)
         if np.all(ys == ys[0]):
             return float(ys[0])
@@ -406,6 +397,35 @@ def _slab_average(trace, t0: float, t1: float) -> float:
     if np.all(ys == ys[0]):
         return float(ys[0])
     return float(ys @ _GL_WEIGHTS) / 2.0
+
+
+def _inflow_column(left, starts, slab: float, t_end: float) -> list:
+    """Boundary value of the levels starting at ``starts``, for :meth:`_March.advance`.
+
+    Each is :func:`_slab_average` of the trace over ``(t, min(t + slab,
+    t_end))``, bit for bit, or ``None`` on an outflow boundary.  A table's
+    nonempty slabs inside one piece take that function's scalar trapezoid
+    in one array pass; the rest, and every slab of a callable, take the
+    function itself, so no call or dot product sees a different array.
+    """
+    if not isinstance(left, Inflow):
+        return [None] * len(starts)
+    trace = left.trace
+    t0 = np.asarray(starts, dtype=float)
+    t1 = np.minimum(t0 + slab, t_end)
+    column, one = np.empty_like(t0), np.zeros(t0.shape, dtype=bool)
+    if isinstance(trace, SampledTable):
+        pts = trace.points
+        i = pts.searchsorted(t0, "right")
+        one = ((t1 - t0 > 1e-15 * np.maximum(1.0, np.abs(t0)))
+               & (i == pts.searchsorted(t1)) & (0 < i) & (i < pts.size))
+        a, b = t0[one], t1[one]
+        y0, y1 = np.interp(a, pts, trace.values), np.interp(b, pts, trace.values)
+        column[one] = np.where(y0 == y1, y0, 0.5 * (y1 + y0) * (b - a) / (b - a))
+    column, a, b = column.tolist(), t0.tolist(), t1.tolist()
+    for k in np.flatnonzero(~one).tolist():
+        column[k] = _slab_average(trace, a[k], b[k])
+    return column
 
 
 # }}}
@@ -479,14 +499,19 @@ def run(
     change = np.empty_like(u0) if record_increments else None
     levels = [State(u.copy(), t, k)] if retain_levels else None
     last_lam = remainder / grid.dx
+    # every level's boundary value, before the first step: a level starts
+    # one step after the pinned time of the level before it
+    lengths = [dt] * n_full + [remainder] * bool(remainder)
+    column = _inflow_column(config.left, np.add(level_times[:-1], lengths), dt, t_end)
 
     for k in range(1, len(level_times)):
+        boundary = column[k - 1]
         if k > n_full:
             # the shortened step's lam differs, so no cell is known to be fixed
-            march.advance(march.bind(u, spare, last_lam), t, remainder)
+            march.advance(march.bind(u, spare, last_lam), boundary)
         elif k == 1:
             # the first step writes a whole level into the empty spare buffer
-            march.advance(march.bind(u, spare, config.lam), t, dt)
+            march.advance(march.bind(u, spare, config.lam), boundary)
         else:
             # full steps recompute only their window's spans (see _March);
             # a window starts on an even step, with u and spare as bound first
@@ -494,7 +519,7 @@ def run(
                 spans, live = march.window(u, spare)
                 window = (march.bind(u, spare, config.lam, spans, live),
                           march.bind(spare, u, config.lam, spans, live))
-            march.advance(window[k % 2], t, dt)
+            march.advance(window[k % 2], boundary)
         if record_increments:
             np.subtract(spare, u, out=change)
             increments += np.abs(change, out=change)

@@ -12,7 +12,7 @@ import bisect
 
 import numpy as np
 
-from discflux import EntropyResidualReport, invert
+from discflux import EntropyResidualReport, SampledTable, invert
 from discflux.analysis import _adapted_constants
 from discflux.config import data_range
 from discflux.solver import _March
@@ -77,22 +77,29 @@ def exact_step_average(breakpoints, values, edges):
     return np.asarray(out)
 
 
-def slab_average_oracle(table, t0, t1):
-    """Mean of a ``SampledTable`` over (t0, t1) by the trapezoid on its kinks.
+def slab_average_oracle(trace, t0, t1):
+    """Mean of an inflow trace over (t0, t1); the point value at ``t1`` if the slab is empty.
 
-    The table points strictly inside the slab are picked with a mask and
-    joined to the slab's ends; an empty slab gives the point value at ``t1``
-    and a slab where every sampled value is the same gives that value.
+    A ``SampledTable`` is integrated by the trapezoid on its kinks: the
+    table points strictly inside the slab are picked with a mask and joined
+    to the slab's ends.  A callable takes the 5-point Gauss-Legendre rule,
+    on one array of its nodes.  Either way a slab where every sampled value
+    is the same gives that value.
     """
     if t1 - t0 <= 1e-15 * max(1.0, abs(t0)):
-        return float(table(t1))
-    pts = table.points
-    inner = pts[(pts > t0) & (pts < t1)]
-    xs = np.concatenate(([t0], inner, [t1]))
-    ys = table(xs)
+        return float(trace(t1))
+    if isinstance(trace, SampledTable):
+        pts = trace.points
+        xs = np.concatenate(([t0], pts[(pts > t0) & (pts < t1)], [t1]))
+        ys = trace(xs)
+        if np.all(ys == ys[0]):
+            return float(ys[0])
+        return float(np.sum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs))) / (t1 - t0)
+    nodes, weights = np.polynomial.legendre.leggauss(5)
+    ys = np.asarray(trace(0.5 * (t0 + t1) + (0.5 * (t1 - t0)) * nodes), dtype=float)
     if np.all(ys == ys[0]):
         return float(ys[0])
-    return float(np.sum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs))) / (t1 - t0)
+    return float(ys @ weights) / 2.0
 
 
 def upwind_edge(f, a, b):
@@ -175,10 +182,10 @@ def reference_advance(u, t, dt, lam, model, interface_cells, bracket, trace=None
     array and, past the block's last cell, ``f`` at a float.  The march
     takes that last edge from the array form too, so a march equal to this
     update shows that the law gives one value per point either way.  The
-    boundary cell keeps its value or, with an inflow table ``trace``, takes
-    its mean over ``(t + dt, min(t + dt + slab, t_end))``.  Each interface
-    cell is then one :func:`discflux.invert` of its updated left
-    neighbour's flux on ``bracket``.
+    boundary cell keeps its value or, with an inflow ``trace``, takes its
+    :func:`slab_average_oracle` over ``(t + dt, min(t + dt + slab,
+    t_end))``.  Each interface cell is then one :func:`discflux.invert` of
+    its updated left neighbour's flux on ``bracket``.
     """
     new = np.empty_like(u)
     bounds = [0, *interface_cells, u.size]
@@ -231,12 +238,15 @@ def ordering_gap_per_pair(config, model, solver_config, grid, u_range):
 
     Draws 20 pairs from the config's data range in order, a pair's two
     states one after the other, and marches the low and the high member of
-    each for 100 whole steps on a one-row plan, two buffers each.  Returns
-    the largest low-minus-high gap; the first NaN gap wins and stays.
+    each for 100 whole steps on a one-row plan, two buffers each; an inflow
+    cell takes :func:`slab_average_oracle` over the slab after each step's
+    running time.  Returns the largest low-minus-high gap; the first NaN gap
+    wins and stays.
     """
     march = _March(grid, model, solver_config, u_range)
     lam = solver_config.lam
     dt = lam * grid.dx
+    trace, t_end = getattr(solver_config.left, "trace", None), solver_config.t_end
     low, low_new, high, high_new, gap = (np.empty(grid.n) for _ in range(5))
     steps = [march.bind(old, new, lam) for old, new in
              ((low, low_new), (low_new, low), (high, high_new), (high_new, high))]
@@ -251,8 +261,11 @@ def ordering_gap_per_pair(config, model, solver_config, grid, u_range):
         np.maximum(a, b, out=high)
         t = 0.0
         for i in range(100):
-            march.advance(steps[i % 2], t, dt)
-            march.advance(steps[2 + i % 2], t, dt)
+            boundary = None
+            if trace is not None:
+                boundary = slab_average_oracle(trace, t + dt, min(t + dt + dt, t_end))
+            march.advance(steps[i % 2], boundary)
+            march.advance(steps[2 + i % 2], boundary)
             np.subtract(*targets[i % 2], out=gap)
             t += dt
             value = float(np.max(gap))

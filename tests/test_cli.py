@@ -194,6 +194,18 @@ def test_convergence_takes_no_rate_from_the_reference_row(tmp_path, capsys):
     assert tables[1][2].startswith("32,") and not tables[1][2].endswith(",")
 
 
+def test_convergence_of_an_exact_steady_study_prints_no_rate(tmp_path, capsys):
+    # one linear law keeps a constant datum exactly, so every error is zero:
+    # the rows print no rate, and the study is not an error
+    path = tmp_path / "steady.yaml"
+    save_config(small_config(
+        interfaces=[], fluxes=[{"kind": "linear"}],
+        initial={"kind": "piecewise_constant", "breakpoints": [], "values": [0.7]},
+        resolutions=[16, 32], reference_n=64), path)
+    assert main(["convergence", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.strip().splitlines() == ["n,l1_error,ooc", "16,0,", "32,0,"]
+
+
 # }}}
 
 
@@ -214,6 +226,19 @@ def test_verify_passes_on_presets(name, capsys):
         "temporal_tv": "PASS",
         "scheme_equivalence": "PASS",
     }
+
+
+def test_the_tabulated_inflow_example_verifies_and_runs(tmp_path, monkeypatch, capsys):
+    # the CI example: two interfaces and a tabulated inflow, its table path
+    # read from the repository root
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    assert main(["verify", "--config", "tests/data/inflow.yaml"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [ln.split()[1] for ln in lines] == ["PASS"] * 7
+    assert main(["run", "--config", "tests/data/inflow.yaml", "--n", "256",
+                 "--out", str(tmp_path / "run")]) == 0
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+        "meta.json", "snapshot_t0.2.csv", "snapshot_t0.4.csv"]
 
 
 def test_verify_reports_cfl_violation(tmp_path, capsys):

@@ -109,6 +109,14 @@ def test_cell_average_smooth_matches_adaptive_quadrature():
     assert fine < coarse / 100.0
 
 
+def test_cell_average_of_a_constant_callable_is_exact():
+    # five equal samples weighted by the Gauss-Legendre rule need not sum back
+    # to their value; about half of these constants once missed by an ulp
+    grid = build_grid(0.0, 1.0, 64)
+    for v in np.random.default_rng(0).uniform(0.1, 5.0, 200):
+        assert np.array_equal(cell_average(lambda x: v + 0.0 * x, grid), np.full(64, v))
+
+
 def test_cell_average_scalar_only_callable():
     # a datum that chokes on arrays still averages via the scalar fallback
     def scalar_only(x):

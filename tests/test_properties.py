@@ -25,8 +25,8 @@ from discflux import (
 )
 from discflux import analysis
 from discflux.fluxes import _array_form
-from discflux.solver import _March
-from oracles import entropy_residual_whole, reference_levels, same_report
+from discflux.solver import _March, _inflow_column
+from oracles import entropy_residual_whole, reference_levels, same_report, slab_average_oracle
 
 # Built once: a custom law is sampled densely when it is wrapped.
 CUSTOM_LAWS = (
@@ -148,6 +148,61 @@ def test_run_equals_the_reference_update_at_every_level(case):
         assert np.array_equal(level.u, u)
 
 
+@st.composite
+def inflow_runs(draw):
+    """A grid, lam and end time with an inflow trace: a table or a callable.
+
+    A table starts at 0 and ends at the end time or past it; its inner
+    points fall anywhere or on level times, and a value of ``None`` repeats
+    the one before it, so that slabs hold table points and constant
+    stretches.  The end time may leave a shortened final step.
+    """
+    n = draw(st.integers(4, 64))
+    lam = draw(st.floats(0.2, 1.0))
+    dt = lam * build_grid(0.0, 1.0, n).dx
+    steps = draw(st.integers(1, 120))
+    t_end = (steps + draw(st.sampled_from([0.0, 0.5, 0.3, 0.999]))) * dt
+    kind = draw(st.sampled_from(["table", "constant", "smooth"]))
+    if kind == "constant":
+        v = draw(VALUES)
+        trace = lambda t: v + 0.0 * np.asarray(t, dtype=float)  # noqa: E731
+    elif kind == "smooth":
+        a = draw(st.floats(0.1, 0.5))
+        trace = lambda t: 1.0 + a * np.sin(7.0 * np.asarray(t, dtype=float))  # noqa: E731
+    else:
+        end = t_end * draw(st.sampled_from([1.0, 1.5]))
+        inner = draw(st.lists(st.one_of(st.floats(0.0, 1.0).map(lambda f: f * end),
+                                        st.integers(1, steps).map(lambda k: k * dt)),
+                              max_size=draw(st.sampled_from([3, 3 * steps]))))
+        pts = np.unique([0.0, end, *(t for t in inner if t < end)])
+        # 0.9 is a value whose one-piece trapezoid need not round back to it
+        values = [0.9]
+        for v in draw(st.lists(st.one_of(VALUES, st.just(0.9), st.none()),
+                               min_size=pts.size, max_size=pts.size)):
+            values.append(values[-1] if v is None else v)
+        trace = SampledTable(pts, np.array(values[1:]))
+    return n, lam, t_end, trace
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(inflow_runs())
+def test_the_inflow_column_is_the_slab_mean_of_every_level(case):
+    # the boundary cell of every level has the bits of the trace's mean over
+    # that level's slab, the time arithmetic of the reference march included
+    n, lam, t_end, trace = case
+    grid = build_grid(0.0, 1.0, n)
+    config = SolverConfig(lam=lam, t_end=t_end, left=Inflow(trace))
+    problem = ProblemSpec((0.0, 1.0), PiecewiseConstant((), (1.0,)))
+    model = PiecewiseFlux((), (linear_flux(1.0),))
+    levels = run(problem, grid, model, config, retain_levels=True).levels
+    dt = lam * grid.dx
+    n_full = int(np.floor(t_end / dt + 1e-12))
+    for k, level in enumerate(levels[1:], 1):
+        t0 = (k - 1) * dt + (dt if k <= n_full else t_end - n_full * dt)
+        want = slab_average_oracle(trace, t0, min(t0 + dt, t_end))
+        assert float(level.u[0]).hex() == want.hex(), f"level {k}"
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(marches(), st.integers(0, 2**32 - 1))
 def test_a_stacked_plan_marches_each_row_as_a_one_row_plan(case, seed):
@@ -167,11 +222,12 @@ def test_a_stacked_plan_marches_each_row_as_a_one_row_plan(case, seed):
     alone = _March(grid, model, config, bracket)
     rows = [(row.copy(), np.empty(grid.n)) for row in stack.reshape(-1, grid.n)]
     rows_both_ways = [(alone.bind(u, new, lam), alone.bind(new, u, lam)) for u, new in rows]
-    for k in range(int(np.ceil(steps))):
-        stacked.advance(both_ways[k % 2], k * dt, dt)
+    column = _inflow_column(config.left, dt * np.arange(1, np.ceil(steps) + 1), dt, config.t_end)
+    for k, boundary in enumerate(column):
+        stacked.advance(both_ways[k % 2], boundary)
         level = (spare, stack)[k % 2].reshape(-1, grid.n)
         for got, buffers, row_ways in zip(level, rows, rows_both_ways):
-            alone.advance(row_ways[k % 2], k * dt, dt)
+            alone.advance(row_ways[k % 2], boundary)
             assert got.tobytes() == buffers[1 - k % 2].tobytes()
 
 

@@ -633,6 +633,18 @@ def test_run_matches_the_reference_advance_on_presets(name):
                                          (float(u0.min()), float(u0.max())))
 
 
+def test_run_matches_the_reference_advance_with_a_callable_inflow(three_interface_model):
+    # a callable trace's slab means come from the quadrature, slab by slab;
+    # the data range takes the trace at run's 1025 sample times
+    problem, grid, model, config, _ = window_case("three-interfaces", three_interface_model)
+    trace = lambda t: 1.2 + 0.5 * np.sin(9.0 * np.asarray(t, dtype=float))  # noqa: E731
+    config = SolverConfig(lam=config.lam, t_end=config.t_end, left=Inflow(trace))
+    values = np.append(problem.initial.values, trace(np.linspace(0.0, config.t_end, 1025)))
+    trajectory = assert_run_matches_reference_advance(
+        problem, grid, model, config, (float(values.min()), float(values.max())))
+    assert len({float(level.u[0]) for level in trajectory.levels}) == len(trajectory.levels)
+
+
 @pytest.mark.parametrize(
     "case", ["flat-runs", "signed-zeros", "one-cell-subdomain", "inflow-shortened"])
 def test_run_matches_the_reference_advance_where_spans_shrink_and_reopen(monkeypatch, case):
