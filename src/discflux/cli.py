@@ -37,8 +37,7 @@ from .errors import (
 )
 from .fluxes import invariant_interval
 from .grid import PiecewiseConstant, build_grid, cell_average
-from .solver import (_NUMERICAL_FLUXES, ProblemSpec, SolverConfig, _check_cfl, _inflow_column,
-                     _March, numerical_flux_value, run)
+from .solver import ProblemSpec, SolverConfig, _check_cfl, _inflow_column, _March, run
 
 
 def main(argv=None) -> int:
@@ -211,8 +210,7 @@ def cmd_verify(config: ExperimentConfig) -> int:
         product = _check_cfl(config.lam, [(seg, *u_range) for seg in model.segments])
     except StabilityError as exc:
         results.append(("cfl", "FAIL", str(exc)))
-        for name in ("steady_state", "monotonicity", "tvd", "entropy_residual",
-                     "temporal_tv", "scheme_equivalence"):
+        for name in ("steady_state", "monotonicity", "tvd", "entropy_residual", "temporal_tv"):
             results.append((name, "SKIP", "cfl violated"))
         return _report(results)
     results.append(("cfl", "PASS",
@@ -229,13 +227,12 @@ def cmd_verify(config: ExperimentConfig) -> int:
     results.append(_check_monotonicity(config, model, solver_config, grid0, u_range))
     if trajectory0.final.step == 0:
         # t_end 0 leaves the initial level alone: no step to check
-        for name in ("tvd", "entropy_residual", "temporal_tv", "scheme_equivalence"):
+        for name in ("tvd", "entropy_residual", "temporal_tv"):
             results.append((name, "SKIP", "the run takes no step, so it has one time level"))
         return _report(results)
     results.append(_check_tvd(trajectory0, grid0))
     results.append(_check_entropy(config, problem, model, solver_config, u_range))
     results.append(_check_temporal_tv(trajectory0, grid0, model))
-    results.append(_check_equivalence(trajectory0, grid0, model, solver_config.lam))
     return _report(results)
 
 
@@ -308,11 +305,12 @@ def _ordering_gap(config, model, solver_config, grid, u_range) -> float:
 
 def _check_tvd(trajectory, grid):
     slices = grid.subdomain_slices()
+    levels = trajectory.levels
+    # each level's per-subdomain TV, computed once and differenced
+    tvs = [[spatial_tv(level, grid, i) for i in range(len(slices))] for level in levels]
     worst = -np.inf
-    for before, after in zip(trajectory.levels, trajectory.levels[1:]):
-        for i, sl in enumerate(slices):
-            tv_before = spatial_tv(before, grid, i)
-            tv_after = spatial_tv(after, grid, i)
+    for before, after, tvs_before, tvs_after in zip(levels, levels[1:], tvs, tvs[1:]):
+        for sl, tv_before, tv_after in zip(slices, tvs_before, tvs_after):
             # the first cell of a subdomain is set by the boundary or the
             # interface map; its motion is the only admissible TV source
             allowance = abs(float(after.u[sl.start] - before.u[sl.start]))
@@ -381,24 +379,6 @@ def _check_temporal_tv(trajectory, grid, model):
     return ("temporal_tv", status,
             f"max recursion slack {worst:.3e} (limit 1e-12); "
             f"ghost Lipschitz quotients: {quotient_text}")
-
-
-def _check_equivalence(trajectory, grid, model, lam):
-    # the march takes every edge flux as upwind; on the edges inside each
-    # subdomain of each marched level, another kind would move a cell by at
-    # most 2 * lam * |F_kind - F_upwind| in that step
-    kinds = _NUMERICAL_FLUXES
-    worst = 0.0
-    for level in trajectory.levels[:-1]:
-        for seg, sl in zip(model.segments, grid.subdomain_slices()):
-            left, right = level.u[sl][:-1], level.u[sl][1:]
-            upwind = numerical_flux_value("upwind", seg, left, right)
-            for kind in kinds[1:]:
-                gap = np.abs(numerical_flux_value(kind, seg, left, right) - upwind)
-                worst = max(worst, 2.0 * lam * float(np.max(gap, initial=0.0)))
-    status = "PASS" if worst <= 1e-14 else "FAIL"
-    return ("scheme_equivalence", status,
-            f"max per-step deviation {worst:.3e} across {kinds} (limit 1e-14)")
 
 
 # }}}

@@ -19,17 +19,13 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import MonotonicityError, StabilityError
-from .fluxes import PiecewiseFlux, FluxSegment, invariant_interval, _array_form, _inverse
+from .fluxes import PiecewiseFlux, invariant_interval, _array_form, _inverse
 from .grid import Grid, SampledTable, cell_average, _evaluate, _GL_NODES, _GL_WEIGHTS
 
 _CFL_SLACK = 1e-12
 
 # Full steps in one window of the march, which share their recompute spans.
 _NARROW_EVERY = 32
-
-# Accepted edge-flux names.  For increasing laws each is f(u_left) (see
-# numerical_flux_value), so a name selects no code; verify checks the collapse.
-_NUMERICAL_FLUXES = ("upwind", "godunov", "engquist_osher")
 
 
 # {{{ problem and configuration
@@ -115,29 +111,7 @@ class Trajectory:
 # }}}
 
 
-# {{{ numerical flux
-
-
-def numerical_flux_value(kind: str, seg: FluxSegment, u_left, u_right):
-    """Edge flux F(a, b) of one law; accepts scalars or arrays.
-
-    For strictly increasing laws all three kinds collapse to ``f(a)``: the
-    exact Riemann edge value picks the left state, and the derivative-sign
-    splitting has an identically zero decreasing part.  ``godunov`` keeps its
-    min/max form so the collapse is observable rather than assumed.
-    """
-    if kind not in _NUMERICAL_FLUXES:
-        raise ValueError(f"unknown numerical flux kind: {kind!r}")
-    if kind == "godunov":
-        f_left, f_right = seg(u_left), seg(u_right)
-        return np.where(
-            np.asarray(u_left) <= np.asarray(u_right),
-            np.minimum(f_left, f_right),
-            np.maximum(f_left, f_right),
-        )
-    # upwind, and engquist_osher: f = f_inc + f_dec split by derivative sign,
-    # where f_dec of an increasing law is identically zero, leaving f_inc(a) = f(a)
-    return seg(u_left)
+# {{{ stability
 
 
 def _check_cfl(lam: float, laws) -> float:
@@ -362,9 +336,10 @@ def step(
 def inflow_boundary_value(trace, step_index: int, dt: float) -> float:
     """Boundary-cell value at a level: the trace's mean over that level's slab.
 
-    Level ``k`` carries the mean over ``(k*dt, (k+1)*dt)``.  The level-0 value
-    comes from the initial datum instead, so callers normally ask for
-    ``step_index >= 1``.
+    Level ``k``'s slab is ``(t, t + dt)`` with ``t = (k-1)*dt + dt``, as
+    :func:`run` starts it: for every full step whose slab ends by ``t_end``
+    this is :func:`run`'s level-``k`` boundary cell bit for bit.  Level 0
+    takes the initial datum instead, so callers normally ask for ``k >= 1``.
     """
     k = int(step_index)
     if k < 0:
@@ -372,7 +347,8 @@ def inflow_boundary_value(trace, step_index: int, dt: float) -> float:
     dt = float(dt)
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive, got {dt}")
-    return _slab_average(trace, k * dt, (k + 1) * dt)
+    t = (k - 1) * dt + dt
+    return _slab_average(trace, t, t + dt)
 
 
 def _slab_average(trace, t0: float, t1: float) -> float:

@@ -224,7 +224,6 @@ def test_verify_passes_on_presets(name, capsys):
         "tvd": "PASS",
         "entropy_residual": "PASS",
         "temporal_tv": "PASS",
-        "scheme_equivalence": "PASS",
     }
 
 
@@ -234,7 +233,7 @@ def test_the_tabulated_inflow_example_verifies_and_runs(tmp_path, monkeypatch, c
     monkeypatch.chdir(Path(__file__).resolve().parents[1])
     assert main(["verify", "--config", "tests/data/inflow.yaml"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert [ln.split()[1] for ln in lines] == ["PASS"] * 7
+    assert [ln.split()[1] for ln in lines] == ["PASS"] * 6
     assert main(["run", "--config", "tests/data/inflow.yaml", "--n", "256",
                  "--out", str(tmp_path / "run")]) == 0
     assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
@@ -447,7 +446,6 @@ def test_verify_skips_the_step_checks_of_a_run_without_steps(tmp_path, capsys):
         "tvd": "SKIP",
         "entropy_residual": "SKIP",
         "temporal_tv": "SKIP",
-        "scheme_equivalence": "SKIP",
     }
     assert all(ln.endswith("the run takes no step, so it has one time level")
                for ln in lines[3:])
@@ -512,4 +510,4 @@ def test_module_entry_point_runs_the_command(tmp_path):
     lines = proc.stdout.splitlines()
     assert [ln.split()[:2] for ln in lines] == [
         [name, "PASS"] for name in ("cfl", "steady_state", "monotonicity", "tvd",
-                                    "entropy_residual", "temporal_tv", "scheme_equivalence")]
+                                    "entropy_residual", "temporal_tv")]

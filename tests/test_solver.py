@@ -26,7 +26,6 @@ from discflux import (
     invariant_interval,
     linear_flux,
     MonotonicityError,
-    numerical_flux_value,
     preset,
     quadratic_flux,
     run,
@@ -140,20 +139,6 @@ def test_scheme_kinds_agree_stepwise():
                                       grid.interface_cells, bracket, edge_flux=godunov_edge)
             state = step(state, grid, model, config, u_range=bracket)
             assert np.max(np.abs(state.u - expected)) <= limit
-
-
-def test_numerical_flux_forms():
-    seg = quadratic_flux(1.0, 0.0, interval=(0.5, 3.0))
-    a, b = np.array([1.0, 2.0]), np.array([2.0, 1.0])
-    upwind = numerical_flux_value("upwind", seg, a, b)
-    godunov = numerical_flux_value("godunov", seg, a, b)
-    eo = numerical_flux_value("engquist_osher", seg, a, b)
-    # an increasing law always takes the left state's flux
-    assert np.array_equal(upwind, seg(a))
-    assert np.array_equal(godunov, seg(a))
-    assert np.array_equal(eo, seg(a))
-    with pytest.raises(ValueError, match="unknown numerical flux"):
-        numerical_flux_value("lax", seg, 1.0, 2.0)
 
 
 def test_solver_config_validation():
@@ -308,10 +293,28 @@ def test_run_with_inflow_pins_boundary_cell():
     trajectory = run(problem, grid, model, config, retain_levels=True)
     dt = 0.5 * grid.dx
     for k, level in enumerate(trajectory.levels[1:-1], start=1):
-        assert level.u[0] == pytest.approx(inflow_boundary_value(trace, k, dt))
+        assert level.u[0] == inflow_boundary_value(trace, k, dt)
     # the final shortened slab would poke past t_end; it clips and falls back
     # to the endpoint trace value when empty
     assert trajectory.levels[-1].u[0] == pytest.approx(float(trace(0.25)), abs=1e-12)
+
+
+def test_inflow_boundary_value_is_the_boundary_cell_run_writes():
+    # dt = 0.3/64 is not dyadic, so k*dt and (k-1)*dt + dt part on some levels;
+    # the helper must take run's start, bit for bit, on every full slab
+    grid = build_grid(0.0, 1.0, 64)
+    model = PiecewiseFlux((), (linear_flux(1.0),))
+    problem = ProblemSpec((0.0, 1.0), PiecewiseConstant((), (1.0,)))
+    dt = 0.3 * grid.dx
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        trace = SampledTable(np.linspace(0.0, 1.0, 9), rng.uniform(0.5, 2.0, 9))
+        config = SolverConfig(lam=0.3, t_end=0.93, left=Inflow(trace))
+        levels = run(problem, grid, model, config, retain_levels=True).levels
+        full = [k for k in range(1, len(levels)) if (k - 1) * dt + dt + dt <= 0.93]
+        assert len(full) == 197
+        assert [levels[k].u[0] for k in full] == [inflow_boundary_value(trace, k, dt)
+                                                  for k in full]
 
 
 def test_inflow_trace_that_rejects_arrays_is_called_per_entry():
