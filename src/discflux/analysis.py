@@ -148,7 +148,7 @@ def flux_lipschitz_in_space(trajectory: Trajectory, grid: Grid, model: Piecewise
     adjacent numerators between them, its distance is the sum of the adjacent
     distances, and a ratio of sums is at most the largest ratio.  Boundedness
     of this quotient under refinement is the testable statement; there is no
-    exact constant to hit.
+    exact constant to hit.  A NaN quotient wins, as in the entropy report.
     """
     levels = _require_levels(trajectory)
     times = np.asarray([lv.t for lv in levels])
@@ -165,7 +165,9 @@ def flux_lipschitz_in_space(trajectory: Trajectory, grid: Grid, model: Piecewise
         # summed level by level, the order of a per-pair loop over levels
         pair_sums = np.abs(np.diff(weighted, axis=1)).sum(axis=0)
         pair_dist = np.diff(centers[sl])
-        worst = max(worst, float(np.max(pair_sums / pair_dist)))
+        value = float(np.max(pair_sums / pair_dist))
+        if _wins(value, worst):
+            worst = value
     return worst
 
 

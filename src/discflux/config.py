@@ -131,6 +131,8 @@ def from_dict(raw: dict) -> ExperimentConfig:
         _as_int(x, f"resolutions[{i}]") for i, x in enumerate(raw["resolutions"])
     )
     reference_n = _as_int(raw["reference_n"], "reference_n")
+    if reference_n < 1:
+        _fail("reference_n", f"must be positive, got {reference_n}")
     for i, n in enumerate(resolutions):
         if n < 1:
             _fail(f"resolutions[{i}]", f"must be positive, got {n}")

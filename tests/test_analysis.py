@@ -168,6 +168,19 @@ def test_flux_lipschitz_stays_capped_while_shock_sharpens():
     assert flux_lipschitz_in_space(traj, grid, model) < 3.5
 
 
+@pytest.mark.parametrize("cell", [3, 12], ids=["left-subdomain", "right-subdomain"])
+def test_flux_lipschitz_reports_a_nan_quotient(cell):
+    # a NaN in either subdomain must not give way to the other subdomain's
+    # quotient or to a clean one
+    config = preset("experiment1")
+    model = build_model(config)
+    grid = build_grid(config.xmin, config.xmax, 16, config.interfaces)
+    traj = run(build_problem(config), grid, model, build_solver_config(config),
+               retain_levels=True)
+    traj.levels[3].u[cell] = np.nan
+    assert math.isnan(flux_lipschitz_in_space(traj, grid, model))
+
+
 def _all_pairs_quotient(traj, grid, model):
     return flux_lipschitz_all_pairs([lv.u for lv in traj.levels], [lv.t for lv in traj.levels],
                                     grid.centers, model.segments, grid.interface_cells)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -387,6 +388,68 @@ def test_verify_fails_a_nan_entropy_residual(monkeypatch, block_bytes):
         config, build_problem(config), model, build_solver_config(config), (0.5, 2.5))
     assert (name, status) == ("entropy_residual", "FAIL")
     assert detail.startswith("max residual nan at cell 5, step 1, c=0.5 ")
+
+
+@pytest.mark.parametrize("check", ["tvd", "temporal_tv"])
+def test_verify_fails_a_nan_in_the_level_checks(monkeypatch, capsys, check):
+    # a NaN level cell (tvd) or temporal increment (temporal_tv) in the run
+    # the level checks read must fail them, not give way to a clean value
+    real_run = cli.run
+
+    def poisoned_run(*args, **kwargs):
+        trajectory = real_run(*args, **kwargs)
+        if kwargs.get("record_increments"):
+            cells = trajectory.levels[3].u if check == "tvd" else trajectory.temporal_increments
+            cells[5] = np.nan
+        return trajectory
+
+    monkeypatch.setattr(cli, "run", poisoned_run)
+    assert main(["verify", "--preset", "experiment1"]) == 3
+    line = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith(check))
+    assert line.split()[1:2] == ["FAIL"]
+    assert " nan " in line
+
+
+_E = r"-?\d\.\d{3}e[+-]\d{2}"
+_G = r"-?\d+(\.\d+)?(e[+-]\d+)?"
+_VERIFY_LINES = {
+    "cfl": rf"PASS  lambda\*max_speed = {_G} on range \[{_G}, {_G}\]",
+    "steady_state": rf"PASS  max drift {_E} over full run \(limit 1e-11\)",
+    "monotonicity": rf"PASS  max ordering violation {_E} over 20 pairs x 100 steps \(limit 1e-13\)",
+    "tvd": rf"PASS  max per-subdomain TV excess {_E} \(limit 1e-12\)",
+    "entropy_residual": rf"PASS  max residual {_E} at cell \d+, step \d+, c={_G} "
+                        rf"over 17 constants at n=64 \(limit 1e-12\)",
+    "temporal_tv": rf"PASS  max recursion slack {_E} \(limit 1e-12\); "
+                   rf"ghost Lipschitz quotients: {_G}(, {_G})*",
+}
+_NO_STEP = "SKIP  the run takes no step, so it has one time level"
+
+
+@pytest.mark.parametrize("source, code, patterns", [
+    (["--preset", "experiment1"], 0, _VERIFY_LINES),
+    (["--preset", "experiment2"], 0, _VERIFY_LINES),
+    (["--config", "tests/data/inflow.yaml"], 0, _VERIFY_LINES),
+    ({"lambda": 2.0}, 3, {
+        "cfl": rf"FAIL  lambda\*max_speed = {_G} > 1 for flux law \d+ on \[{_G}, {_G}\]; "
+               rf"reduce lam below {_G}",
+        **dict.fromkeys(list(_VERIFY_LINES)[1:], "SKIP  cfl violated"),
+    }),
+    ({"t_end": 0.0}, 0, {**_VERIFY_LINES, "tvd": _NO_STEP, "entropy_residual": _NO_STEP,
+                    "temporal_tv": _NO_STEP}),
+], ids=["experiment1", "experiment2", "inflow", "cfl-violated", "t-end-0"])
+def test_verify_lines_keep_their_names_wording_and_limits(
+        tmp_path, monkeypatch, capsys, source, code, patterns):
+    # one line per check in this order, each giving its worst value against
+    # its limit; a source given as overrides is small_config with them
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    if isinstance(source, dict):
+        save_config(small_config(**source), tmp_path / "exp.yaml")
+        source = ["--config", str(tmp_path / "exp.yaml")]
+    assert main(["verify", *source]) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(patterns)
+    for line, (name, pattern) in zip(lines, patterns.items()):
+        assert re.fullmatch(f"{name:<20} {pattern}", line), line
 
 
 # }}}

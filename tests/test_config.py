@@ -125,6 +125,9 @@ VALIDATION_CASES = [
     ("resolutions-empty", _set("resolutions", []), "nonempty list"),
     ("resolutions-float", _set("resolutions", [16.5]), "expected an integer"),
     ("resolutions-divide", _set("resolutions", [24]), "not a multiple of 24"),
+    ("reference-n-zero", _set("reference_n", 0), "reference_n: must be positive, got 0"),
+    ("reference-n-negative", _set("reference_n", -2048),
+     "reference_n: must be positive, got -2048"),
     ("interface-misaligned", _set("interfaces", [0.1]), r"resolutions\[0\]"),
     ("numerical-flux", _set("numerical_flux", "lax"), "numerical_flux"),
     ("right-boundary", _set("boundary", {"right": "inflow"}),
