@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
+    DiagnosticInputError,
     MissingDataError,
     ProjectionError,
     SequencingError,
@@ -29,7 +30,8 @@ from .solver import State, Trajectory
 # nodes/weights for the oracle cell-average quadrature
 _GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
-# Bytes of entropy_residual's per-block work arrays, sized to stay in cache.
+# Bytes of the per-block work arrays of entropy_residual and
+# flux_lipschitz_in_space, sized to stay in cache.
 _RESIDUAL_BLOCK_BYTES = 1 << 20
 
 
@@ -149,26 +151,39 @@ def flux_lipschitz_in_space(trajectory: Trajectory, grid: Grid, model: Piecewise
     distances, and a ratio of sums is at most the largest ratio.  Boundedness
     of this quotient under refinement is the testable statement; there is no
     exact constant to hit.  A NaN quotient wins, as in the entropy report.
+
+    Each subdomain reads the level store in blocks of about
+    ``_RESIDUAL_BLOCK_BYTES`` and never copies it whole.  The running pair
+    sums are carried into the next block as its first row, so one
+    ``sum(axis=0)`` per block adds the levels one by one, in level order:
+    the sum of the whole (levels x pairs) array, bit for bit.  A subdomain of
+    two cells has one pair, whose column numpy sums pairwise instead; it
+    takes all its levels in one block of O(levels) values.
     """
-    levels = _require_levels(trajectory)
-    times = np.asarray([lv.t for lv in levels])
-    dts = np.diff(times)
-    centers = grid.centers
+    levels, dts = _level_steps(trajectory)
     worst = 0.0
     for seg, sl in zip(model.segments, grid.subdomain_slices()):
-        m = sl.stop - sl.start
-        if m < 2:
+        if sl.stop - sl.start < 2:
             continue
-        values = np.stack([lv.u[sl] for lv in levels])  # (levels, m)
-        fluxes = np.asarray(seg(values), dtype=float)
-        weighted = fluxes[:-1] * dts[:, None]
-        # summed level by level, the order of a per-pair loop over levels
-        pair_sums = np.abs(np.diff(weighted, axis=1)).sum(axis=0)
-        pair_dist = np.diff(centers[sl])
-        value = float(np.max(pair_sums / pair_dist))
+        value = float(np.max(_pair_sums(seg, levels[:-1], sl, dts) / np.diff(grid.centers[sl])))
         if _wins(value, worst):
             worst = value
     return worst
+
+
+def _pair_sums(seg, levels, cols, dts):
+    """``sum_n dts[n] |f(u_{j+1}^n) - f(u_j^n)|`` over ``levels``, per adjacent pair of ``cols``."""
+    width = cols.stop - cols.start
+    rows = dts.size if width == 2 else _block_rows(width)
+    # the carried pair sums, then one block's pair terms; the first block
+    # carries nothing, so that a lone column is summed from its first level
+    terms = np.empty((rows + 1, width - 1))
+    for k, block in _level_blocks(levels, cols, rows):
+        weighted = np.multiply(seg(block), dts[k:k + len(block), None], out=block)
+        pairs = terms[1:len(block) + 1]
+        np.abs(np.subtract(weighted[:, 1:], weighted[:, :-1], out=pairs), out=pairs)
+        terms[0] = terms[0 if k else 1:len(block) + 1].sum(axis=0)
+    return terms[0]
 
 
 # }}}
@@ -199,7 +214,10 @@ def entropy_residual(
     steps, then cells.  A NaN residual wins and sticks: the report is then
     NaN, with its argmax at the first NaN.
 
-    The steps go in blocks of about ``_RESIDUAL_BLOCK_BYTES``.  A cell is
+    The steps go in blocks of about ``_RESIDUAL_BLOCK_BYTES``, whose levels
+    are read into one reused buffer: the level store is never copied whole,
+    and the seed range of the adapted constants comes from each level's own
+    least and largest value.  A cell is
     quiet in a step when u_j^{n+1}, u_j^n and u_{j-1}^n are bitwise equal:
     with the entropy and flux differences finite, both terms are x - x and
     its residual is +0.0 for every constant.  Each block evaluates the
@@ -209,19 +227,17 @@ def entropy_residual(
     cell.  The cost follows the band; the report is the one the whole
     (steps x cells) residual gives.
     """
-    levels = _require_levels(trajectory)
-    u_all = np.stack([lv.u for lv in levels])  # (L, n)
-    dts = np.diff(np.asarray([lv.t for lv in levels]))
-    if not np.all(dts > 0.0):
-        raise ValueError("trajectory levels must be strictly increasing in time")
+    levels, dts = _level_steps(trajectory)
     # cells eligible for the conservative-update inequality
     in_law = np.zeros(grid.n, dtype=bool)
     in_law[1:] = grid.subdomain_of_cell[1:] == grid.subdomain_of_cell[:-1]
     eligible = np.flatnonzero(in_law)
     if eligible.size == 0:
-        raise ValueError("no interior cell has an in-law left neighbour")
+        raise DiagnosticInputError("no interior cell has an in-law left neighbour")
 
-    seed = (float(u_all.min()), float(u_all.max()))
+    # np.min and np.max keep a NaN, as on the stacked levels
+    seed = (float(np.min([lv.u.min() for lv in levels])),
+            float(np.max([lv.u.max() for lv in levels])))
     constants = tuple(float(c) for c in c_samples)
     adapted = np.array([_adapted_constants(model, c, seed) for c in constants])
     adapted = adapted.reshape(len(constants), model.n_interfaces + 1)
@@ -233,19 +249,18 @@ def entropy_residual(
     # least and largest flux of the block's first step.
     finite_eta = bool(np.isfinite(np.subtract.outer(seed, adapted)).all())
     laws = [(seg, sl.start, sl.stop) for seg, sl in zip(model.segments, grid.subdomain_slices())]
-    bits = u_all.view(np.int64)
     # per constant, the first occurrence of its largest value
     bests = [(-math.inf, 0, 0)] * len(constants)  # (value, step, cell)
-    # blocks of steps in five reused buffers of at most n values a step row
-    # (eta takes one row more), about 1.25 x _RESIDUAL_BLOCK_BYTES in all
-    n, steps = grid.n, dts.size
-    rows = min(steps, max(1, _RESIDUAL_BLOCK_BYTES // (4 * n * u_all.itemsize)))
+    # blocks of steps in six reused buffers of at most n values a step row
+    # (the levels and eta take one row more), about 1.5 x
+    # _RESIDUAL_BLOCK_BYTES in all
+    n = grid.n
+    rows = min(dts.size, _block_rows(n))
     eta_buf, f_buf, q_buf = np.empty((rows + 1) * n), np.empty(rows * n), np.empty(rows * n)
     res_buf, div_buf = np.empty(rows * n), np.empty(rows * n)
     f_first = np.empty(n)
-    for i0 in range(0, steps, rows):
-        m = min(rows, steps - i0)
-        u, ub = u_all[i0:i0 + m + 1], bits[i0:i0 + m + 1]
+    for i0, u in _level_blocks(levels, slice(0, n), rows, overlap=1):
+        m, ub = len(u) - 1, u.view(np.int64)
         moving = np.any(ub[1:] != ub[:-1], axis=0)
         moving[1:] |= np.any(ub[:-1, 1:] != ub[:-1, :-1], axis=0)
         _evaluate_laws(laws, u[:1], 0, n, f_first[None, :])
@@ -319,12 +334,40 @@ def _adapted_constants(model: PiecewiseFlux, c: float, seed: tuple[float, float]
     return np.asarray(out)
 
 
-def _require_levels(trajectory: Trajectory) -> list:
-    if not trajectory.levels or len(trajectory.levels) < 2:
+def _level_steps(trajectory: Trajectory) -> tuple[list, np.ndarray]:
+    """The retained levels and the time steps between them."""
+    levels = trajectory.levels
+    if not levels or len(levels) < 2:
         raise MissingDataError(
             "run did not retain time levels; pass retain_levels=True"
         )
-    return trajectory.levels
+    dts = np.diff(np.asarray([lv.t for lv in levels]))
+    if not np.all(dts > 0.0):
+        raise DiagnosticInputError("trajectory levels must be strictly increasing in time")
+    return levels, dts
+
+
+def _block_rows(width: int) -> int:
+    """Rows of a block whose work arrays of ``width`` floats a row each take
+    about a quarter of ``_RESIDUAL_BLOCK_BYTES``; at least one."""
+    return max(1, _RESIDUAL_BLOCK_BYTES // (4 * width * 8))
+
+
+def _level_blocks(levels: Sequence[State], cols: slice, rows: int, overlap: int = 0):
+    """Yield ``(k, block)``: ``levels[k:k + rows + overlap]`` at columns ``cols``.
+
+    ``k`` steps by ``rows``, so consecutive blocks share ``overlap`` levels.
+    Every block is a leading part of one reused float buffer, which a caller
+    may overwrite: the level store is read a block at a time, never copied
+    whole.
+    """
+    buf = np.empty((rows + overlap, cols.stop - cols.start))
+    for k in range(0, len(levels) - overlap, rows):
+        chunk = levels[k:k + rows + overlap]
+        block = buf[:len(chunk)]
+        for row, level in zip(block, chunk):
+            row[...] = level.u[cols]
+        yield k, block
 
 
 # }}}

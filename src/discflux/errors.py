@@ -32,6 +32,15 @@ class MonotonicityError(DiscfluxError, ValueError):
     """
 
 
+class DiagnosticInputError(DiscfluxError, ValueError):
+    """A diagnostic's levels or grid give nothing to measure.
+
+    Levels that are not strictly increasing in time, or a grid without a cell
+    whose left neighbour shares its law.  Also a ``ValueError``, which callers
+    caught before it had its own type.
+    """
+
+
 class StabilityError(DiscfluxError):
     """Time step violates the CFL restriction for the current data."""
 

@@ -3,9 +3,10 @@
 Everything here is written from the definitions with plain loops and
 bisection so that agreement with the package is meaningful.  The
 exceptions are :func:`reference_advance`, the march's allocating array-form
-update, :func:`entropy_residual_whole`, the entropy residual over all
-levels at once, and :func:`ordering_gap_per_pair`, verify's order check one
-pair member at a time: the package must reproduce each bit for bit.
+update, :func:`entropy_residual_whole` and :func:`flux_lipschitz_whole`, the
+entropy residual and the flux's Lipschitz quotient over all levels at once,
+and :func:`ordering_gap_per_pair`, verify's order check one pair member at a
+time: the package must reproduce each bit for bit.
 """
 
 import bisect
@@ -293,6 +294,29 @@ def flux_lipschitz_all_pairs(levels, times, centers, fluxes, interface_cells):
                 if k > j:
                     total = np.sum(dts * np.abs(flux[j] - flux[k]))
                     worst = max(worst, float(total / (centers[k] - centers[j])))
+    return worst
+
+
+def flux_lipschitz_whole(trajectory, grid, model):
+    """``analysis.flux_lipschitz_in_space`` with every (levels x cells) array allocated whole.
+
+    Each subdomain's levels are stacked, weighted by their steps and
+    differenced, and one ``sum(axis=0)`` adds the levels' pair terms.  A NaN
+    quotient wins.
+    """
+    levels = trajectory.levels
+    dts = np.diff(np.asarray([lv.t for lv in levels]))
+    worst = 0.0
+    for seg, sl in zip(model.segments, grid.subdomain_slices()):
+        if sl.stop - sl.start < 2:
+            continue
+        values = np.stack([lv.u[sl] for lv in levels])
+        fluxes = np.asarray(seg(values), dtype=float)
+        weighted = fluxes[:-1] * dts[:, None]
+        pair_sums = np.abs(np.diff(weighted, axis=1)).sum(axis=0)
+        value = float(np.max(pair_sums / np.diff(grid.centers[sl])))
+        if value > worst or (np.isnan(value) and not np.isnan(worst)):
+            worst = value
     return worst
 
 

@@ -1,6 +1,7 @@
 """Error norms, rates, and the variation/entropy diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,12 +35,19 @@ from discflux import (
 from discflux import analysis
 from discflux.analysis import _adapted_constants
 from discflux.errors import (
+    DiagnosticInputError,
+    DiscfluxError,
     MissingDataError,
     ProjectionError,
     SequencingError,
     ValidityError,
 )
-from oracles import entropy_residual_whole, flux_lipschitz_all_pairs, same_report
+from oracles import (
+    entropy_residual_whole,
+    flux_lipschitz_all_pairs,
+    flux_lipschitz_whole,
+    same_report,
+)
 
 
 def _state(u, t=0.0, step=0):
@@ -168,17 +176,91 @@ def test_flux_lipschitz_stays_capped_while_shock_sharpens():
     assert flux_lipschitz_in_space(traj, grid, model) < 3.5
 
 
-@pytest.mark.parametrize("cell", [3, 12], ids=["left-subdomain", "right-subdomain"])
-def test_flux_lipschitz_reports_a_nan_quotient(cell):
-    # a NaN in either subdomain must not give way to the other subdomain's
-    # quotient or to a clean one
+def _nan_level_run(cell):
     config = preset("experiment1")
     model = build_model(config)
     grid = build_grid(config.xmin, config.xmax, 16, config.interfaces)
     traj = run(build_problem(config), grid, model, build_solver_config(config),
                retain_levels=True)
     traj.levels[3].u[cell] = np.nan
-    assert math.isnan(flux_lipschitz_in_space(traj, grid, model))
+    return traj, grid, model
+
+
+NAN_CELLS = pytest.mark.parametrize("cell", [3, 12], ids=["left-subdomain", "right-subdomain"])
+
+
+@NAN_CELLS
+def test_flux_lipschitz_reports_a_nan_quotient(cell):
+    # a NaN in either subdomain must not give way to the other subdomain's
+    # quotient or to a clean one
+    assert math.isnan(flux_lipschitz_in_space(*_nan_level_run(cell)))
+
+
+BLOCK_SIZES = pytest.mark.parametrize("block_bytes", [None, 1],
+                                      ids=["default-blocks", "one-level-blocks"])
+
+
+def _same_lipschitz(monkeypatch, block_bytes, traj, grid, model):
+    if block_bytes is not None:
+        monkeypatch.setattr(analysis, "_RESIDUAL_BLOCK_BYTES", block_bytes)
+    got = flux_lipschitz_in_space(traj, grid, model)
+    assert got.hex() == flux_lipschitz_whole(traj, grid, model).hex()
+
+
+@BLOCK_SIZES
+@pytest.mark.parametrize("name", ["experiment1", "experiment2"])
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_flux_lipschitz_equals_the_whole_array_form(monkeypatch, name, n, block_bytes):
+    # blocks of levels in one reused buffer, the pair sums carried as the
+    # first row: the bits of one sum over the stacked levels
+    config = preset(name)
+    model = build_model(config)
+    grid = build_grid(config.xmin, config.xmax, n, config.interfaces)
+    traj = run(build_problem(config), grid, model, build_solver_config(config),
+               retain_levels=True)
+    _same_lipschitz(monkeypatch, block_bytes, traj, grid, model)
+
+
+@BLOCK_SIZES
+@NAN_CELLS
+def test_flux_lipschitz_equals_the_whole_array_form_on_a_nan(monkeypatch, cell, block_bytes):
+    _same_lipschitz(monkeypatch, block_bytes, *_nan_level_run(cell))
+
+
+def _three_interface_run(model, n=64, interfaces=None):
+    grid = build_grid(-1.0, 1.0, n, interfaces or model.interfaces)
+    datum = PiecewiseConstant((-0.7, -0.2, 0.3, 0.8), (1.6, 0.6, 1.9, 0.8, 1.3))
+    traj = run(ProblemSpec((-1.0, 1.0), datum), grid, model,
+               SolverConfig(lam=0.3, t_end=0.4), retain_levels=True)
+    return traj, grid
+
+
+@BLOCK_SIZES
+def test_flux_lipschitz_equals_the_whole_array_form_on_three_interfaces(
+        monkeypatch, three_interface_model, block_bytes):
+    traj, grid = _three_interface_run(three_interface_model)
+    _same_lipschitz(monkeypatch, block_bytes, traj, grid, three_interface_model)
+
+
+@BLOCK_SIZES
+def test_flux_lipschitz_equals_the_whole_array_form_on_a_two_cell_subdomain(
+        monkeypatch, block_bytes):
+    # one pair: numpy sums a single column pairwise, not level by level, and
+    # the blocked sum must follow it.  Cells 1 and 2 share the only law with
+    # two cells; 200 drawn levels make the two orders round apart.
+    grid = build_grid(0.0, 1.0, 4, (0.25, 0.75))
+    model = PiecewiseFlux((0.25, 0.75), (
+        linear_flux(1.0), quadratic_flux(1.0, interval=(0.05, 4.0)), linear_flux(1.0)))
+    values = np.random.default_rng(2).uniform(0.5, 2.0, (200, 4))
+    levels = _levels(values, dt=0.01)
+    traj = Trajectory(final=levels[-1], snapshots=(), levels=levels)
+    dts = np.diff([lv.t for lv in levels])
+    flux = model.segments[1](values[:-1, 1:3]) * dts[:, None]
+    level_by_level = 0.0
+    for term in np.abs(flux[:, 1] - flux[:, 0]):
+        level_by_level += term
+    assert (level_by_level / grid.dx).hex() != flux_lipschitz_whole(traj, grid, model).hex()
+    _same_lipschitz(monkeypatch, block_bytes, traj, grid, model)
 
 
 def _all_pairs_quotient(traj, grid, model):
@@ -200,10 +282,7 @@ def test_flux_lipschitz_matches_all_pairs_oracle(name, n):
 
 def test_flux_lipschitz_matches_all_pairs_oracle_on_three_interfaces(three_interface_model):
     model = three_interface_model
-    grid = build_grid(-1.0, 1.0, 64, model.interfaces)
-    datum = PiecewiseConstant((-0.7, -0.2, 0.3, 0.8), (1.6, 0.6, 1.9, 0.8, 1.3))
-    traj = run(ProblemSpec((-1.0, 1.0), datum), grid, model,
-               SolverConfig(lam=0.3, t_end=0.4), retain_levels=True)
+    traj, grid = _three_interface_run(model)
     got = flux_lipschitz_in_space(traj, grid, model)
     assert got == pytest.approx(_all_pairs_quotient(traj, grid, model), rel=1e-14)
 
@@ -445,6 +524,103 @@ def test_adapted_constants_chain_through_flux_continuity():
     assert adapted == pytest.approx([3.0, 4.5])
     assert model.segments[1](adapted[1]) == pytest.approx(
         model.segments[0](adapted[0]), abs=1e-14)
+
+
+# }}}
+
+
+# {{{ diagnostic inputs and memory
+
+
+def _trajectory(rows, times):
+    levels = [_state(u, t=t, step=k) for k, (u, t) in enumerate(zip(rows, times))]
+    return Trajectory(final=levels[-1], snapshots=(), levels=levels)
+
+
+def _burgers_model():
+    return PiecewiseFlux((), (quadratic_flux(1.0, interval=(0.5, 2.5)),))
+
+
+BAD_INPUTS = {
+    # a repeated level time
+    "entropy-times": (lambda: entropy_residual(
+        _trajectory([[1.0] * 4] * 3, [0.0, 0.1, 0.1]), build_grid(0.0, 1.0, 4, ()),
+        _burgers_model(), [1.0]), "strictly increasing"),
+    # level times that run backwards
+    "lipschitz-times": (lambda: flux_lipschitz_in_space(
+        _trajectory([[1.0] * 4] * 3, [0.0, 0.2, 0.1]), build_grid(0.0, 1.0, 4, ()),
+        _burgers_model()), "strictly increasing"),
+    # two cells under two laws: no cell has a left neighbour of its own law
+    "entropy-no-cell": (lambda: entropy_residual(
+        _trajectory([[1.0, 1.0]] * 2, [0.0, 0.1]), build_grid(0.0, 1.0, 2, (0.5,)),
+        PiecewiseFlux((0.5,), (linear_flux(1.0), linear_flux(1.0))), [1.0]),
+        "in-law left neighbour"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_a_diagnostic_rejects_bad_inputs_with_a_typed_error(name):
+    call, message = BAD_INPUTS[name]
+    with pytest.raises(DiagnosticInputError, match=message) as info:
+        call()
+    assert isinstance(info.value, DiscfluxError) and isinstance(info.value, ValueError)
+
+
+@pytest.fixture(scope="module")
+def experiment1_levels():
+    config = preset("experiment1")
+    model = build_model(config)
+    grid = build_grid(config.xmin, config.xmax, 1024, config.interfaces)
+    traj = run(build_problem(config), grid, model, build_solver_config(config),
+               retain_levels=True)
+    return traj, grid, model
+
+
+def _traced_peak(call):
+    """Bytes allocated by ``call`` above what was allocated when it started."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ["flux_lipschitz_in_space", "entropy_residual"])
+def test_a_diagnostic_reads_the_levels_in_bounded_blocks(experiment1_levels, name):
+    # The bound, in bytes.  A block of w-float rows has at most
+    # _RESIDUAL_BLOCK_BYTES // (4 * w * 8) rows, at least one, and a buffer
+    # may hold one row more: each block-sized buffer takes at most
+    # B/4 + 8n bytes.  Alive at once:
+    # - flux_lipschitz_in_space: the level block, the pair terms, and the
+    #   law's values with up to two temporaries of its formula (a quadratic
+    #   with b != 0 holds u*u*(a/2) and u*b before their sum): 5 buffers;
+    # - entropy_residual: its six work buffers (the level block, eta, the
+    #   flux, q, the residual and the divergence), a law's returned values
+    #   with up to two temporaries of its formula before they are copied
+    #   into the flux buffer, and the boolean masks of the moving cells (one
+    #   byte a value, within one buffer): 10 buffers, plus the adapted
+    #   constant of every cell for each of the K constants, K * n words.
+    # Both also keep O(n) words: the level times and steps, the pair sums,
+    # the cell distances and masks, the per-level least and largest values
+    # and their references, counted as 8 words per cell and per level.
+    # At n = 1024, with 923 levels of 7.6 MB, the bounds are 1.5 and 3.0 MB;
+    # stacking the levels took 19.0 and 9.3 MB.
+    traj, grid, model = experiment1_levels
+    n, levels = grid.n, traj.levels
+    constants = np.linspace(0.5, 2.0, 17)
+    buffer = analysis._RESIDUAL_BLOCK_BYTES // 4 + 8 * n
+    words = 8 * 8 * (n + len(levels))
+    calls = {
+        "flux_lipschitz_in_space": (lambda: flux_lipschitz_in_space(traj, grid, model),
+                                    5 * buffer + words),
+        "entropy_residual": (lambda: entropy_residual(traj, grid, model, constants),
+                             10 * buffer + 8 * constants.size * n + words),
+    }
+    call, bound = calls[name]
+    assert bound < sum(lv.u.nbytes for lv in levels) / 2
+    assert _traced_peak(call) <= bound
 
 
 # }}}

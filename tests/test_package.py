@@ -25,6 +25,7 @@ def test_the_public_surface_is_this_list():
     # a public name that leaves or joins the package shows up in this diff
     assert discflux.__all__ == [
         "ConfigError",
+        "DiagnosticInputError",
         "DiscfluxError",
         "DivergentRangeError",
         "DomainError",

@@ -18,6 +18,7 @@ from discflux import (
     cell_average,
     custom_flux,
     entropy_residual,
+    flux_lipschitz_in_space,
     invariant_interval,
     linear_flux,
     quadratic_flux,
@@ -26,7 +27,13 @@ from discflux import (
 from discflux import analysis
 from discflux.fluxes import _array_form
 from discflux.solver import _March, _inflow_column
-from oracles import entropy_residual_whole, reference_levels, same_report, slab_average_oracle
+from oracles import (
+    entropy_residual_whole,
+    flux_lipschitz_whole,
+    reference_levels,
+    same_report,
+    slab_average_oracle,
+)
 
 # Built once: a custom law is sampled densely when it is wrapped.
 CUSTOM_LAWS = (
@@ -236,7 +243,8 @@ def test_a_stacked_plan_marches_each_row_as_a_one_row_plan(case, seed):
 def test_entropy_residual_equals_the_whole_array_form(case, n_constants):
     # the active band, the quiet +0.0 and the per-constant merge give the
     # whole residual's value, sign of zero and first argmax, in blocks of
-    # the default size and of one step each
+    # the default size and of one step each; the Lipschitz quotient's carried
+    # pair sums give the bits of its whole form on the same blocks
     model, grid, datum, _, _, _ = case
     drawn = march_config(case)
     assume(drawn is not None)
@@ -246,6 +254,9 @@ def test_entropy_residual_equals_the_whole_array_form(case, n_constants):
     # adapted chain stays inside the invariant interval
     constants = np.linspace(*data_range, n_constants)
     want = entropy_residual_whole(trajectory, grid, model, constants)
+    quotient = flux_lipschitz_whole(trajectory, grid, model).hex()
     same_report(entropy_residual(trajectory, grid, model, constants), want)
+    assert flux_lipschitz_in_space(trajectory, grid, model).hex() == quotient
     with mock.patch.object(analysis, "_RESIDUAL_BLOCK_BYTES", 1):
         same_report(entropy_residual(trajectory, grid, model, constants), want)
+        assert flux_lipschitz_in_space(trajectory, grid, model).hex() == quotient
