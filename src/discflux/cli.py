@@ -116,10 +116,12 @@ def cmd_run(config: ExperimentConfig, n: int, out_dir: str) -> int:
     for snap in trajectory.snapshots:
         fname = name_of[snap.requested]
         path = os.path.join(out_dir, fname)
+        # each distinct bit pattern is formatted once (0.0 and -0.0 apart)
+        bits, rows = np.unique(snap.state.u.view(np.int64), return_inverse=True)
+        texts = [f"{u:.17g}\n" for u in bits.view(np.float64).tolist()]
         with open(path, "w") as fh:
             fh.write("x_center,u\n")
-            fh.write("".join([f"{x}{u:.17g}\n"
-                              for x, u in zip(prefixes, snap.state.u.tolist())]))
+            fh.write("".join([x + texts[i] for x, i in zip(prefixes, rows.tolist())]))
         written.append({"file": fname, "requested": snap.requested, "time": snap.state.t})
         print(f"wrote {path}")
     meta = {

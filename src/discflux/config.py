@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -291,6 +292,7 @@ def _boundary_to_dict(left: dict):
 
 
 def load_config(path) -> ExperimentConfig:
+    """Read and validate a YAML config; a relative table ``path`` is read from its directory."""
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
@@ -300,12 +302,27 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a YAML mapping")
+    for table in _tables(raw):
+        table["path"] = os.path.join(os.path.dirname(path), str(table["path"]))
     return from_dict(raw)
 
 
 def save_config(config: ExperimentConfig, path):
+    """Write ``config`` as YAML; a relative table ``path`` is rewritten relative to the file."""
+    raw = to_dict(config)
+    for table in _tables(raw):
+        if not os.path.isabs(table["path"]):
+            table["path"] = os.path.relpath(table["path"], os.path.dirname(path) or os.curdir)
     with open(path, "w") as fh:
-        yaml.safe_dump(to_dict(config), fh, sort_keys=False)
+        yaml.safe_dump(raw, fh, sort_keys=False)
+
+
+def _tables(raw: dict) -> list:
+    """The datum and inflow-trace mappings of ``raw`` that name a table ``path``."""
+    boundary = raw.get("boundary")
+    left = boundary.get("left") if isinstance(boundary, dict) else None
+    trace = left.get("trace") if isinstance(left, dict) else None
+    return [t for t in (raw.get("initial"), trace) if isinstance(t, dict) and "path" in t]
 
 
 def config_digest(config: ExperimentConfig) -> str:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -26,6 +26,10 @@ _CFL_SLACK = 1e-12
 
 # Full steps in one window of the march, which share their recompute spans.
 _NARROW_EVERY = 32
+
+# c*u**2 folds its c into lam only while c*u*u stays this many binades inside
+# the normal floats on the plan's range, far past any roundoff excursion
+_FOLD_MARGIN = 2.0 ** 1000
 
 
 # {{{ problem and configuration
@@ -148,17 +152,69 @@ def _check_cfl(lam: float, laws) -> float:
 # {{{ march plan
 
 
+class _Block(NamedTuple):
+    """One subdomain of a march plan: cells ``a`` to ``b - 1`` and their update.
+
+    A linear law has its ``slope``; any other law a ``kernel``, which binds
+    to up to ``b - a`` values as ``(calls, edge)``, and a ``factor`` that
+    scales the edge fluxes' difference together with lam: 1.0 for the law's
+    array form, the law's ``c`` when the kernel gives only the squares of a
+    folded ``c*u**2`` (:func:`_fold`).
+    """
+
+    a: int
+    b: int
+    slope: Optional[float] = None
+    kernel: Optional[Callable] = None
+    factor: float = 1.0
+
+
+def _fold(seg, lo: float, hi: float) -> Optional[float]:
+    """``c`` when ``seg`` is ``c*u**2`` whose ``c`` folds into lam on ``[lo, hi]``, else ``None``.
+
+    The march's one test for the fold.  The block then differences the
+    squares ``S = u*u`` and scales by ``lam*c`` where the law's chain scales
+    by ``c`` first and by lam after.  Both give the same bits when ``c`` is
+    a power of two and ``c*S`` a normal float for every value the block can
+    read: then ``c*S`` and ``c`` times a difference are exact scalings, so
+    ``lam * (c*S_j - c*S_{j-1})`` and ``(lam*c) * (S_j - S_{j-1})`` are one
+    real number rounded once, as long as ``lam*c`` is exact too, which
+    :meth:`_March.bind` checks for each lam.  A range reaching zero, or
+    whose ``c*u*u`` comes within ``_FOLD_MARGIN`` of the normal range's
+    ends, keeps the law's chain.
+    """
+    if seg.kind != "quadratic" or seg.params[1] != 0.0:
+        return None
+    c = 0.5 * seg.params[0]
+    if abs(math.frexp(c)[0]) != 0.5 or not (lo > 0.0 or hi < 0.0):
+        return None
+    small, large = sorted((abs(lo), abs(hi)))
+    if 1.0 / _FOLD_MARGIN <= abs(c) * small * small and abs(c) * large * large <= _FOLD_MARGIN:
+        return c
+    return None
+
+
+def _squares(shape) -> Callable:
+    """:func:`~discflux.fluxes._array_form`'s ``bind`` for the squares ``u*u`` alone."""
+    out = np.empty(shape)
+    return lambda u: ([partial(np.square, u, out[..., :u.shape[-1]])], out[..., :u.shape[-1]])
+
+
 class _March:
     """Everything one level-to-level update needs, resolved once.
 
-    Holds each subdomain's cell bounds ``(a, b)`` with its update: the slope
-    of a linear law, whose update is a convex combination, or else the
-    law's array form on up to ``b - a`` values, which gives every upwind
-    edge flux of the block, its last cell's right edge included.  Each
-    interface coupling ``(p, left law, inverse)`` holds the right law's
-    inverse on the bracket, with the bracket's flux image computed once.
-    Also kept: whether the left boundary is an inflow (a plan holds no
-    times; :meth:`advance` takes each inflow value), and a scratch buffer.
+    Holds each subdomain as a :class:`_Block`: its cell bounds ``(a, b)``
+    with the slope of a linear law, whose update is a convex combination,
+    or else a kernel on up to ``b - a`` values that gives every upwind edge
+    flux of the block, its last cell's right edge included.  The kernel is
+    the law's array form, or for a law ``c*u**2`` that :func:`_fold`
+    accepts on ``values`` (the bracket unless given: a range holding every
+    value a block reads) only the squares, with ``c`` folded into lam.
+    Each interface coupling ``(p, left law, inverse)`` holds the right
+    law's inverse on the bracket, with the bracket's flux image computed
+    once.  Also kept: whether the left boundary is an inflow (a plan holds
+    no times; :meth:`advance` takes each inflow value), the batch rows, and
+    a scratch buffer for the linear blocks.
 
     :meth:`bind` resolves one step from a caller-owned array into another as
     argument-free calls on views, and :meth:`advance` runs a bound
@@ -181,16 +237,23 @@ class _March:
     """
 
     def __init__(self, grid: Grid, model: PiecewiseFlux, config: SolverConfig,
-                 bracket: tuple[float, float], batch: tuple = ()):
+                 bracket: tuple[float, float], batch: tuple = (), values: tuple = None):
         segs = model.segments
         bounds = (0, *grid.interface_cells, grid.n)
         # every subdomain, one-cell ones included: a one-cell subdomain has
         # no interior, its cell is the boundary or an interface cell
-        self.subdomains = [
-            (a, b, seg.params[0] if seg.kind == "linear" else None,
-             _array_form(seg, (*batch, b - a)) if seg.kind != "linear" and b - a > 1 else None)
-            for seg, a, b in zip(segs, bounds, bounds[1:])
-        ]
+        self.subdomains = []
+        for seg, a, b in zip(segs, bounds, bounds[1:]):
+            shape = (*batch, b - a)
+            if seg.kind == "linear":
+                block = _Block(a, b, slope=seg.params[0])
+            elif b - a < 2:
+                block = _Block(a, b)
+            elif (c := _fold(seg, *(values or bracket))) is not None:
+                block = _Block(a, b, kernel=_squares(shape), factor=c)
+            else:
+                block = _Block(a, b, kernel=_array_form(seg, shape))
+            self.subdomains.append(block)
         self.whole = [(a + 1, b) for a, b in zip(bounds, bounds[1:])]
         self.firsts = np.array(bounds)
         self.couplings = tuple(
@@ -198,6 +261,7 @@ class _March:
             for p, left, right in zip(grid.interface_cells, segs, segs[1:])
         )
         self.inflow = isinstance(config.left, Inflow)
+        self.rows = list(np.ndindex(batch))
         self.scratch = np.empty((*batch, grid.n))
 
     def bind(self, u: np.ndarray, new: np.ndarray, lam: float,
@@ -210,31 +274,41 @@ class _March:
         interface map runs; only those cells and, with an inflow, the
         boundary cell are written.  In a batched plan the spans apply to
         every row.
+
+        A nonlinear block writes its edge fluxes' difference, its product
+        with lam (times the block's factor) and the new values straight into
+        its span of ``new``: the kernel's calls, then three.  A linear block
+        takes one scratch product.
         """
         # constants as 0-d arrays: a ufunc converts a Python float on every call
-        calls, scale = [], np.array(lam)
-        for (*_, slope, array_form), (s, e) in zip(self.subdomains, spans or self.whole):
+        calls = []
+        for block, (s, e) in zip(self.subdomains, spans or self.whole):
             if s >= e:
                 continue
-            dst, tmp = new[..., s:e], self.scratch[..., s:e]
-            if slope is not None:
+            dst = new[..., s:e]
+            if block.slope is not None:
                 # convex combination of the two upwind cells, exact at weight one
-                w = lam * slope
+                w, tmp = lam * block.slope, self.scratch[..., s:e]
                 calls += (partial(np.multiply, u[..., s:e], np.array(1.0 - w), dst),
                           partial(np.multiply, u[..., s - 1:e - 1], np.array(w), tmp),
                           partial(np.add, dst, tmp, dst))
                 continue
             # conservative difference of the upwind edge fluxes f(u_left)
-            kernel, edge = array_form(u[..., s - 1:e])
+            kernel, edge = block.kernel(u[..., s - 1:e])
+            scale = lam * block.factor
+            if scale / block.factor != lam:
+                # lam*c rounded, out of the normal floats: c scales the squares as in the law
+                kernel = [*kernel, partial(np.multiply, edge, np.array(block.factor), edge)]
+                scale = lam
             calls += kernel
-            calls += (partial(np.subtract, edge[..., 1:], edge[..., :-1], tmp),
-                      partial(np.multiply, tmp, scale, tmp),
-                      partial(np.subtract, u[..., s:e], tmp, dst))
+            calls += (partial(np.subtract, edge[..., 1:], edge[..., :-1], dst),
+                      partial(np.multiply, dst, np.array(scale), dst),
+                      partial(np.subtract, u[..., s:e], dst, dst))
         if spans is None and not self.inflow:
             # ghost repeats the boundary cell, so the update cancels exactly
             calls.append(partial(np.copyto, new[..., :1], u[..., :1]))
         couplings = [c for c, on in zip(self.couplings, live or repeat(True)) if on]
-        maps = [(new[row], *c) for row in np.ndindex(new.shape[:-1]) for c in couplings]
+        maps = [(new[row], *c) for row in self.rows for c in couplings]
         return calls, new[..., 0], maps
 
     def advance(self, bound: tuple, boundary: Optional[float]):
@@ -327,7 +401,9 @@ def step(
     if u_range is None:
         u_range = _bracket(model, config, u)
     new = np.empty_like(u)
-    march = _March(grid, model, config, u_range)
+    # the blocks read the state, which the bracket need not hold
+    values = (min(u_range[0], float(u.min())), max(u_range[1], float(u.max())))
+    march = _March(grid, model, config, u_range, values=values)
     boundary, = _inflow_column(config.left, [state.t + dt], config.lam * grid.dx, config.t_end)
     march.advance(march.bind(u, new, lam), boundary)
     return State(new, state.t + dt, state.step + 1)

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, file outputs, verification report."""
 
+import hashlib
 import json
 import os
 import re
@@ -26,6 +27,7 @@ from discflux import (
     preset,
     run,
     save_config,
+    solver,
     step,
 )
 from discflux.cli import _check_monotonicity, main
@@ -83,9 +85,13 @@ def test_run_writes_snapshots_and_meta(tmp_path, capsys):
 
 
 def test_run_csv_bytes_match_per_row_formatting(tmp_path, monkeypatch, capsys):
-    # edge values of the repr round trip: signed zero, the smallest subnormal,
-    # a non-terminating binary fraction, an integer above 2**53
-    values = np.array([-0.0, 5e-324, 1.0 / 3.0, 2.0**53 + 2.0, -1e300, 0.1, 2.5, 7.0])
+    # edge values of the repr round trip: both signed zeros, the smallest
+    # subnormal, a non-terminating binary fraction, an integer above 2**53,
+    # both signs of 1e300 and NaNs of three bit patterns; repeats share one
+    # formatted text, which no other row may take
+    nan = np.array([0x7FF8000000000001]).view(np.float64)[0]
+    values = np.array([-0.0, 0.0, 5e-324, 1.0 / 3.0, 2.0**53 + 2.0, -1e300, 1e300, 0.1,
+                       0.1, -0.0, np.nan, -np.nan, nan, 5e-324, 1.0 / 3.0, 0.0])
     grid = build_grid(-1.0, 1.0, values.size, (0.0,))
     # each snapshot holds the values in another order, so a row that took
     # another snapshot's value or another row's center would show
@@ -105,7 +111,25 @@ def test_run_csv_bytes_match_per_row_formatting(tmp_path, monkeypatch, capsys):
         expected = "x_center,u\n" + "".join(f"{x:.17g},{v:.17g}\n"
                                             for x, v in zip(grid.centers, u))
         assert (tmp_path / "out" / f"snapshot_t{t:g}.csv").read_bytes() == expected.encode()
-        assert ",-0\n" in expected and "e-324\n" in expected
+        assert ",-0\n" in expected and ",0\n" in expected and "e-324\n" in expected
+
+
+# sha256 of each file of `discflux run --preset experiment1 --n 2048`, recorded
+# before the march differenced its Burgers block in place and folded the
+# law's 1/2 into lam.  Experiment1's datum is piecewise constant and its march
+# takes only +, -, *, / and sqrt, which every IEEE host rounds alike.
+EXPERIMENT1_N2048 = {
+    "meta.json": "79adf9014904ff0a48d816af3f08c15910f860c54b543392df65e89038212fa6",
+    "snapshot_t0.3.csv": "441e04f53690fcc89d8303ae7725e1657335b50c3a74fc4e4870b4ff7e48e1e3",
+    "snapshot_t0.6.csv": "3d101de4dd962f46be39c59db5c399edc3436fe10d317f5c835310969126285d",
+    "snapshot_t0.9.csv": "e10015edea9c1cc3f790f0d32e2770aca12554c9069352f1fb2d224c137d8ffd",
+}
+
+
+def test_run_output_bytes_of_experiment1_are_pinned(tmp_path, capsys):
+    assert main(["run", "--preset", "experiment1", "--n", "2048", "--out", str(tmp_path)]) == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in tmp_path.iterdir()} == EXPERIMENT1_N2048
 
 
 def test_run_transmits_past_the_padded_data_range_towards_a_vertex(tmp_path, capsys):
@@ -229,8 +253,8 @@ def test_verify_passes_on_presets(name, capsys):
 
 
 def test_the_tabulated_inflow_example_verifies_and_runs(tmp_path, monkeypatch, capsys):
-    # the CI example: two interfaces and a tabulated inflow, its table path
-    # read from the repository root
+    # the CI example: two interfaces and a tabulated inflow, run from the
+    # repository root as CI runs it
     monkeypatch.chdir(Path(__file__).resolve().parents[1])
     assert main(["verify", "--config", "tests/data/inflow.yaml"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -239,6 +263,86 @@ def test_the_tabulated_inflow_example_verifies_and_runs(tmp_path, monkeypatch, c
                  "--out", str(tmp_path / "run")]) == 0
     assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
         "meta.json", "snapshot_t0.2.csv", "snapshot_t0.4.csv"]
+
+
+def test_the_inflow_example_reads_its_table_next_to_it(monkeypatch, capsys):
+    # a relative table path is read from the config's directory, whatever
+    # the working directory
+    data = Path(__file__).resolve().parent / "data"
+    monkeypatch.chdir(data)
+    assert main(["verify", "--config", "inflow.yaml"]) == 0
+    here = capsys.readouterr().out
+    monkeypatch.chdir(data.parents[1])
+    assert main(["verify", "--config", str(data / "inflow.yaml")]) == 0
+    assert capsys.readouterr().out == here
+
+
+# Four wrong marches, patched into the solver, and what verify says of each on
+# each config: exit 3 and the checks that fail, exit 2 (the map leaves the
+# right law's image on experiment2), or exit 0 where the defect changes
+# nothing (experiment2's right law is u, so its flux is its value).
+_BIND, _INIT, _INVERSE = solver._March.bind, solver._March.__init__, solver._inverse
+
+
+def _slow_lam(self, u, new, lam, *args, **kwargs):
+    return _BIND(self, u, new, 0.95 * lam, *args, **kwargs)
+
+
+def _scaled_difference(self, *args, **kwargs):
+    # the block factor scales the difference on the law's chain and the folded one
+    _INIT(self, *args, **kwargs)
+    self.subdomains = [b._replace(factor=0.95 * b.factor) if b.kernel else b
+                       for b in self.subdomains]
+
+
+def _short_map(seg, bracket, image=None):
+    inverse = _INVERSE(seg, bracket, image)
+    return lambda w: inverse(0.98 * w)
+
+
+def _flux_as_u(seg, bracket, image=None):
+    return lambda w: w
+
+
+_DEFECTS = {
+    "lam": (solver._March, "bind", _slow_lam),
+    "difference": (solver._March, "__init__", _scaled_difference),
+    "map98": (solver, "_inverse", _short_map),
+    "flux_as_u": (solver, "_inverse", _flux_as_u),
+}
+_SOURCES = {
+    "experiment1": ["--preset", "experiment1"],
+    "experiment2": ["--preset", "experiment2"],
+    "inflow": ["--config", str(Path(__file__).resolve().parent / "data" / "inflow.yaml")],
+}
+
+
+@pytest.mark.parametrize("defect, source, code, failing", [
+    ("lam", "experiment1", 3, {"entropy_residual"}),
+    ("lam", "experiment2", 3, {"entropy_residual"}),
+    ("lam", "inflow", 3, {"entropy_residual"}),
+    ("difference", "experiment1", 3, {"entropy_residual"}),
+    ("difference", "experiment2", 3, {"entropy_residual"}),
+    ("difference", "inflow", 3, {"entropy_residual"}),
+    ("map98", "experiment1", 3, {"steady_state"}),
+    ("map98", "experiment2", 2, set()),
+    ("map98", "inflow", 3, {"steady_state"}),
+    ("flux_as_u", "experiment1", 3, {"steady_state"}),
+    ("flux_as_u", "experiment2", 0, set()),
+    ("flux_as_u", "inflow", 3, {"steady_state", "temporal_tv"}),
+])
+def test_verify_fails_a_wrong_march(monkeypatch, capsys, defect, source, code, failing):
+    assert main(["verify", *_SOURCES[source]]) == 0
+    sound = capsys.readouterr().out
+    monkeypatch.setattr(*_DEFECTS[defect])
+    assert main(["verify", *_SOURCES[source]]) == code
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert {ln.split()[0] for ln in lines if ln.split()[1] == "FAIL"} == failing
+    if code == 2:
+        assert "outside the flux image" in captured.err
+    if code == 0:
+        assert captured.out == sound
 
 
 def test_verify_reports_cfl_violation(tmp_path, capsys):

@@ -254,6 +254,33 @@ def test_build_boundary_variants(tmp_path):
     assert data_range(config) == (1.0, 2.5)
 
 
+def test_a_relative_table_path_is_read_from_the_config_file(tmp_path, monkeypatch):
+    # from_dict reads a relative path from the working directory; a saved
+    # config names it from its own directory, and loading reads it from there
+    (tmp_path / "tables").mkdir()
+    (tmp_path / "tables" / "datum.csv").write_text("x,u\n-1.0,1.0\n1.0,3.0\n")
+    (tmp_path / "tables" / "trace.csv").write_text("0.0,1.5\n1.0,2.5\n")
+    raw = base_dict()
+    raw["initial"] = {"kind": "table", "path": "tables/datum.csv"}
+    raw["boundary"] = {"left": {"kind": "inflow",
+                                "trace": {"kind": "table", "path": "tables/trace.csv"}}}
+    monkeypatch.chdir(tmp_path)
+    config = from_dict(raw)
+    assert data_range(config) == (1.0, 3.0)
+    (tmp_path / "configs").mkdir()
+    save_config(config, "configs/study.yaml")
+    assert "path: ../tables/trace.csv" in (tmp_path / "configs" / "study.yaml").read_text()
+
+    monkeypatch.chdir(tmp_path / "tables")
+    for loaded in (load_config("../configs/study.yaml"),
+                   load_config(tmp_path / "configs" / "study.yaml")):
+        assert data_range(loaded) == (1.0, 3.0)
+        assert initial_datum(loaded)(0.0) == 2.0
+        assert build_boundary(loaded).trace(0.5) == 2.0
+    with pytest.raises(ConfigError, match="cannot read table"):
+        data_range(config)
+
+
 def test_build_solver_config_flux_override():
     # every numerical_flux name is accepted and digested, and each builds the
     # same march parameters: for increasing laws they all collapse to upwind

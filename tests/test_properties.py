@@ -139,20 +139,71 @@ def test_a_law_gives_one_value_per_point(drawn):
         assert bound.tobytes() == values.tobytes()
 
 
+def run_and_reference_levels(case):
+    """Every level of ``run`` on a drawn case and of the reference update, or ``None``."""
+    model, grid, datum, steps, trace, cfl = case
+    drawn = march_config(case)
+    if drawn is None:
+        return None
+    _, bracket, config = drawn
+    trajectory = run(ProblemSpec((0.0, 1.0), datum), grid, model, config, retain_levels=True)
+    levels = reference_levels(cell_average(datum, grid), grid, model, config, bracket)
+    return [level.u for level in trajectory.levels], levels
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(marches())
 def test_run_equals_the_reference_update_at_every_level(case):
-    model, grid, datum, steps, trace, cfl = case
-    drawn = march_config(case)
+    drawn = run_and_reference_levels(case)
     assume(drawn is not None)
-    _, bracket, config = drawn
-    u0 = cell_average(datum, grid)
+    got, levels = drawn
+    assert len(got) == len(levels) == int(np.ceil(case[3])) + 1
+    for u, want in zip(got, levels):
+        assert np.array_equal(u, want)
 
-    trajectory = run(ProblemSpec((0.0, 1.0), datum), grid, model, config, retain_levels=True)
-    levels = reference_levels(u0, grid, model, config, bracket)
-    assert len(trajectory.levels) == len(levels) == int(np.ceil(steps)) + 1
-    for level, u in zip(trajectory.levels, levels):
-        assert np.array_equal(level.u, u)
+
+@st.composite
+def folded_marches(draw):
+    """A model of 1-4 interfaces whose laws are ``c*u**2``, c = ±2^k with k in [-6, 6].
+
+    The data and an optional inflow trace take the laws' sign, so that every
+    law increases on them, and one binade: an ordinary one, or one that puts
+    ``c*u*u`` within a few binades of the fold's guard at either end of the
+    normal floats, on both sides of it.
+    """
+    n = draw(st.integers(8, 256))
+    k = draw(st.integers(1, 4))
+    cells = sorted(draw(st.lists(st.integers(1, n - 1), min_size=k, max_size=k, unique=True)))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    scale = sign * 2.0 ** draw(st.one_of(st.integers(-4, 4), st.integers(490, 498),
+                                          st.integers(-505, -495)))
+    interval = tuple(sorted((scale / 64.0, scale * 64.0)))
+    laws = tuple(quadratic_flux(sign * 2.0 ** (draw(st.integers(-6, 6)) + 1), interval=interval)
+                 for _ in range(k + 1))
+    model = PiecewiseFlux(tuple(p / n for p in cells), laws)
+    grid = build_grid(0.0, 1.0, n, model.interfaces)
+    breakpoints = sorted(draw(st.lists(st.floats(0.01, 0.99), max_size=5, unique=True)))
+    datum = PiecewiseConstant(tuple(breakpoints),
+                              tuple(scale * draw(VALUES) for _ in range(len(breakpoints) + 1)))
+    steps = draw(st.integers(1, 100)) + draw(st.sampled_from([0.0, 0.5]))
+    trace = None
+    if draw(st.booleans()):
+        trace = scale * np.array(draw(st.lists(VALUES, min_size=2, max_size=8)))
+    return model, grid, datum, steps, trace, draw(st.floats(0.2, 1.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(folded_marches())
+def test_folded_laws_march_the_reference_update_at_every_level(case):
+    # lam*c on the squares' difference, where the law's chain takes c*u*u:
+    # every level has the bits of the reference update, whose edge fluxes
+    # are the law's own, whether the plan folds each law or not
+    drawn = run_and_reference_levels(case)
+    assume(drawn is not None)
+    got, levels = drawn
+    assert len(got) == len(levels)
+    for u, want in zip(got, levels):
+        assert u.tobytes() == want.tobytes()
 
 
 @st.composite

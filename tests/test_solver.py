@@ -36,6 +36,7 @@ from discflux.config import from_dict
 from discflux.solver import _slab_average
 from oracles import (
     godunov_edge,
+    reference_advance,
     reference_levels,
     reference_step,
     reference_step_gap,
@@ -728,25 +729,28 @@ def test_a_disturbance_reaching_an_interface_within_a_window(monkeypatch, case):
 
 def test_run_hands_experiment1_kernels_fewer_than_half_of_its_cells(monkeypatch):
     # cells whose upwind inputs did not change keep their value, so most of
-    # the nominal cell updates of a Riemann problem never reach a kernel
+    # the nominal cell updates of a Riemann problem never reach a kernel,
+    # the law's array form or a folded law's squares
     received, sizes = 0, []
-    array_form = solver._array_form
 
     def count(size):
         nonlocal received
         received += size
 
-    def counting(seg, shape):
-        bind = array_form(seg, shape)
-        sizes.append(shape)
+    def counting(build):
+        def counted(*args):
+            bind = build(*args)
+            sizes.append(args[-1])
 
-        def counting_bind(u):
-            # the bound step runs every call, so this one counts each step's cells
-            calls, values = bind(u)
-            return [partial(count, u.size)] + calls, values
-        return counting_bind
+            def counting_bind(u):
+                # the bound step runs every call, so this one counts each step's cells
+                calls, values = bind(u)
+                return [partial(count, u.size)] + calls, values
+            return counting_bind
+        return counted
 
-    monkeypatch.setattr(solver, "_array_form", counting)
+    for name in ("_array_form", "_squares"):
+        monkeypatch.setattr(solver, name, counting(getattr(solver, name)))
     cfg = preset("experiment1")
     grid = build_grid(cfg.xmin, cfg.xmax, 4096, cfg.interfaces)
     trajectory = run(build_problem(cfg), grid, build_model(cfg), build_solver_config(cfg))
@@ -923,6 +927,91 @@ def test_a_law_that_stops_increasing_raises_a_typed_value_error():
     # both bases: existing `except ValueError` callers still catch it
     assert isinstance(exc.value, DiscfluxError)
     assert isinstance(exc.value, ValueError)
+
+
+# }}}
+
+
+# {{{ the folded Burgers chain
+
+
+@pytest.mark.parametrize("name", ["experiment1", "experiment2"])
+def test_each_presets_burgers_block_binds_four_calls(name):
+    # u^2/2 binds its square, the difference, one product with lam/2 and the
+    # subtract: the law's 1/2 rides on lam instead of taking a pass of its own
+    cfg = preset(name)
+    model, solver_config = build_model(cfg), build_solver_config(cfg)
+    grid = build_grid(cfg.xmin, cfg.xmax, 64, cfg.interfaces)
+    march = solver._March(grid, model, solver_config, invariant_interval(model, data_range(cfg)))
+    burgers, = (i for i, seg in enumerate(model.segments) if seg.kind == "quadratic")
+    spans = [(a + 1, b) if i == burgers else (b, b)
+             for i, (a, b, *_) in enumerate(march.subdomains)]
+    u = np.full(grid.n, 1.0)
+    calls, _, _ = march.bind(u, np.empty_like(u), cfg.lam, spans, [False])
+    assert march.subdomains[burgers].factor == 0.5
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("binade", [-480, -520, -536])
+def test_squares_outside_the_normal_floats_keep_the_laws_chain(binade):
+    # u^2/2 | 2u^2 on data near 2^binade: at -480 c*u*u stays inside the
+    # fold's margin and both c fold into lam; at -520 and -536 u*u is
+    # subnormal, so both laws keep their chain, whose levels equal the
+    # oracle's where a fold's would not
+    s = 2.0 ** binade
+    model = PiecewiseFlux((0.5,), (quadratic_flux(1.0, interval=(0.1 * s, 10.0 * s)),
+                                   quadratic_flux(4.0, interval=(0.01 * s, 10.0 * s))))
+    grid = build_grid(0.0, 1.0, 64, model.interfaces)
+    datum = PiecewiseConstant((0.2, 0.3, 0.7), (0.5 * s, 2.0 * s, 0.75 * s, 1.25 * s))
+    bracket = invariant_interval(model, (0.5 * s, 2.0 * s))
+    lam = 0.9 / max(seg.deriv_bounds(*bracket)[1] for seg in model.segments)
+    config = SolverConfig(lam=lam, t_end=60 * lam * grid.dx)
+    folds = binade == -480
+    march = solver._March(grid, model, config, bracket)
+    assert [b.factor for b in march.subdomains] == ([0.5, 2.0] if folds else [1.0, 1.0])
+
+    def levels():
+        trajectory = run(ProblemSpec((0.0, 1.0), datum), grid, model, config, retain_levels=True)
+        return [level.u for level in trajectory.levels]
+
+    want = reference_levels(cell_average(datum, grid), grid, model, config, bracket)
+    assert all(np.array_equal(got, u) for got, u in zip(levels(), want))
+    if not folds:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "_fold", lambda seg, lo, hi: 0.5 * seg.params[0])
+            assert not all(np.array_equal(got, u) for got, u in zip(levels(), want))
+
+
+def test_a_lam_whose_product_with_c_rounds_scales_the_squares_apart():
+    # lam = 3 * 2^-1074 halves to a rounded subnormal, so the fold's lam*c
+    # would move the bits of a cell next to one at 2^480; c then scales the
+    # squares as in the law's chain, and the step equals the oracle's
+    s = 2.0 ** 480
+    model = PiecewiseFlux((), (quadratic_flux(1.0, interval=(0.5 / s, 2.0 * s)),))
+    grid = build_grid(0.0, 8.0, 8)
+    u = np.array([s, 1.0 / s] * 4)
+    dt = 3.0 * 2.0 ** -1074
+    lam = dt / grid.dx
+    assert lam * 0.5 / 0.5 != lam
+    new = step(State(u.copy(), 0.0, 0), grid, model, SolverConfig(lam=1.0, t_end=1.0),
+               dt=dt, u_range=(1.0 / s, s))
+    want = reference_advance(u, 0.0, dt, lam, model, (), (1.0 / s, s))
+    assert new.u.tobytes() == want.tobytes()
+    assert new.u[1] > 1e-40  # the left neighbour's flux moved the small cell
+
+
+def test_step_decides_the_fold_on_the_state_as_well_as_the_bracket():
+    # a bracket of ordinary values, and a state whose u*u is subnormal: the
+    # plan keeps the law's chain, and the step equals the oracle's
+    s = 2.0 ** -530
+    model = PiecewiseFlux((), (quadratic_flux(1.0, interval=(0.1 * s, 4.0)),))
+    grid = build_grid(0.0, 1.0, 16)
+    u = np.linspace(0.5, 2.0, grid.n) * s
+    lam = 0.25 / (2.0 * s)
+    new = step(State(u.copy(), 0.0, 0), grid, model, SolverConfig(lam=lam, t_end=1.0),
+               u_range=(0.5, 2.0))
+    want = reference_advance(u, 0.0, lam * grid.dx, lam, model, (), (0.5, 2.0))
+    assert new.u.tobytes() == want.tobytes()
 
 
 # }}}
