@@ -27,9 +27,6 @@ from .fluxes import PiecewiseFlux, invert_near
 from .grid import Grid
 from .solver import State, Trajectory
 
-# nodes/weights for the oracle cell-average quadrature
-_GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
 # Bytes of the per-block work arrays of entropy_residual and
 # flux_lipschitz_in_space, sized to stay in cache.
 _RESIDUAL_BLOCK_BYTES = 1 << 20
@@ -91,9 +88,12 @@ def l1_error_vs_oracle(state: State, grid: Grid, exact: ExactSolution, t: float 
     :class:`ValidityError` through the oracle when ``t`` is out of window.
     """
     t = state.t if t is None else float(t)
-    x = grid.centers[:, None] + (0.5 * grid.dx) * _GL16_NODES[None, :]
+    # taken here, its only use, so that importing the package leaves
+    # numpy.polynomial unloaded
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    x = grid.centers[:, None] + (0.5 * grid.dx) * nodes[None, :]
     vals = exact(x.ravel(), t).reshape(x.shape)
-    averages = vals @ _GL16_WEIGHTS / 2.0
+    averages = vals @ weights / 2.0
     return float(np.sum(np.abs(state.u - averages)) * grid.dx)
 
 

@@ -15,7 +15,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import yaml
 
 from .errors import ConfigError, GridAlignmentError
 from .fluxes import PiecewiseFlux, linear_flux, quadratic_flux
@@ -293,6 +292,8 @@ def _boundary_to_dict(left: dict):
 
 def load_config(path) -> ExperimentConfig:
     """Read and validate a YAML config; a relative table ``path`` is read from its directory."""
+    import yaml  # only a config file needs PyYAML; presets and from_dict do not load it
+
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
@@ -309,6 +310,8 @@ def load_config(path) -> ExperimentConfig:
 
 def save_config(config: ExperimentConfig, path):
     """Write ``config`` as YAML; a relative table ``path`` is rewritten relative to the file."""
+    import yaml
+
     raw = to_dict(config)
     for table in _tables(raw):
         if not os.path.isabs(table["path"]):

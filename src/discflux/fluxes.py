@@ -306,7 +306,9 @@ def _inverse(seg: FluxSegment, bracket: tuple[float, float],
             raise ValueError(f"bad inversion request: w={float(w)}, bracket=[{lo}, {hi}]")
         return reject
     f_lo, f_hi = (float(seg(lo)), float(seg(hi))) if image is None else image
-    slack = 1e-9 * max(1.0, abs(f_lo), abs(f_hi))
+    # relative to the image at every scale; the floor of the smallest normal
+    # keeps a zero or subnormal image from rejecting its own roundoff
+    slack = 1e-9 * max(abs(f_lo), abs(f_hi), 2.0**-1022)
     kind, params = seg.kind, seg.params
 
     def inverse(w):
@@ -373,7 +375,7 @@ def invert_near(seg: FluxSegment, w: float, seed: tuple[float, float]) -> float:
     width = max(hi - lo, 1e-6 * max(1.0, abs(lo), abs(hi)))
     for _ in range(200):
         f_lo, f_hi = float(seg(lo)), float(seg(hi))
-        slack = 1e-9 * max(1.0, abs(f_lo), abs(f_hi))
+        slack = 1e-9 * max(abs(f_lo), abs(f_hi), 2.0**-1022)
         if f_lo - slack <= w <= f_hi + slack:
             return _inverse(seg, (lo, hi), (f_lo, f_hi))(w)
         if (w < f_lo and lo <= cap_lo) or (w > f_hi and hi >= cap_hi):

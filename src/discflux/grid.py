@@ -17,8 +17,13 @@ from .errors import DomainError, GridAlignmentError
 
 _ALIGN_RTOL = 1e-9
 
-# nodes/weights for 5-point Gauss-Legendre on [-1, 1]
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
+# nodes/weights for 5-point Gauss-Legendre on [-1, 1]: numpy's leggauss(5) bit
+# for bit, written out so that importing the package leaves numpy.polynomial
+# unloaded
+_GL_NODES = np.array([-0.906179845938664, -0.5384693101056831, 0.0,
+                      0.5384693101056831, 0.906179845938664])
+_GL_WEIGHTS = np.array([0.23692688505618928, 0.4786286704993663, 0.5688888888888887,
+                        0.4786286704993663, 0.23692688505618928])
 
 
 @dataclass(frozen=True)

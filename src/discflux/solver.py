@@ -433,7 +433,7 @@ def _slab_average(trace, t0: float, t1: float) -> float:
     A trace whose samples over the slab are all equal gives that value
     exactly: neither the trapezoid nor the quadrature need round back to it.
     """
-    if t1 - t0 <= 1e-15 * max(1.0, abs(t0)):
+    if t1 - t0 <= 1e-15 * max(abs(t0), abs(t1)):
         return float(trace(t1))
     if isinstance(trace, SampledTable):
         # piecewise-linear data integrates exactly on its own kinks, the table
@@ -469,7 +469,7 @@ def _inflow_column(left, starts, slab: float, t_end: float) -> list:
     if isinstance(trace, SampledTable):
         pts = trace.points
         i = pts.searchsorted(t0, "right")
-        one = ((t1 - t0 > 1e-15 * np.maximum(1.0, np.abs(t0)))
+        one = ((t1 - t0 > 1e-15 * np.maximum(np.abs(t0), np.abs(t1)))
                & (i == pts.searchsorted(t1)) & (0 < i) & (i < pts.size))
         a, b = t0[one], t1[one]
         y0, y1 = np.interp(a, pts, trace.values), np.interp(b, pts, trace.values)
@@ -517,7 +517,7 @@ def run(
         )
     t_end = config.t_end
     pending = sorted(float(s) for s in snapshot_times)
-    if pending and (pending[0] < -1e-12 or pending[-1] > t_end + 1e-12):
+    if pending and (pending[0] < -1e-12 * t_end or pending[-1] > t_end + 1e-12 * t_end):
         raise ValueError(f"snapshot times {pending} must lie within [0, {t_end}]")
 
     u0 = cell_average(problem.initial, grid)
@@ -527,7 +527,7 @@ def run(
     dt = config.lam * grid.dx
     n_full = int(math.floor(t_end / dt + 1e-12)) if t_end > 0.0 else 0
     remainder = t_end - n_full * dt
-    if remainder <= 1e-12 * max(dt, 1.0):
+    if remainder <= 1e-12 * max(dt, t_end):
         remainder = 0.0
     level_times = [k * dt for k in range(n_full + 1)]
     if remainder:
@@ -543,7 +543,7 @@ def run(
     snapshots: list[Snapshot] = []
 
     def take_due():
-        while pending and t >= pending[0] - 1e-12:
+        while pending and t >= pending[0] - 1e-12 * t_end:
             snapshots.append(Snapshot(pending.pop(0), State(u.copy(), t, k)))
 
     take_due()

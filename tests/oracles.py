@@ -15,6 +15,7 @@ import numpy as np
 
 from discflux import EntropyResidualReport, SampledTable, invert
 from discflux.analysis import _adapted_constants
+from discflux.cli import _unit_draws
 from discflux.config import data_range
 from discflux.solver import _March
 
@@ -87,7 +88,7 @@ def slab_average_oracle(trace, t0, t1):
     on one array of its nodes.  Either way a slab where every sampled value
     is the same gives that value.
     """
-    if t1 - t0 <= 1e-15 * max(1.0, abs(t0)):
+    if t1 - t0 <= 1e-15 * max(abs(t0), abs(t1)):
         return float(trace(t1))
     if isinstance(trace, SampledTable):
         pts = trace.points
@@ -223,7 +224,7 @@ def reference_levels(u0, grid, model, config, bracket):
     dt = config.lam * grid.dx
     n_full = int(np.floor(config.t_end / dt + 1e-12))
     remainder = config.t_end - n_full * dt
-    if remainder <= 1e-12 * max(dt, 1.0):
+    if remainder <= 1e-12 * max(dt, config.t_end):
         remainder = 0.0
     levels = [u0]
     for k in range(1, n_full + 1 + (remainder > 0.0)):
@@ -237,8 +238,9 @@ def reference_levels(u0, grid, model, config, bracket):
 def ordering_gap_per_pair(config, model, solver_config, grid, u_range):
     """Verify's order-check gap with each member of each pair marched alone.
 
-    Draws 20 pairs from the config's data range in order, a pair's two
-    states one after the other, and marches the low and the high member of
+    Takes verify's 20 pairs from the same counter hash,
+    :func:`discflux.cli._unit_draws`, scaled into the config's data range,
+    and marches the low and the high member of
     each for 100 whole steps on a one-row plan, two buffers each; an inflow
     cell takes :func:`slab_average_oracle` over the slab after each step's
     running time.  Returns the largest low-minus-high gap; the first NaN gap
@@ -252,12 +254,9 @@ def ordering_gap_per_pair(config, model, solver_config, grid, u_range):
     steps = [march.bind(old, new, lam) for old, new in
              ((low, low_new), (low_new, low), (high, high_new), (high_new, high))]
     targets = ((low_new, high_new), (low, high))
-    rng = np.random.default_rng(0)
     lo, hi = data_range(config)
     worst = 0.0
-    for _ in range(20):
-        a = lo + (hi - lo) * rng.random(grid.n)
-        b = lo + (hi - lo) * rng.random(grid.n)
+    for a, b in lo + (hi - lo) * _unit_draws((20, 2, grid.n)):
         np.minimum(a, b, out=low)
         np.maximum(a, b, out=high)
         t = 0.0

@@ -436,6 +436,17 @@ def test_invariant_interval_divergent_when_image_runs_out():
         invariant_interval(model, (1.5, 2.0))
 
 
+@pytest.mark.parametrize("binade", [250, -250, 500, -500])
+def test_invariant_interval_scales_with_the_data(binade):
+    # 2^k u^2/2 for k = 0, 3, -5, 6 on data [0.5, 2] s: every map and its
+    # slack scale with s, so the interval is s times the one at s = 1 at any
+    # power of two, with no end clamped back to the data
+    s = 2.0 ** binade
+    model = PiecewiseFlux((0.25, 0.5, 0.75), tuple(
+        quadratic_flux(2.0 ** k, interval=(1e-3 * s, 100.0 * s)) for k in (0, 3, -5, 6)))
+    assert invariant_interval(model, (0.5 * s, 2.0 * s)) == (0.011048543456039806 * s, 32.0 * s)
+
+
 @pytest.mark.parametrize("data", [(0.5, 2.5), (0.5, 3.0)])
 def test_invariant_interval_is_one_pass_on_a_custom_law(three_interface_model, data):
     # the custom law is inverted iteratively, to machine precision; the

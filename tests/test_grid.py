@@ -9,6 +9,7 @@ from discflux import (
     build_grid,
     cell_average,
 )
+from discflux import grid as grid_module
 from oracles import adaptive_simpson, exact_step_average
 
 
@@ -87,6 +88,14 @@ def test_cell_average_breakpoint_outside_domain():
     grid = build_grid(0.0, 1.0, 4)
     with pytest.raises(DomainError, match="strictly inside"):
         cell_average(PiecewiseConstant((2.0,), (1.0, 2.0)), grid)
+
+
+def test_the_quadrature_rule_is_numpys_five_point_rule_byte_for_byte():
+    # the rule is written out to keep numpy.polynomial unloaded; experiment2's
+    # Gaussian datum and every callable inflow slab are averaged through it
+    nodes, weights = np.polynomial.legendre.leggauss(5)
+    assert grid_module._GL_NODES.tobytes() == nodes.tobytes()
+    assert grid_module._GL_WEIGHTS.tobytes() == weights.tobytes()
 
 
 def test_cell_average_smooth_matches_adaptive_quadrature():

@@ -341,6 +341,35 @@ def test_inflow_trace_that_rejects_arrays_is_called_per_entry():
         assert np.array_equal(got, want)
 
 
+def march_on_length(length, left):
+    """An 8-cell step datum under u on [0, length], lam 0.5, to 2.5 steps, snapshot at 1.5."""
+    grid = build_grid(0.0, length, 8)
+    dt = 0.5 * grid.dx
+    config = SolverConfig(lam=0.5, t_end=2.5 * dt, left=left(dt))
+    problem = ProblemSpec((0.0, length), PiecewiseConstant((0.5 * length,), (2.0, 1.0)))
+    return run(problem, grid, PiecewiseFlux((), (linear_flux(1.0),)), config, [1.5 * dt],
+               retain_levels=True)
+
+
+@pytest.mark.parametrize("left", [
+    lambda dt: Outflow(),
+    lambda dt: Inflow(SampledTable(dt * np.array([0.0, 1.25, 2.5]), [2.0, 3.0, 2.5])),
+], ids=["outflow", "inflow"])
+@pytest.mark.parametrize("length", [2.0 ** -60, 2.0 ** -40, 2.0 ** 40])
+def test_a_run_marches_alike_on_every_length_scale(length, left):
+    # the stub-step cut, the snapshot checks and the empty-slab rule scale
+    # with the run's own times: a power-of-two length takes the same three
+    # steps, the snapshot at level 2 and the same bits as on [0, 1], at
+    # times scaled exactly by the length
+    want = march_on_length(1.0, left)
+    got = march_on_length(length, left)
+    assert [lv.step for lv in got.levels] == [lv.step for lv in want.levels] == [0, 1, 2, 3]
+    assert [lv.u.tobytes() for lv in got.levels] == [lv.u.tobytes() for lv in want.levels]
+    assert [lv.t for lv in got.levels] == [lv.t * length for lv in want.levels]
+    [snapshot] = got.snapshots
+    assert snapshot.state.step == 2 and snapshot.state.t == want.snapshots[0].state.t * length
+
+
 # }}}
 
 
