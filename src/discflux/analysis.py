@@ -21,6 +21,7 @@ from .errors import (
     ProjectionError,
     SequencingError,
     ValidityError,
+    _tolerance,
 )
 from .exact import ExactSolution
 from .fluxes import PiecewiseFlux, invert_near
@@ -60,20 +61,15 @@ def l1_error(coarse: State, coarse_grid: Grid, fine: State, fine_grid: Grid) -> 
     fine grid must be a whole-number refinement of the coarse one over the
     same domain, at the same time.
     """
-    scale = max(1.0, abs(coarse_grid.xmin), abs(coarse_grid.xmax))
-    if (
-        abs(coarse_grid.xmin - fine_grid.xmin) > 1e-12 * scale
-        or abs(coarse_grid.xmax - fine_grid.xmax) > 1e-12 * scale
-    ):
-        raise ProjectionError(
-            f"grids cover different domains: [{coarse_grid.xmin}, {coarse_grid.xmax}] "
-            f"vs [{fine_grid.xmin}, {fine_grid.xmax}]"
-        )
+    slack = _tolerance(1e-12, coarse_grid.xmin, coarse_grid.xmax)
+    if max(abs(coarse_grid.xmin - fine_grid.xmin), abs(coarse_grid.xmax - fine_grid.xmax)) > slack:
+        raise ProjectionError(f"grids cover different domains: [{coarse_grid.xmin}, "
+                              f"{coarse_grid.xmax}] vs [{fine_grid.xmin}, {fine_grid.xmax}]")
     if fine_grid.n % coarse_grid.n != 0:
         raise ProjectionError(
             f"fine n={fine_grid.n} is not a multiple of coarse n={coarse_grid.n}"
         )
-    if abs(coarse.t - fine.t) > 1e-12 * max(1.0, abs(coarse.t), abs(fine.t)):
+    if abs(coarse.t - fine.t) > _tolerance(1e-12, coarse.t, fine.t):
         raise ProjectionError(f"states live at different times: {coarse.t} vs {fine.t}")
     ratio = fine_grid.n // coarse_grid.n
     projected = fine.u.reshape(coarse_grid.n, ratio).mean(axis=1)

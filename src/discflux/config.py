@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, GridAlignmentError
+from .errors import ConfigError, GridAlignmentError, _tolerance
 from .fluxes import PiecewiseFlux, linear_flux, quadratic_flux
 from .grid import PiecewiseConstant, SampledTable, build_grid
 from .solver import Inflow, Outflow, ProblemSpec, SolverConfig
@@ -429,7 +429,7 @@ def data_range(config: ExperimentConfig) -> tuple[float, float]:
 
 def build_model(config: ExperimentConfig) -> PiecewiseFlux:
     lo, hi = data_range(config)
-    pad = 1e-6 * max(1.0, abs(lo), abs(hi))
+    pad = _tolerance(1e-6, lo, hi)
     interval = (lo - pad, hi + pad)
     segments = []
     for i, fx in enumerate(config.fluxes):

@@ -1,8 +1,21 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package, and the tolerance of its checks.
 
 Everything derives from :class:`DiscfluxError` so callers can catch library
 failures without swallowing genuine bugs (TypeError and friends pass through).
 """
+
+import numpy as np
+
+
+def _tolerance(rel, *scales):
+    """How far past a value still counts as at it: ``rel * max(|s|, 2**-1022)``.
+
+    The one rule of every range, window and slack check.  The smallest normal
+    float keeps a zero scale from rejecting its own roundoff.  Elementwise on
+    arrays; a Python float for scalars, which the march compares every step.
+    """
+    top = np.maximum.reduce(np.abs(scales), initial=2.0**-1022)
+    return rel * (top if top.ndim else float(top))
 
 
 class DiscfluxError(Exception):

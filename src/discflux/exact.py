@@ -16,19 +16,17 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import UnsupportedOracleError, ValidityError
+from .errors import UnsupportedOracleError, ValidityError, _tolerance
 from .fluxes import FluxSegment, PiecewiseFlux, invariant_interval, invert_near
-
-_T_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
 class ExactSolution:
     """A space-time evaluator together with its window of validity.
 
-    Calling outside ``[0, valid_until]`` (with a small slack) raises
-    :class:`ValidityError`.  Values exactly on a discontinuity take the
-    right-hand limit.
+    Calling outside ``[0, valid_until]`` raises :class:`ValidityError`; the
+    end ``valid_until`` takes a slack relative to itself, the exact zero
+    none.  Values exactly on a discontinuity take the right-hand limit.
     """
 
     evaluator: Callable
@@ -36,10 +34,8 @@ class ExactSolution:
 
     def __call__(self, x, t: float):
         t = float(t)
-        if t < -_T_SLACK or t > self.valid_until + _T_SLACK:
-            raise ValidityError(
-                f"t={t} is outside the validity window [0, {self.valid_until}]"
-            )
+        if not 0.0 <= t <= self.valid_until + _tolerance(1e-12, self.valid_until):
+            raise ValidityError(f"t={t} is outside the validity window [0, {self.valid_until}]")
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         out = self.evaluator(x_arr, t)
         return out if np.ndim(x) else float(out[0])
@@ -129,7 +125,7 @@ def _require_convex_or_linear(seg: FluxSegment, lo: float, hi: float):
             "concave quadratic laws are not covered by this construction"
         )
     d = np.asarray(seg.deriv(np.linspace(lo, hi, 1025)), dtype=float)
-    if np.any(np.diff(d) < -1e-10 * max(1.0, float(np.abs(d).max()))):
+    if np.any(np.diff(d) < -_tolerance(1e-10, d.min(), d.max())):
         raise UnsupportedOracleError(
             f"law is not convex on [{lo}, {hi}]; wave structure would be richer "
             f"than one jump or fan per event"

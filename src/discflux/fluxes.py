@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DivergentRangeError, FluxRangeError
+from .errors import DivergentRangeError, FluxRangeError, _tolerance
 
 # Number of samples used when validating or bounding a user-supplied flux.
 _N_SAMPLES = 4097
@@ -306,9 +306,9 @@ def _inverse(seg: FluxSegment, bracket: tuple[float, float],
             raise ValueError(f"bad inversion request: w={float(w)}, bracket=[{lo}, {hi}]")
         return reject
     f_lo, f_hi = (float(seg(lo)), float(seg(hi))) if image is None else image
-    # relative to the image at every scale; the floor of the smallest normal
-    # keeps a zero or subnormal image from rejecting its own roundoff
-    slack = 1e-9 * max(abs(f_lo), abs(f_hi), 2.0**-1022)
+    # invert_near accepts a bracket within this same slack of its image, so
+    # a target it accepts is never rejected here
+    slack = _tolerance(1e-9, f_lo, f_hi)
     kind, params = seg.kind, seg.params
 
     def inverse(w):
@@ -375,7 +375,7 @@ def invert_near(seg: FluxSegment, w: float, seed: tuple[float, float]) -> float:
     width = max(hi - lo, 1e-6 * max(1.0, abs(lo), abs(hi)))
     for _ in range(200):
         f_lo, f_hi = float(seg(lo)), float(seg(hi))
-        slack = 1e-9 * max(abs(f_lo), abs(f_hi), 2.0**-1022)
+        slack = _tolerance(1e-9, f_lo, f_hi)
         if f_lo - slack <= w <= f_hi + slack:
             return _inverse(seg, (lo, hi), (f_lo, f_hi))(w)
         if (w < f_lo and lo <= cap_lo) or (w > f_hi and hi >= cap_hi):

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, GridAlignmentError
+from .errors import DomainError, GridAlignmentError, _tolerance
 
 _ALIGN_RTOL = 1e-9
 
@@ -178,11 +178,10 @@ class SampledTable:
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         lo, hi = self.points[0], self.points[-1]
-        slack = 1e-12 * max(1.0, abs(lo), abs(hi))
+        slack = _tolerance(1e-12, lo, hi)
         if np.any(x < lo - slack) or np.any(x > hi + slack):
-            raise DomainError(
-                f"query outside the tabulated range [{lo}, {hi}]"
-            )
+            raise DomainError(f"query [{x.min()}, {x.max()}] outside the tabulated range: "
+                              f"the table covers [{lo}, {hi}]")
         return np.interp(x, self.points, self.values)
 
 
@@ -197,13 +196,7 @@ def cell_average(u0, grid: Grid) -> np.ndarray:
     if isinstance(u0, PiecewiseConstant):
         return _average_steps(u0, grid)
     if isinstance(u0, SampledTable):
-        lo, hi = u0.points[0], u0.points[-1]
-        slack = 1e-12 * max(1.0, abs(lo), abs(hi))
-        if lo > grid.xmin + slack or hi < grid.xmax - slack:
-            raise DomainError(
-                f"table covers [{lo}, {hi}] but the domain is "
-                f"[{grid.xmin}, {grid.xmax}]"
-            )
+        u0(np.array([grid.xmin, grid.xmax]))  # covers the domain, by the table's own check
         return _average_quadrature(u0, grid)
     if callable(u0):
         return _average_quadrature(u0, grid)

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import MonotonicityError, StabilityError
+from .errors import MonotonicityError, StabilityError, _tolerance
 from .fluxes import PiecewiseFlux, invariant_interval, _array_form, _inverse
 from .grid import Grid, SampledTable, cell_average, _evaluate, _GL_NODES, _GL_WEIGHTS
 
@@ -433,7 +433,7 @@ def _slab_average(trace, t0: float, t1: float) -> float:
     A trace whose samples over the slab are all equal gives that value
     exactly: neither the trapezoid nor the quadrature need round back to it.
     """
-    if t1 - t0 <= 1e-15 * max(abs(t0), abs(t1)):
+    if _empty(t0, t1):
         return float(trace(t1))
     if isinstance(trace, SampledTable):
         # piecewise-linear data integrates exactly on its own kinks, the table
@@ -449,6 +449,11 @@ def _slab_average(trace, t0: float, t1: float) -> float:
     if np.all(ys == ys[0]):
         return float(ys[0])
     return float(ys @ _GL_WEIGHTS) / 2.0
+
+
+def _empty(t0, t1):
+    """Whether the slab ``(t0, t1)`` is too short to average over; elementwise."""
+    return t1 - t0 <= _tolerance(1e-15, t0, t1)
 
 
 def _inflow_column(left, starts, slab: float, t_end: float) -> list:
@@ -469,8 +474,7 @@ def _inflow_column(left, starts, slab: float, t_end: float) -> list:
     if isinstance(trace, SampledTable):
         pts = trace.points
         i = pts.searchsorted(t0, "right")
-        one = ((t1 - t0 > 1e-15 * np.maximum(np.abs(t0), np.abs(t1)))
-               & (i == pts.searchsorted(t1)) & (0 < i) & (i < pts.size))
+        one = ~_empty(t0, t1) & (i == pts.searchsorted(t1)) & (0 < i) & (i < pts.size)
         a, b = t0[one], t1[one]
         y0, y1 = np.interp(a, pts, trace.values), np.interp(b, pts, trace.values)
         column[one] = np.where(y0 == y1, y0, 0.5 * (y1 + y0) * (b - a) / (b - a))
@@ -508,16 +512,14 @@ def run(
     ``record_increments`` accumulates per-cell sums of level-to-level changes;
     ``retain_levels`` keeps every level (memory scales with step count).
     """
-    if abs(grid.xmin - problem.domain[0]) > 1e-12 * max(1.0, abs(grid.xmin)) or abs(
-        grid.xmax - problem.domain[1]
-    ) > 1e-12 * max(1.0, abs(grid.xmax)):
-        raise ValueError(
-            f"grid spans [{grid.xmin}, {grid.xmax}] but the problem lives on "
-            f"{problem.domain}"
-        )
+    (x0, x1), slack = problem.domain, _tolerance(1e-12, *problem.domain)
+    if abs(grid.xmin - x0) > slack or abs(grid.xmax - x1) > slack:
+        raise ValueError(f"grid spans [{grid.xmin}, {grid.xmax}] but the problem lives on "
+                         f"{problem.domain}")
     t_end = config.t_end
     pending = sorted(float(s) for s in snapshot_times)
-    if pending and (pending[0] < -1e-12 * t_end or pending[-1] > t_end + 1e-12 * t_end):
+    t_slack = _tolerance(1e-12, t_end)
+    if pending and (pending[0] < -t_slack or pending[-1] > t_end + t_slack):
         raise ValueError(f"snapshot times {pending} must lie within [0, {t_end}]")
 
     u0 = cell_average(problem.initial, grid)
@@ -527,7 +529,7 @@ def run(
     dt = config.lam * grid.dx
     n_full = int(math.floor(t_end / dt + 1e-12)) if t_end > 0.0 else 0
     remainder = t_end - n_full * dt
-    if remainder <= 1e-12 * max(dt, t_end):
+    if remainder <= _tolerance(1e-12, dt, t_end):
         remainder = 0.0
     level_times = [k * dt for k in range(n_full + 1)]
     if remainder:
@@ -543,7 +545,7 @@ def run(
     snapshots: list[Snapshot] = []
 
     def take_due():
-        while pending and t >= pending[0] - 1e-12 * t_end:
+        while pending and t >= pending[0] - t_slack:
             snapshots.append(Snapshot(pending.pop(0), State(u.copy(), t, k)))
 
     take_due()

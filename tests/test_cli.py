@@ -231,6 +231,16 @@ def test_convergence_of_an_exact_steady_study_prints_no_rate(tmp_path, capsys):
     assert capsys.readouterr().out.strip().splitlines() == ["n,l1_error,ooc", "16,0,", "32,0,"]
 
 
+def test_convergence_on_a_ladder_that_does_not_double_prints_no_rates(tmp_path, capsys):
+    path = tmp_path / "exp.yaml"
+    save_config(small_config(resolutions=[16, 24], reference_n=48), path)
+    assert main(["convergence", "--config", str(path)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "n,l1_error,ooc"
+    assert [ln.split(",")[0] for ln in lines[1:]] == ["16", "24"]
+    assert all(ln.endswith(",") and float(ln.split(",")[1]) > 0.0 for ln in lines[1:])
+
+
 # }}}
 
 
@@ -468,6 +478,25 @@ def test_verify_does_not_error_where_constants_chain_past_a_law(tmp_path, capsys
     assert lines["steady_state"].split()[1] == "SKIP"
     assert "could not bracket w=27" in lines["steady_state"]
     assert "over 10 of 17 constants" in lines["entropy_residual"]
+
+
+def test_verify_skips_the_entropy_check_when_no_constant_chains(tmp_path, capsys):
+    # the invariant range [0.034, 1.68] spans 1.65 while the constants c whose
+    # flux 16c - 16 lies in [0, 1], inside both the convex law's image (above
+    # 0) and the concave law's (below 1), span 1/16: none of the 17 is one
+    config = small_config(
+        interfaces=[-0.6, -0.2, 0.2, 0.6],
+        fluxes=[{"kind": "linear", "a": 16.0, "b": -16.0}, {"kind": "quadratic"},
+                {"kind": "quadratic", "a": -0.5, "b": 1.0}, {"kind": "linear", "a": 16.0},
+                {"kind": "linear", "a": 10.0}],
+        initial={"kind": "piecewise_constant", "breakpoints": [], "values": [1.05]},
+        resolutions=[40, 80], reference_n=160, **{"lambda": 0.05})
+    path = tmp_path / "exp.yaml"
+    save_config(config, path)
+    assert main(["verify", "--config", str(path)]) == 0
+    lines = {ln.split()[0]: ln for ln in capsys.readouterr().out.splitlines()}
+    assert lines["entropy_residual"].split(None, 2)[1:] == [
+        "SKIP", "no constant's adapted chain stays inside every law's image"]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -5,6 +5,7 @@ from discflux import (
     PiecewiseFlux,
     UnsupportedOracleError,
     ValidityError,
+    custom_flux,
     exact_linear_advection,
     exact_two_flux_riemann,
     linear_flux,
@@ -33,6 +34,8 @@ def test_validity_window():
         sol(0.0, 0.6)
     with pytest.raises(ValidityError):
         sol(0.0, -0.1)
+    with pytest.raises(ValidityError):
+        sol(0.0, np.nan)
 
 
 def test_scalar_input_gives_scalar_output():
@@ -123,6 +126,22 @@ def test_two_flux_riemann_collision_closes_window():
     assert sol(0.2, t) == pytest.approx(np.sqrt(32.0))
     assert sol(0.45, t) == pytest.approx(np.sqrt(18.0))
     assert sol(0.6, t) == pytest.approx(3.0)
+
+
+def test_two_flux_riemann_with_a_convex_custom_law_matches_its_quadratic():
+    # Burgers given as a custom law takes the bisection fan and the sampled
+    # convexity check: through the fan, the shock and the collision it
+    # agrees with the quadratic's closed form within 1e-12
+    burgers = custom_flux(lambda u: 0.5 * u * u, lambda u: np.asarray(u), interval=(0.25, 3.0))
+    custom = PiecewiseFlux((0.0,), (linear_flux(1.0), burgers))
+    x = np.linspace(-1.0, 2.0, 301)
+    for u_left, u_right in ((0.5, 2.0), (2.0, 0.5)):
+        want = exact_two_flux_riemann(TRANSPORT_THEN_BURGERS, u_left, u_right, -0.5)
+        got = exact_two_flux_riemann(custom, u_left, u_right, -0.5)
+        assert got.valid_until == pytest.approx(want.valid_until, rel=1e-12, abs=0.0)
+        t_last = min(want.valid_until, 1.5)
+        for t in np.linspace(0.0, t_last, 7):
+            assert np.max(np.abs(got(x, t) - want(x, t))) <= 1e-12
 
 
 def test_oracle_requires_one_interface():

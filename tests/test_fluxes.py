@@ -289,6 +289,19 @@ def test_invert_near_grows_bracket():
     assert invert_near(seg, w, (1.0, 2.0)) == pytest.approx(40.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("seg", [
+    linear_flux(2.0, 0.5),
+    quadratic_flux(1.0, 0.0, interval=(0.1, 50.0)),
+    quadratic_flux(-0.2, 2.0, interval=(0.0, 4.0)),
+    custom_flux(lambda u: u + 0.1 * np.sin(u), lambda u: 1.0 + 0.1 * np.cos(u), interval=(0.0, 60.0)),
+], ids=["linear", "convex", "concave", "custom"])
+def test_invert_near_takes_a_reversed_seed_as_its_ordered_one(seg):
+    for u in (0.3, 1.5, 7.0):
+        w = float(seg(u))
+        assert invert_near(seg, w, (2.0, 1.0)) == invert_near(seg, w, (1.0, 2.0))
+        assert invert_near(seg, w, (2.0, 1.0)) == pytest.approx(u, rel=1e-12)
+
+
 def test_invert_near_gives_up_on_bounded_image():
     seg = custom_flux(
         np.arctan, lambda u: 1.0 / (1.0 + u * u), interval=(-50.0, 50.0)

@@ -136,6 +136,25 @@ def test_cell_average_scalar_only_callable():
     assert np.allclose(got, cell_average(lambda x: np.asarray(x) ** 2, grid))
 
 
+def test_a_datum_that_returns_one_float_takes_the_per_entry_loop():
+    # a constant written as a float answers an array with the wrong shape;
+    # each entry then gets the value alone
+    grid = build_grid(0.0, 1.0, 5)
+    assert cell_average(lambda x: 0.7, grid).tolist() == [0.7] * 5
+
+
+def test_a_domain_error_passes_through_without_the_per_entry_loop():
+    calls = []
+
+    def datum(x):
+        calls.append(np.shape(x))
+        raise DomainError("datum undefined here")
+
+    with pytest.raises(DomainError, match="datum undefined here"):
+        cell_average(datum, build_grid(0.0, 1.0, 5))
+    assert calls == [(5, 5)]
+
+
 def test_sampled_table_interpolates():
     table = SampledTable(np.array([0.0, 1.0, 2.0]), np.array([1.0, 3.0, 3.5]))
     assert table(0.5) == 2.0

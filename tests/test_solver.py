@@ -273,6 +273,25 @@ def test_constant_inflow_holding_the_datum_keeps_a_run_bitwise_steady():
         assert np.array_equal(final.u, np.full(grid.n, v))
 
 
+@pytest.mark.parametrize("scalar_only, array_form", [
+    (lambda t: 1.5 + 0.25 * float(t), lambda t: 1.5 + 0.25 * np.asarray(t)),
+    (lambda t: 1.25, lambda t: np.full(np.shape(t), 1.25)),
+], ids=["rejects-arrays", "returns-one-float"])
+def test_a_scalar_only_inflow_trace_runs_as_its_array_form(scalar_only, array_form):
+    # the bracket's samples and every slab's quadrature take the per-entry
+    # loop for a trace that rejects an array or answers it with one float,
+    # and give the bits of the same trace written for arrays
+    grid = build_grid(0.0, 1.0, 16)
+    problem = ProblemSpec((0.0, 1.0), PiecewiseConstant((0.5,), (1.0, 2.0)))
+    model = PiecewiseFlux((), (quadratic_flux(1.0, interval=(0.5, 3.0)),))
+
+    def levels(trace):
+        config = SolverConfig(lam=0.3, t_end=0.5, left=Inflow(trace))
+        return [lv.u.tobytes() for lv in run(problem, grid, model, config, retain_levels=True).levels]
+
+    assert levels(scalar_only) == levels(array_form)
+
+
 def test_inflow_table_slab_past_the_end_raises():
     table = SampledTable(np.array([0.0, 1.0]), np.array([0.0, 2.0]))
     # slab (0.75, 1) ends on the last point; (1, 1.25) and (1.25, 1.5) leave the table
