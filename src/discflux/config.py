@@ -80,6 +80,31 @@ def _as_map(value, path: str, required=(), optional=()) -> dict:
     return value
 
 
+def _as_list(value, path: str, item, nonempty: bool = False) -> tuple:
+    """``item(x, "<path>[i]")`` for each entry of the list ``value``."""
+    if not isinstance(value, (list, tuple)) or (nonempty and not value):
+        _fail(path, "expected a nonempty list" if nonempty else "expected a list")
+    return tuple(item(x, f"{path}[{i}]") for i, x in enumerate(value))
+
+
+def _as_count(value, path: str) -> int:
+    n = _as_int(value, path)
+    if n < 1:
+        _fail(path, f"must be positive, got {n}")
+    return n
+
+
+def _check_increasing(xs: tuple, path: str, show: bool = False):
+    if any(b <= a for a, b in zip(xs, xs[1:])):
+        _fail(path, "must be strictly increasing" + (f", got {list(xs)}" if show else ""))
+
+
+def _check_pieces(path: str, items: tuple, item_name: str, cuts: tuple, cut_name: str):
+    """``k`` cuts make ``k + 1`` pieces, one item each."""
+    if len(items) != len(cuts) + 1:
+        _fail(path, f"{len(cuts)} {cut_name} need {len(cuts) + 1} {item_name}, got {len(items)}")
+
+
 def from_dict(raw: dict) -> ExperimentConfig:
     """Validate a plain mapping and freeze it into an :class:`ExperimentConfig`."""
     _as_map(
@@ -95,27 +120,12 @@ def from_dict(raw: dict) -> ExperimentConfig:
     if xmin >= xmax:
         _fail("domain", f"xmin={xmin} must be below xmax={xmax}")
 
-    if not isinstance(raw["interfaces"], (list, tuple)):
-        _fail("interfaces", "expected a list")
-    interfaces = tuple(
-        _as_float(x, f"interfaces[{i}]") for i, x in enumerate(raw["interfaces"])
-    )
-    if any(b <= a for a, b in zip(interfaces, interfaces[1:])):
-        _fail("interfaces", f"must be strictly increasing, got {list(interfaces)}")
+    interfaces = _as_list(raw["interfaces"], "interfaces", _as_float)
+    _check_increasing(interfaces, "interfaces", show=True)
     if any(not xmin < x < xmax for x in interfaces):
         _fail("interfaces", f"must lie strictly inside ({xmin}, {xmax})")
-
-    if not isinstance(raw["fluxes"], (list, tuple)):
-        _fail("fluxes", "expected a list")
-    if len(raw["fluxes"]) != len(interfaces) + 1:
-        _fail(
-            "fluxes",
-            f"{len(interfaces)} interfaces need {len(interfaces) + 1} laws, "
-            f"got {len(raw['fluxes'])}",
-        )
-    fluxes = tuple(
-        _validated_flux(fx, f"fluxes[{i}]") for i, fx in enumerate(raw["fluxes"])
-    )
+    fluxes = _as_list(raw["fluxes"], "fluxes", _validated_flux)
+    _check_pieces("fluxes", fluxes, "laws", interfaces, "interfaces")
 
     initial = _validated_initial(raw["initial"], "initial")
     lam = _as_float(raw["lambda"], "lambda")
@@ -125,26 +135,14 @@ def from_dict(raw: dict) -> ExperimentConfig:
     if t_end < 0.0:
         _fail("t_end", f"must be nonnegative, got {t_end}")
 
-    if not isinstance(raw["resolutions"], (list, tuple)) or not raw["resolutions"]:
-        _fail("resolutions", "expected a nonempty list")
-    resolutions = tuple(
-        _as_int(x, f"resolutions[{i}]") for i, x in enumerate(raw["resolutions"])
-    )
-    reference_n = _as_int(raw["reference_n"], "reference_n")
-    if reference_n < 1:
-        _fail("reference_n", f"must be positive, got {reference_n}")
-    for i, n in enumerate(resolutions):
-        if n < 1:
-            _fail(f"resolutions[{i}]", f"must be positive, got {n}")
-        if reference_n % n != 0:
-            _fail(
-                f"resolutions[{i}]",
-                f"reference_n={reference_n} is not a multiple of {n}",
-            )
+    resolutions = _as_list(raw["resolutions"], "resolutions", _as_count, nonempty=True)
+    reference_n = _as_count(raw["reference_n"], "reference_n")
     for label, n in [
         *((f"resolutions[{i}]", n) for i, n in enumerate(resolutions)),
         ("reference_n", reference_n),
     ]:
+        if reference_n % n != 0:
+            _fail(label, f"reference_n={reference_n} is not a multiple of {n}")
         try:
             build_grid(xmin, xmax, n, interfaces)
         except GridAlignmentError as exc:
@@ -156,12 +154,7 @@ def from_dict(raw: dict) -> ExperimentConfig:
 
     boundary_left = _validated_boundary(raw.get("boundary", {"left": "outflow"}))
 
-    snaps_raw = raw.get("snapshots", [])
-    if not isinstance(snaps_raw, (list, tuple)):
-        _fail("snapshots", "expected a list")
-    snapshots = tuple(
-        _as_float(s, f"snapshots[{i}]") for i, s in enumerate(snaps_raw)
-    )
+    snapshots = _as_list(raw.get("snapshots", []), "snapshots", _as_float)
     if any(not 0.0 <= s <= t_end for s in snapshots):
         _fail("snapshots", f"times must lie within [0, {t_end}]")
 
@@ -201,30 +194,18 @@ def _validated_initial(raw, path: str) -> dict:
     kind = raw["kind"]
     if kind == "piecewise_constant":
         _as_map(raw, path, required=("kind", "breakpoints", "values"))
-        bps = tuple(
-            _as_float(x, f"{path}.breakpoints[{i}]")
-            for i, x in enumerate(raw["breakpoints"])
-        )
-        vals = tuple(
-            _as_float(v, f"{path}.values[{i}]") for i, v in enumerate(raw["values"])
-        )
-        if len(vals) != len(bps) + 1:
-            _fail(path, f"{len(bps)} breakpoints need {len(bps) + 1} values, got {len(vals)}")
-        if any(b <= a for a, b in zip(bps, bps[1:])):
-            _fail(f"{path}.breakpoints", "must be strictly increasing")
+        bps = _as_list(raw["breakpoints"], f"{path}.breakpoints", _as_float)
+        vals = _as_list(raw["values"], f"{path}.values", _as_float)
+        _check_pieces(path, vals, "values", bps, "breakpoints")
+        _check_increasing(bps, f"{path}.breakpoints")
         return {"kind": kind, "breakpoints": list(bps), "values": list(vals)}
     if kind == "gaussian_offset":
-        _as_map(raw, path, required=("kind", "base", "amplitude", "width", "center"))
-        width = _as_float(raw["width"], f"{path}.width")
-        if width <= 0.0:
-            _fail(f"{path}.width", f"must be positive, got {width}")
-        return {
-            "kind": kind,
-            "base": _as_float(raw["base"], f"{path}.base"),
-            "amplitude": _as_float(raw["amplitude"], f"{path}.amplitude"),
-            "width": width,
-            "center": _as_float(raw["center"], f"{path}.center"),
-        }
+        names = ("base", "amplitude", "width", "center")
+        _as_map(raw, path, required=("kind", *names))
+        spec = {"kind": kind, **{k: _as_float(raw[k], f"{path}.{k}") for k in names}}
+        if spec["width"] <= 0.0:
+            _fail(f"{path}.width", f"must be positive, got {spec['width']}")
+        return spec
     if kind == "table":
         _as_map(raw, path, required=("kind", "path"))
         return {"kind": kind, "path": str(raw["path"])}
@@ -237,10 +218,9 @@ def _validated_boundary(raw) -> dict:
     if right != "outflow":
         _fail("boundary.right", "only 'outflow' is supported on the right")
     left = raw.get("left", "outflow")
-    if left == "outflow":
-        return {"kind": "outflow"}
-    left = _as_map(left, "boundary.left", required=("kind",), optional=("trace",))
-    if left["kind"] == "outflow":
+    if left != "outflow":
+        _as_map(left, "boundary.left", required=("kind",), optional=("trace",))
+    if left == "outflow" or left["kind"] == "outflow":
         return {"kind": "outflow"}
     if left["kind"] != "inflow":
         _fail("boundary.left.kind", f"expected outflow or inflow, got {left['kind']!r}")

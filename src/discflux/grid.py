@@ -179,7 +179,7 @@ class SampledTable:
         x = np.asarray(x, dtype=float)
         lo, hi = self.points[0], self.points[-1]
         slack = _tolerance(1e-12, lo, hi)
-        if np.any(x < lo - slack) or np.any(x > hi + slack):
+        if not (np.all(x >= lo - slack) and np.all(x <= hi + slack)):  # so NaN fails
             raise DomainError(f"query [{x.min()}, {x.max()}] outside the tabulated range: "
                               f"the table covers [{lo}, {hi}]")
         return np.interp(x, self.points, self.values)

@@ -519,7 +519,7 @@ def run(
     t_end = config.t_end
     pending = sorted(float(s) for s in snapshot_times)
     t_slack = _tolerance(1e-12, t_end)
-    if pending and (pending[0] < -t_slack or pending[-1] > t_end + t_slack):
+    if not all(-t_slack <= s <= t_end + t_slack for s in pending):  # so NaN fails
         raise ValueError(f"snapshot times {pending} must lie within [0, {t_end}]")
 
     u0 = cell_average(problem.initial, grid)

@@ -707,3 +707,20 @@ def test_module_entry_point_runs_the_command(tmp_path):
     assert [ln.split()[:2] for ln in lines] == [
         [name, "PASS"] for name in ("cfl", "steady_state", "monotonicity", "tvd",
                                     "entropy_residual", "temporal_tv")]
+
+
+def test_a_scalar_list_field_exits_one_without_a_traceback(tmp_path):
+    path = tmp_path / "scalar.yaml"
+    path.write_text(
+        "domain: {xmin: -1.0, xmax: 1.0}\n"
+        "interfaces: [0.0]\n"
+        "fluxes: [{kind: linear}, {kind: quadratic}]\n"
+        "initial: {kind: piecewise_constant, breakpoints: 0.5, values: [0.5, 2.0]}\n"
+        "lambda: 0.4\n"
+        "t_end: 0.1\n"
+        "resolutions: [16]\n"
+        "reference_n: 32\n"
+    )
+    proc = _python(["-m", "discflux.cli", "verify", "--config", str(path)], cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == "error: initial.breakpoints: expected a list\n"

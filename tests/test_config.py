@@ -152,6 +152,14 @@ VALIDATION_CASES = [
                                         "breakpoints": [-0.5],
                                         "values": [1.0]}),
      "1 breakpoints need 2 values"),
+    ("breakpoints-scalar", _set("initial", {"kind": "piecewise_constant",
+                                            "breakpoints": 0.5,
+                                            "values": [1.0, 2.0]}),
+     "initial.breakpoints: expected a list"),
+    ("values-scalar", _set("initial", {"kind": "piecewise_constant",
+                                       "breakpoints": [],
+                                       "values": 1.0}),
+     "initial.values: expected a list"),
 ]
 
 

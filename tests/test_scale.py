@@ -55,7 +55,7 @@ def test_the_tolerance_is_relative_with_a_normal_floor():
 def test_a_table_rejects_a_query_past_its_range(s):
     table = SampledTable(np.array([0.0, s]), np.array([1.0, 2.0]))
     assert table(s * (1.0 + 1e-15)) == 2.0 and table(-s * 1e-15) == 1.0
-    for t in (s * (1.0 + FAR), -s * FAR):
+    for t in (s * (1.0 + FAR), -s * FAR, np.nan):
         with pytest.raises(DomainError, match="tabulated range"):
             table(t)
 

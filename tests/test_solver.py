@@ -433,9 +433,10 @@ def test_snapshots_take_first_level_at_or_after():
     first_after = dt * np.ceil(0.3 / dt - 1e-12)
     assert trajectory.snapshots[1].state.t == pytest.approx(first_after)
     assert trajectory.snapshots[2].state.t == 0.9
-    with pytest.raises(ValueError, match="snapshot times"):
-        run(exp1_problem(), grid, TRANSPORT_THEN_BURGERS, config,
-            snapshot_times=[1.7])
+    for times in ([1.7], [np.nan], [0.3, np.nan, 0.6]):
+        with pytest.raises(ValueError, match="snapshot times"):
+            run(exp1_problem(), grid, TRANSPORT_THEN_BURGERS, config,
+                snapshot_times=times)
 
 
 def test_run_checks_domain_and_stability():
