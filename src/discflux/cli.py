@@ -208,7 +208,8 @@ _CHECKS = ("cfl", "steady_state", "monotonicity", "tvd", "entropy_residual", "te
 def cmd_verify(config: ExperimentConfig) -> int:
     """Run the invariant battery and report one line per check."""
     model = build_model(config)
-    u_range = invariant_interval(model, data_range(config))
+    data = data_range(config)
+    u_range = invariant_interval(model, data)
     try:
         product = _check_cfl(config.lam, [(seg, *u_range) for seg in model.segments])
     except StabilityError as exc:
@@ -222,8 +223,8 @@ def cmd_verify(config: ExperimentConfig) -> int:
     results = [
         ("cfl", "PASS",
          f"lambda*max_speed = {product:.6g} on range [{u_range[0]:.6g}, {u_range[1]:.6g}]"),
-        _check_steady_state(config, model, solver_config, grid0, u_range),
-        _check_monotonicity(config, model, solver_config, grid0, u_range),
+        _check_steady_state(data, model, solver_config, grid0, u_range),
+        _check_monotonicity(data, model, solver_config, grid0, u_range),
     ]
     if trajectory0.final.step == 0:
         # t_end 0 leaves the initial level alone: no step to check
@@ -251,16 +252,16 @@ def _gate(name, what, worst, limit, where="", note=""):
     return (name, status, f"max {what} {worst:.3e}{where} (limit {limit:g}){note}")
 
 
-def _check_steady_state(config, model, solver_config, grid, u_range):
-    if not config.interfaces:
+def _check_steady_state(data, model, solver_config, grid, u_range):
+    if not grid.interfaces:
         return ("steady_state", "SKIP", "no interfaces to couple")
-    c = 0.5 * (sum(data_range(config)))
+    c = 0.5 * (sum(data))
     # outflow on both ends: this check exercises the interface coupling, and
     # an inflow trace unrelated to the adapted constants would mask it
     frozen = SolverConfig(lam=solver_config.lam, t_end=solver_config.t_end)
     try:
-        datum = PiecewiseConstant(config.interfaces, _adapted_constants(model, c, u_range))
-        trajectory = run(ProblemSpec((config.xmin, config.xmax), datum), grid, model, frozen)
+        datum = PiecewiseConstant(grid.interfaces, _adapted_constants(model, c, u_range))
+        trajectory = run(ProblemSpec((grid.xmin, grid.xmax), datum), grid, model, frozen)
     except DiscfluxError as exc:
         # the datum's own invariant range may chain past a law's image
         return ("steady_state", "SKIP", f"adapted-constant datum cannot run: {exc}")
@@ -268,8 +269,8 @@ def _check_steady_state(config, model, solver_config, grid, u_range):
     return _gate("steady_state", "drift", drift, 1e-11, " over full run")
 
 
-def _check_monotonicity(config, model, solver_config, grid, u_range):
-    worst = _ordering_gap(config, model, solver_config, grid, u_range)
+def _check_monotonicity(data, model, solver_config, grid, u_range):
+    worst = _ordering_gap(data, model, solver_config, grid, u_range)
     return _gate("monotonicity", "ordering violation", worst, 1e-13,
                  " over 20 pairs x 100 steps")
 
@@ -290,16 +291,16 @@ def _unit_draws(shape) -> np.ndarray:
     return (z >> np.uint64(11)).astype(float).reshape(shape) * 2.0**-53
 
 
-def _ordering_gap(config, model, solver_config, grid, u_range) -> float:
+def _ordering_gap(data, model, solver_config, grid, u_range) -> float:
     """Largest low-minus-high gap of 20 drawn ordered pairs over 100 steps.
 
-    The pairs are :func:`_unit_draws` scaled into the config's data range.
-    Every pair's low and high members march as one stack on one plan,
-    bracketed by the range the cfl line checked, so a violated cfl shows up
-    as a gap, not as an error.  A NaN gap wins and stays, as in the entropy
-    report.
+    The pairs are :func:`_unit_draws` scaled into ``data``, the config's
+    data range.  Every pair's low and high members march as one stack on one
+    plan, bracketed by the range the cfl line checked, so a violated cfl
+    shows up as a gap, not as an error.  A NaN gap wins and stays, as in the
+    entropy report.
     """
-    lo, hi = data_range(config)
+    lo, hi = data
     drawn = lo + (hi - lo) * _unit_draws((20, 2, grid.n))
     state = np.empty((2, 20, grid.n))
     np.minimum(drawn[:, 0], drawn[:, 1], out=state[0])

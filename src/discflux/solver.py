@@ -398,13 +398,14 @@ def step(
 
     _check_cfl(lam, [(seg, float(u[sl].min()), float(u[sl].max()))
                      for seg, sl in zip(model.segments, grid.subdomain_slices())])
+    column = _inflow_column(config.left, [state.t + dt], config.lam * grid.dx, config.t_end)
     if u_range is None:
-        u_range = _bracket(model, config, u)
+        u_range = _bracket(model, config, u, column)
     new = np.empty_like(u)
     # the blocks read the state, which the bracket need not hold
     values = (min(u_range[0], float(u.min())), max(u_range[1], float(u.max())))
     march = _March(grid, model, config, u_range, values=values)
-    boundary, = _inflow_column(config.left, [state.t + dt], config.lam * grid.dx, config.t_end)
+    boundary, = column
     march.advance(march.bind(u, new, lam), boundary)
     return State(new, state.t + dt, state.step + 1)
 
@@ -427,28 +428,42 @@ def inflow_boundary_value(trace, step_index: int, dt: float) -> float:
     return _slab_average(trace, t, t + dt)
 
 
-def _slab_average(trace, t0: float, t1: float) -> float:
-    """Mean of the trace over (t0, t1); point value when the slab is empty.
+def _slab_average(trace, t0, t1):
+    """Mean of the trace over each slab ``(t0, t1)``, the value at ``t1`` if it is empty.
 
-    A trace whose samples over the slab are all equal gives that value
-    exactly: neither the trapezoid nor the quadrature need round back to it.
+    Elementwise; a Python float for scalars.  A table is integrated exactly
+    on its kinks, the points strictly inside the slab: one array pass serves
+    the slabs inside one piece, the rest go one by one, and the table call
+    rejects a slab past its ends.  A callable takes 5-point Gauss-Legendre,
+    all slabs' nodes in one call but each slab's sum as its own 1-D dot
+    product, whose bits a 2-D product need not keep.  A slab whose samples
+    are all equal gives that value exactly.
     """
-    if _empty(t0, t1):
-        return float(trace(t1))
+    t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
+    out, empty = np.empty(t0.shape), _empty(t0, t1)
+    if empty.any():
+        out[empty] = _evaluate(trace, t1[empty])
+    a, b = t0[~empty], t1[~empty]
+    means = np.empty(a.shape)
     if isinstance(trace, SampledTable):
-        # piecewise-linear data integrates exactly on its own kinks, the table
-        # points strictly inside the slab; the table call rejects slabs past
-        # its ends
         pts = trace.points
-        xs = np.concatenate(([t0], pts[pts.searchsorted(t0, "right"):pts.searchsorted(t1)], [t1]))
-        ys = trace(xs)
-        if np.all(ys == ys[0]):
-            return float(ys[0])
-        return float(np.sum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs))) / (t1 - t0)
-    ys = _evaluate(trace, 0.5 * (t0 + t1) + (0.5 * (t1 - t0)) * _GL_NODES)
-    if np.all(ys == ys[0]):
-        return float(ys[0])
-    return float(ys @ _GL_WEIGHTS) / 2.0
+        i, j = pts.searchsorted(a, "right"), pts.searchsorted(b)
+        one = (i == j) & (0 < i) & (i < pts.size)
+        y0, y1 = np.interp(a[one], pts, trace.values), np.interp(b[one], pts, trace.values)
+        w = (b - a)[one]
+        means[one] = np.where(y0 == y1, y0, 0.5 * (y1 + y0) * w / w)
+        for k in np.flatnonzero(~one).tolist():
+            xs = np.concatenate(([a[k]], pts[i[k]:j[k]], [b[k]]))
+            ys = trace(xs)
+            means[k] = ys[0] if np.all(ys == ys[0]) else (
+                float(np.sum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs))) / (b[k] - a[k]))
+    elif a.size:
+        ys = _evaluate(trace, (0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * _GL_NODES)
+        means[:] = ys[:, 0]
+        for k in np.flatnonzero((ys != ys[:, :1]).any(axis=1)).tolist():
+            means[k] = float(ys[k] @ _GL_WEIGHTS) / 2.0
+    out[~empty] = means
+    return out if out.ndim else float(out)
 
 
 def _empty(t0, t1):
@@ -460,28 +475,12 @@ def _inflow_column(left, starts, slab: float, t_end: float) -> list:
     """Boundary value of the levels starting at ``starts``, for :meth:`_March.advance`.
 
     Each is :func:`_slab_average` of the trace over ``(t, min(t + slab,
-    t_end))``, bit for bit, or ``None`` on an outflow boundary.  A table's
-    nonempty slabs inside one piece take that function's scalar trapezoid
-    in one array pass; the rest, and every slab of a callable, take the
-    function itself, so no call or dot product sees a different array.
+    t_end))``, or ``None`` on an outflow boundary.
     """
     if not isinstance(left, Inflow):
         return [None] * len(starts)
-    trace = left.trace
     t0 = np.asarray(starts, dtype=float)
-    t1 = np.minimum(t0 + slab, t_end)
-    column, one = np.empty_like(t0), np.zeros(t0.shape, dtype=bool)
-    if isinstance(trace, SampledTable):
-        pts = trace.points
-        i = pts.searchsorted(t0, "right")
-        one = ~_empty(t0, t1) & (i == pts.searchsorted(t1)) & (0 < i) & (i < pts.size)
-        a, b = t0[one], t1[one]
-        y0, y1 = np.interp(a, pts, trace.values), np.interp(b, pts, trace.values)
-        column[one] = np.where(y0 == y1, y0, 0.5 * (y1 + y0) * (b - a) / (b - a))
-    column, a, b = column.tolist(), t0.tolist(), t1.tolist()
-    for k in np.flatnonzero(~one).tolist():
-        column[k] = _slab_average(trace, a[k], b[k])
-    return column
+    return _slab_average(left.trace, t0, np.minimum(t0 + slab, t_end)).tolist()
 
 
 # }}}
@@ -523,9 +522,6 @@ def run(
         raise ValueError(f"snapshot times {pending} must lie within [0, {t_end}]")
 
     u0 = cell_average(problem.initial, grid)
-    u_range = _bracket(model, config, u0)
-    _check_cfl(config.lam, [(seg, *u_range) for seg in model.segments])
-
     dt = config.lam * grid.dx
     n_full = int(math.floor(t_end / dt + 1e-12)) if t_end > 0.0 else 0
     remainder = t_end - n_full * dt
@@ -536,6 +532,12 @@ def run(
         level_times.append(t_end)
     else:
         level_times[-1] = t_end
+    # every level's boundary value, before the first step: a level starts
+    # one step after the pinned time of the level before it
+    lengths = [dt] * n_full + [remainder] * bool(remainder)
+    column = _inflow_column(config.left, np.add(level_times[:-1], lengths), dt, t_end)
+    u_range = _bracket(model, config, u0, column)
+    _check_cfl(config.lam, [(seg, *u_range) for seg in model.segments])
 
     # the march alternates between two buffers; every level handed out
     # (snapshot or retained) is a copy, and the last one written is final
@@ -553,10 +555,6 @@ def run(
     change = np.empty_like(u0) if record_increments else None
     levels = [State(u.copy(), t, k)] if retain_levels else None
     last_lam = remainder / grid.dx
-    # every level's boundary value, before the first step: a level starts
-    # one step after the pinned time of the level before it
-    lengths = [dt] * n_full + [remainder] * bool(remainder)
-    column = _inflow_column(config.left, np.add(level_times[:-1], lengths), dt, t_end)
 
     for k in range(1, len(level_times)):
         boundary = column[k - 1]
@@ -592,16 +590,19 @@ def run(
     )
 
 
-def _bracket(model: PiecewiseFlux, config: SolverConfig, u: np.ndarray) -> tuple[float, float]:
-    """Invariant interval of ``u`` and of any inflow trace on [0, t_end] (sampled if callable)."""
+def _bracket(model: PiecewiseFlux, config: SolverConfig, u: np.ndarray,
+             column: list) -> tuple[float, float]:
+    """Invariant interval of ``u``, of an inflow trace on [0, t_end] and of its ``column``.
+
+    A table is sampled at its own points, a callable at 1025; a spike
+    between those samples can still reach the column's quadrature nodes.
+    """
     lo, hi = float(u.min()), float(u.max())
     if isinstance(config.left, Inflow):
         trace, t_end = config.left.trace, config.t_end
-        if isinstance(trace, SampledTable):
-            pts = trace.points
-            vals = np.append(trace.values[(pts > 0.0) & (pts < t_end)], (trace(0.0), trace(t_end)))
-        else:
-            vals = _evaluate(trace, np.linspace(0.0, t_end, 1025))
+        pts = trace.points if isinstance(trace, SampledTable) else np.linspace(0.0, t_end, 1025)
+        ts = np.concatenate(([0.0], pts[(pts > 0.0) & (pts < t_end)], [t_end]))
+        vals = np.append(_evaluate(trace, ts), column)
         lo, hi = min(lo, float(vals.min())), max(hi, float(vals.max()))
     return invariant_interval(model, (lo, hi))
 

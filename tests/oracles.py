@@ -16,7 +16,6 @@ import numpy as np
 from discflux import EntropyResidualReport, SampledTable, invert
 from discflux.analysis import _adapted_constants
 from discflux.cli import _unit_draws
-from discflux.config import data_range
 from discflux.solver import _March
 
 
@@ -235,13 +234,13 @@ def reference_levels(u0, grid, model, config, bracket):
     return levels
 
 
-def ordering_gap_per_pair(config, model, solver_config, grid, u_range):
+def ordering_gap_per_pair(data, model, solver_config, grid, u_range):
     """Verify's order-check gap with each member of each pair marched alone.
 
     Takes verify's 20 pairs from the same counter hash,
-    :func:`discflux.cli._unit_draws`, scaled into the config's data range,
-    and marches the low and the high member of
-    each for 100 whole steps on a one-row plan, two buffers each; an inflow
+    :func:`discflux.cli._unit_draws`, scaled into ``data``, the config's
+    data range, and marches the low and the high member of each for 100
+    whole steps on a one-row plan, two buffers each; an inflow
     cell takes :func:`slab_average_oracle` over the slab after each step's
     running time.  Returns the largest low-minus-high gap; the first NaN gap
     wins and stays.
@@ -254,7 +253,7 @@ def ordering_gap_per_pair(config, model, solver_config, grid, u_range):
     steps = [march.bind(old, new, lam) for old, new in
              ((low, low_new), (low_new, low), (high, high_new), (high_new, high))]
     targets = ((low_new, high_new), (low, high))
-    lo, hi = data_range(config)
+    lo, hi = data
     worst = 0.0
     for a, b in lo + (hi - lo) * _unit_draws((20, 2, grid.n)):
         np.minimum(a, b, out=low)

@@ -403,8 +403,8 @@ def order_case(config):
     """The order check's arguments, as ``cmd_verify`` passes them."""
     model = build_model(config)
     grid = build_grid(config.xmin, config.xmax, min(config.resolutions), config.interfaces)
-    return (config, model, build_solver_config(config), grid,
-            invariant_interval(model, data_range(config)))
+    data = data_range(config)
+    return data, model, build_solver_config(config), grid, invariant_interval(model, data)
 
 
 def test_order_check_reports_a_cfl_violation_instead_of_raising():

@@ -37,6 +37,7 @@ from discflux import (
 from discflux.config import build_model, from_dict, to_dict
 from discflux.errors import _tolerance
 from discflux.solver import _empty, _inflow_column, _slab_average
+from oracles import slab_average_oracle
 
 FAR = 2.0 ** -20  # relative distance far past every tolerance
 
@@ -138,12 +139,15 @@ def test_the_oracle_convexity_check_scales_with_the_law(s):
 def test_the_slab_average_and_the_inflow_column_share_the_empty_slab_rule():
     # slabs of 1 to 64 ulps at t = 0.5 straddle the rule's edge, 1e-15 * t
     # (about 4.5 ulps), on a table steep enough that a slab's mean and its
-    # end value differ: the column's one array pass gives every slab the bits
-    # of _slab_average, empty or not
+    # end value differ: one array call gives every slab the oracle's bits,
+    # empty or not, and so do a scalar call and a one-level column
     table = SampledTable(np.array([0.0, 1.0]), np.array([0.0, 1e12]))
     t0 = 0.5
     ends = [t0 + k * math.ulp(t0) for k in range(1, 65)]
     assert 0 < sum(bool(_empty(t0, t1)) for t1 in ends) < len(ends)
-    for t1 in ends:
-        [got] = _inflow_column(Inflow(table), [t0], t1 - t0, t1)
-        assert got == _slab_average(table, t0, t1)
+    means = _slab_average(table, np.full(len(ends), t0), np.array(ends)).tolist()
+    assert means == [slab_average_oracle(table, t0, t1) for t1 in ends]
+    for t1, mean in zip(ends, means):
+        got = _slab_average(table, t0, t1)
+        assert type(got) is float and got == mean
+        assert _inflow_column(Inflow(table), [t0], t1 - t0, t1) == [mean]

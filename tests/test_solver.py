@@ -245,6 +245,20 @@ def test_constant_callable_inflow_returns_its_value_exactly():
         assert _slab_average(constant_trace(v), 0.1, 0.2) == v
 
 
+def test_a_callable_slab_average_keeps_each_slab_s_own_sum():
+    # every slab's nodes go to the trace in one call, but each slab keeps its
+    # own 1-D weighted sum, which a 2-D product rounds differently in about
+    # a third of these slabs; a scalar call is the same slab in the array
+    def trace(t):
+        return 1.5 + 0.25 * np.sin(7.0 * np.asarray(t))
+
+    t0 = np.linspace(0.0, 1.0, 2001)[:-1].tolist()
+    t1 = [t + 1.0 / 2000 for t in t0]
+    means = _slab_average(trace, np.array(t0), np.array(t1)).tolist()
+    assert means == [slab_average_oracle(trace, a, b) for a, b in zip(t0, t1)]
+    assert means[::97] == [_slab_average(trace, a, b) for a, b in zip(t0[::97], t1[::97])]
+
+
 def constant_inflow_config(v):
     return from_dict({
         "domain": {"xmin": -1.0, "xmax": 1.0},
@@ -290,6 +304,42 @@ def test_a_scalar_only_inflow_trace_runs_as_its_array_form(scalar_only, array_fo
         return [lv.u.tobytes() for lv in run(problem, grid, model, config, retain_levels=True).levels]
 
     assert levels(scalar_only) == levels(array_form)
+
+
+def test_a_callable_inflow_is_called_as_often_at_any_resolution():
+    # the bracket's samples, the quadrature nodes of every nonempty slab and
+    # the ends of the empty ones (here the shortened step's: its level starts
+    # at t_end) take one call each, however many levels the run has
+    calls = []
+
+    def trace(t):
+        calls.append(np.shape(t))
+        return 1.5 + 0.25 * np.sin(np.asarray(t))
+
+    problem = ProblemSpec((0.0, 1.0), PiecewiseConstant((0.5,), (1.0, 2.0)))
+    model = PiecewiseFlux((), (quadratic_flux(1.0, interval=(0.5, 3.0)),))
+    config = SolverConfig(lam=0.3, t_end=0.5, left=Inflow(trace))
+    counts = []
+    for n in (64, 512):
+        calls.clear()
+        run(problem, build_grid(0.0, 1.0, n), model, config)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == 3, counts
+
+
+def test_run_brackets_the_inflow_column_as_well_as_the_trace_samples():
+    # a spike narrower than the bracket's sample spacing (t_end/1024) falls
+    # between those samples but not between a slab's quadrature nodes: the
+    # boundary cell would take means up to 5.41, lam * f' = 4.87, and march
+    # into overflow
+    def trace(t):
+        return 1.0 + 5.0 * (np.abs(np.asarray(t) - 100.5 / 1024) < 0.2 / 1024)
+
+    problem = ProblemSpec((-1.0, 1.0), PiecewiseConstant((), (1.0,)))
+    model = PiecewiseFlux((), (quadratic_flux(1.0, interval=(0.5, 10.0)),))
+    config = SolverConfig(lam=0.9, t_end=1.0, left=Inflow(trace))
+    with pytest.raises(StabilityError, match=r"on \[1, 5\.40768\]"):
+        run(problem, build_grid(-1.0, 1.0, 4096), model, config)
 
 
 def test_inflow_table_slab_past_the_end_raises():
