@@ -31,7 +31,7 @@ class DivergentRangeError(DiscfluxError):
 
 
 class GridAlignmentError(DiscfluxError):
-    """A flux interface does not coincide with a cell edge."""
+    """Two interfaces snap to one cell edge, or one reaches the domain's end."""
 
 
 class DomainError(DiscfluxError):

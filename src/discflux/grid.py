@@ -1,8 +1,10 @@
-"""Uniform cell grids whose edges are forced onto the flux interfaces.
+"""Uniform cell grids with the flux interfaces moved onto cell edges.
 
 The coupling at a flux interface is applied to the first cell on its right,
-so every interface must coincide with a cell edge.  Construction checks this
-and, on failure, suggests nearby cell counts that would align.
+so each interface is moved to its nearest cell edge, ties to the right.  The
+move is at most half a cell, an O(dx) change in the solution that the
+O(sqrt(dx)) rate of monotone schemes absorbs.  The grid holds the moved
+positions; the flux model keeps the true ones.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import numpy as np
 
 from .errors import DomainError, GridAlignmentError, _tolerance
 
+# an interface closer to an edge than this fraction of the domain's length is
+# on it, and keeps its own bits there
 _ALIGN_RTOL = 1e-9
 
 # nodes/weights for 5-point Gauss-Legendre on [-1, 1]: numpy's leggauss(5) bit
@@ -30,10 +34,10 @@ _GL_WEIGHTS = np.array([0.23692688505618928, 0.4786286704993663, 0.5688888888888
 class Grid:
     """A uniform grid of ``n`` cells on ``[xmin, xmax]``.
 
+    ``interfaces`` are the snapped interface positions, each on a cell edge:
     ``interface_cells[i]`` is the index of the first cell to the right of
-    ``interfaces[i]``; equivalently ``edges[interface_cells[i]]`` equals the
-    interface position exactly.  ``subdomain_of_cell[j]`` counts the
-    interfaces left of cell ``j``'s center.
+    ``interfaces[i]``, and ``edges[interface_cells[i]]`` equals it exactly.
+    ``subdomain_of_cell[j]`` counts the interfaces left of cell ``j``'s center.
     """
 
     xmin: float
@@ -56,15 +60,19 @@ class Grid:
 
 
 def build_grid(xmin: float, xmax: float, n: int, interfaces: Sequence[float] = ()) -> Grid:
-    """Build an ``n``-cell grid, snapping edges onto the flux interfaces.
+    """Build an ``n``-cell grid with each flux interface snapped to a cell edge.
 
-    Raises :class:`GridAlignmentError` (naming the offending interface and
-    nearby admissible values of ``n``) when an interface does not fall on a
-    cell edge to relative precision 1e-9.
+    Interface ``x`` at fractional edge index ``pos = (x - xmin) / dx`` moves to
+    edge ``floor(pos + 0.5)``, a tie going right.  One already on its edge, to
+    1e-9 of the domain's length, writes its own value into that edge.
+    Raises :class:`GridAlignmentError` when two interfaces snap to one edge
+    or one snaps to an end of the domain.
     """
     xmin, xmax = float(xmin), float(xmax)
     if not (math.isfinite(xmin) and math.isfinite(xmax)) or xmin >= xmax:
         raise ValueError(f"need xmin < xmax, got [{xmin}, {xmax}]")
+    if not float(n).is_integer():
+        raise ValueError(f"need a whole number of cells, got n={n}")
     n = int(n)
     if n < 1:
         raise ValueError(f"need at least one cell, got n={n}")
@@ -75,32 +83,18 @@ def build_grid(xmin: float, xmax: float, n: int, interfaces: Sequence[float] = (
         raise ValueError(f"interfaces must lie strictly inside ({xmin}, {xmax})")
 
     dx = (xmax - xmin) / n
-    cells = []
-    for xi in interfaces:
-        pos = (xi - xmin) / dx
-        p = round(pos)
-        if abs(pos - p) > _ALIGN_RTOL * n:
-            lower, upper = _admissible_near(xmin, xmax, interfaces, n)
-            hint = " or ".join(f"n={m}" for m in (lower, upper) if m is not None)
-            raise GridAlignmentError(
-                f"interface x={xi} falls at fractional edge index {pos} "
-                f"for n={n}; nearest aligned choices: {hint or 'none found'}"
-            )
-        cells.append(int(p))
-    if any(not 0 < p < n for p in cells):
+    cells = [math.floor((xi - xmin) / dx + 0.5) for xi in interfaces]
+    if any(not 0 < p < n for p in cells) or len(set(cells)) < len(cells):
         raise GridAlignmentError(
-            f"every interface needs at least one cell on each side "
-            f"(edge indices {cells} for n={n})"
+            f"interfaces {interfaces} snap to edge indices {cells} for n={n}; each needs "
+            f"its own edge, with at least one cell on each side: refine the grid"
         )
-    if any(q <= p for p, q in zip(cells, cells[1:])):
-        raise GridAlignmentError(
-            f"two interfaces share a cell edge at n={n} (edge indices {cells}); "
-            f"refine the grid"
-        )
-
     edges = np.linspace(xmin, xmax, n + 1)
     for p, xi in zip(cells, interfaces):
-        edges[p] = xi
+        if abs((xi - xmin) / dx - p) <= _ALIGN_RTOL * n:
+            edges[p] = xi
+
+    snapped = tuple(float(edges[p]) for p in cells)
     centers = 0.5 * (edges[:-1] + edges[1:])
     return Grid(
         xmin=xmin,
@@ -108,26 +102,10 @@ def build_grid(xmin: float, xmax: float, n: int, interfaces: Sequence[float] = (
         n=n,
         dx=dx,
         edges=edges,
-        interfaces=interfaces,
+        interfaces=snapped,
         interface_cells=tuple(cells),
-        subdomain_of_cell=np.searchsorted(interfaces, centers).astype(np.intp),
+        subdomain_of_cell=np.searchsorted(snapped, centers).astype(np.intp),
     )
-
-
-def _admissible_near(xmin, xmax, interfaces, n):
-    """Nearest cell counts below and above ``n`` aligning all interfaces."""
-
-    def aligned(m):
-        dxm = (xmax - xmin) / m
-        return all(
-            abs((xi - xmin) / dxm - round((xi - xmin) / dxm)) <= _ALIGN_RTOL * m
-            and 0 < round((xi - xmin) / dxm) < m
-            for xi in interfaces
-        )
-
-    lower = next((m for m in range(n - 1, 0, -1) if aligned(m)), None)
-    upper = next((m for m in range(n + 1, max(4 * n, 4096)) if aligned(m)), None)
-    return lower, upper
 
 
 # {{{ initial data

@@ -105,6 +105,13 @@ def _set(key, value):
     return mutate
 
 
+def _two_interfaces(a, b):
+    def mutate(raw):
+        raw["interfaces"] = [a, b]
+        raw["fluxes"] = [{"kind": "linear"}, {"kind": "quadratic"}, {"kind": "linear"}]
+    return mutate
+
+
 VALIDATION_CASES = [
     ("missing-domain", _drop("domain"), "missing required key 'domain'"),
     ("extra-key", _set("gravity", 9.81), "config.gravity: unknown key"),
@@ -128,7 +135,8 @@ VALIDATION_CASES = [
     ("reference-n-zero", _set("reference_n", 0), "reference_n: must be positive, got 0"),
     ("reference-n-negative", _set("reference_n", -2048),
      "reference_n: must be positive, got -2048"),
-    ("interface-misaligned", _set("interfaces", [0.1]), r"resolutions\[0\]"),
+    ("interfaces-collide", _two_interfaces(0.1, 0.12),
+     r"resolutions\[0\]: interfaces \(0.1, 0.12\) snap to edge indices \[9, 9\]"),
     ("numerical-flux", _set("numerical_flux", "lax"), "numerical_flux"),
     ("right-boundary", _set("boundary", {"right": "inflow"}),
      "only 'outflow' is supported on the right"),

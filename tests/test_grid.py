@@ -33,9 +33,24 @@ def test_interface_lands_on_edge():
     assert grid.subdomain_slices() == [slice(0, 32), slice(32, 64)]
 
 
-def test_misaligned_interface_suggests_counts():
-    with pytest.raises(GridAlignmentError, match=r"n=62 or n=64"):
-        build_grid(-1.0, 1.0, 63, (0.0,))
+def test_an_interface_snaps_to_its_nearest_edge_ties_to_the_right():
+    # 0.0 at n=63 sits at edge index 31.5 and at n=65 at 32.5: both ties go
+    # right, where Python's round would send the second to the even 32
+    for n, p in [(63, 32), (65, 33)]:
+        grid = build_grid(-1.0, 1.0, n, (0.0,))
+        assert grid.interface_cells == (p,)
+        assert grid.interfaces == (grid.edges[p],)
+        assert grid.edges.tobytes() == np.linspace(-1.0, 1.0, n + 1).tobytes()
+    # 0.1 at n=128 sits at 70.4: cell 70, moved left by 0.4 dx
+    grid = build_grid(-1.0, 1.0, 128, (0.1,))
+    assert grid.interface_cells == (70,)
+    assert grid.interfaces == (0.09375,)
+    assert np.isclose((grid.interfaces[0] - 0.1) / grid.dx, -0.4, rtol=0.0, atol=1e-12)
+    assert np.all(grid.subdomain_of_cell[:70] == 0) and np.all(grid.subdomain_of_cell[70:] == 1)
+    # two interfaces that reach one edge collide; a finer grid parts them
+    with pytest.raises(GridAlignmentError, match=r"edge indices \[9, 9\] for n=16"):
+        build_grid(-1.0, 1.0, 16, (0.1, 0.12))
+    assert build_grid(-1.0, 1.0, 128, (0.1, 0.12)).interface_cells == (70, 72)
 
 
 def test_interface_on_boundary_rejected():
@@ -56,6 +71,9 @@ def test_grid_argument_validation():
         build_grid(1.0, -1.0, 8)
     with pytest.raises(ValueError, match="at least one cell"):
         build_grid(0.0, 1.0, 0)
+    for n in (64.9, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=f"whole number of cells, got n={n}"):
+            build_grid(-1.0, 1.0, n, (0.0,))
 
 
 def test_piecewise_constant_lookup():

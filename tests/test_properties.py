@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from discflux import (
     DivergentRangeError,
+    GridAlignmentError,
     Inflow,
     Outflow,
     PiecewiseConstant,
@@ -79,12 +80,21 @@ def law_points(draw):
 
 @st.composite
 def marches(draw):
-    """A model with 1-3 interfaces on an aligned grid, data, boundary and end time."""
+    """A model with 1-3 interfaces anywhere in (0, 1), its grid, data, boundary and end time.
+
+    The grid snaps each interface to its nearest edge; draws that snap two
+    interfaces to one edge are dropped.
+    """
     n = draw(st.integers(8, 512))
     k = draw(st.integers(1, 3))
-    cells = sorted(draw(st.lists(st.integers(1, n - 1), min_size=k, max_size=k, unique=True)))
-    model = PiecewiseFlux(tuple(p / n for p in cells), tuple(draw(laws) for _ in range(k + 1)))
-    grid = build_grid(0.0, 1.0, n, model.interfaces)
+    # at least half a cell from either end, so that no draw snaps to an end
+    inside = st.floats(0.5 / n, 1.0 - 0.5 / n, exclude_max=True)
+    interfaces = sorted(draw(st.lists(inside, min_size=k, max_size=k, unique=True)))
+    model = PiecewiseFlux(tuple(interfaces), tuple(draw(laws) for _ in range(k + 1)))
+    try:
+        grid = build_grid(0.0, 1.0, n, model.interfaces)
+    except GridAlignmentError:
+        assume(False)
     breakpoints = sorted(draw(st.lists(st.floats(0.01, 0.99), max_size=5, unique=True)))
     datum = PiecewiseConstant(tuple(breakpoints),
                               tuple(draw(VALUES) for _ in range(len(breakpoints) + 1)))

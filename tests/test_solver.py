@@ -1,3 +1,4 @@
+import dataclasses
 from functools import partial
 
 import numpy as np
@@ -498,6 +499,24 @@ def test_run_checks_domain_and_stability():
     with pytest.raises(StabilityError, match="reduce lam"):
         run(exp1_problem(), grid, TRANSPORT_THEN_BURGERS,
             SolverConfig(lam=0.9, t_end=0.1))
+
+
+def test_an_off_grid_interface_runs_as_a_model_on_its_snapped_edge():
+    # experiment1 with its interface at 0.1, on no edge at any power of two:
+    # the grid moves it to its nearest edge, and the run is the run of a
+    # model whose interface is that edge, bit for bit
+    config = dataclasses.replace(preset("experiment1"), interfaces=(0.1,))
+    problem, solver_config = build_problem(config), build_solver_config(config)
+    for n in [16, 32, 64, 128, 256, 512, 1024, 2048]:
+        grid = build_grid(-1.0, 1.0, n, config.interfaces)
+        assert grid.interfaces != config.interfaces
+        again = build_grid(-1.0, 1.0, n, grid.interfaces)
+        for field in dataclasses.fields(grid):
+            assert (np.asarray(getattr(grid, field.name)).tobytes()
+                    == np.asarray(getattr(again, field.name)).tobytes()), field.name
+        snapped = build_model(dataclasses.replace(config, interfaces=grid.interfaces))
+        got = run(problem, grid, build_model(config), solver_config).final.u
+        assert got.tobytes() == run(problem, again, snapped, solver_config).final.u.tobytes()
 
 
 def test_run_records_increments(three_interface_model):
