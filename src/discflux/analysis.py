@@ -25,7 +25,7 @@ from .errors import (
 )
 from .exact import ExactSolution
 from .fluxes import PiecewiseFlux, invert_near
-from .grid import Grid
+from .grid import Grid, _check_snapped
 from .solver import State, Trajectory
 
 # Bytes of the per-block work arrays of entropy_residual and
@@ -69,6 +69,10 @@ def l1_error(coarse: State, coarse_grid: Grid, fine: State, fine_grid: Grid) -> 
         raise ProjectionError(
             f"fine n={fine_grid.n} is not a multiple of coarse n={coarse_grid.n}"
         )
+    for state, grid in ((coarse, coarse_grid), (fine, fine_grid)):
+        if state.u.shape != (grid.n,):
+            raise ProjectionError(f"a state of shape {state.u.shape} is not on a grid of "
+                                  f"{grid.n} cells")
     if abs(coarse.t - fine.t) > _tolerance(1e-12, coarse.t, fine.t):
         raise ProjectionError(f"states live at different times: {coarse.t} vs {fine.t}")
     ratio = fine_grid.n // coarse_grid.n
@@ -103,7 +107,7 @@ def ooc(errors: Sequence[tuple[int, float]]) -> list[float]:
             raise SequencingError(
                 f"resolutions must double between rows, got {n_prev} -> {n_next}"
             )
-    if any(e <= 0.0 for _, e in rows):
+    if any(not e > 0.0 for _, e in rows):  # so NaN fails
         raise ValueError("errors must be positive to take rates")
     return [math.log2(e_prev / e_next) for (_, e_prev), (_, e_next) in zip(rows, rows[1:])]
 
@@ -147,6 +151,8 @@ def flux_lipschitz_in_space(trajectory: Trajectory, grid: Grid, model: Piecewise
     distances, and a ratio of sums is at most the largest ratio.  Boundedness
     of this quotient under refinement is the testable statement; there is no
     exact constant to hit.  A NaN quotient wins, as in the entropy report.
+    A grid not built for ``model``'s interfaces raises
+    :class:`GridAlignmentError`.
 
     Each subdomain reads the level store in blocks of about
     ``_RESIDUAL_BLOCK_BYTES`` and never copies it whole.  The running pair
@@ -156,6 +162,7 @@ def flux_lipschitz_in_space(trajectory: Trajectory, grid: Grid, model: Piecewise
     two cells has one pair, whose column numpy sums pairwise instead; it
     takes all its levels in one block of O(levels) values.
     """
+    _check_snapped(grid, model.interfaces)
     levels, dts = _level_steps(trajectory)
     worst = 0.0
     for seg, sl in zip(model.segments, grid.subdomain_slices()):
@@ -208,7 +215,9 @@ def entropy_residual(
     the conservative update), and should be nonpositive up to roundoff on any
     stable run.  The argmax is the first occurrence over constants, then
     steps, then cells.  A NaN residual wins and sticks: the report is then
-    NaN, with its argmax at the first NaN.
+    NaN, with its argmax at the first NaN.  A grid not built for ``model``'s
+    interfaces raises :class:`GridAlignmentError`, and an empty
+    ``c_samples`` :class:`DiagnosticInputError`.
 
     The steps go in blocks of about ``_RESIDUAL_BLOCK_BYTES``, whose levels
     are read into one reused buffer: the level store is never copied whole,
@@ -223,6 +232,7 @@ def entropy_residual(
     cell.  The cost follows the band; the report is the one the whole
     (steps x cells) residual gives.
     """
+    _check_snapped(grid, model.interfaces)
     levels, dts = _level_steps(trajectory)
     # cells eligible for the conservative-update inequality
     in_law = np.zeros(grid.n, dtype=bool)
@@ -235,6 +245,8 @@ def entropy_residual(
     seed = (float(np.min([lv.u.min() for lv in levels])),
             float(np.max([lv.u.max() for lv in levels])))
     constants = tuple(float(c) for c in c_samples)
+    if not constants:
+        raise DiagnosticInputError("no entropy constant to sample: c_samples is empty")
     adapted = np.array([_adapted_constants(model, c, seed) for c in constants])
     adapted = adapted.reshape(len(constants), model.n_interfaces + 1)
     c_cells = adapted[:, grid.subdomain_of_cell]

@@ -23,10 +23,6 @@ from .solver import Inflow, Outflow, ProblemSpec, SolverConfig
 
 _FLUX_KINDS = ("linear", "quadratic")
 
-# Accepted edge-flux names: for increasing laws each takes f(u_left), so a
-# name selects no code and is only validated and digested.
-_NUMERICAL_FLUXES = ("upwind", "godunov", "engquist_osher")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -41,7 +37,6 @@ class ExperimentConfig:
     t_end: float
     resolutions: tuple[int, ...]
     reference_n: int
-    numerical_flux: str = "upwind"
     boundary_left: dict = field(default_factory=lambda: {"kind": "outflow"})
     snapshots: tuple[float, ...] = ()
 
@@ -112,7 +107,7 @@ def from_dict(raw: dict) -> ExperimentConfig:
         "config",
         required=("domain", "interfaces", "fluxes", "initial", "lambda",
                   "t_end", "resolutions", "reference_n"),
-        optional=("numerical_flux", "boundary", "snapshots"),
+        optional=("boundary", "snapshots"),
     )
     dom = _as_map(raw["domain"], "domain", required=("xmin", "xmax"))
     xmin = _as_float(dom["xmin"], "domain.xmin")
@@ -148,10 +143,6 @@ def from_dict(raw: dict) -> ExperimentConfig:
         except GridAlignmentError as exc:
             _fail(label, str(exc))
 
-    numerical_flux = raw.get("numerical_flux", "upwind")
-    if numerical_flux not in _NUMERICAL_FLUXES:
-        _fail("numerical_flux", f"expected one of {_NUMERICAL_FLUXES}, got {numerical_flux!r}")
-
     boundary_left = _validated_boundary(raw.get("boundary", {"left": "outflow"}))
 
     snapshots = _as_list(raw.get("snapshots", []), "snapshots", _as_float)
@@ -168,7 +159,6 @@ def from_dict(raw: dict) -> ExperimentConfig:
         t_end=t_end,
         resolutions=resolutions,
         reference_n=reference_n,
-        numerical_flux=numerical_flux,
         boundary_left=boundary_left,
         snapshots=snapshots,
     )
@@ -256,7 +246,6 @@ def to_dict(config: ExperimentConfig) -> dict:
         "initial": dict(config.initial),
         "lambda": config.lam,
         "t_end": config.t_end,
-        "numerical_flux": config.numerical_flux,
         "boundary": {"left": _boundary_to_dict(config.boundary_left)},
         "resolutions": list(config.resolutions),
         "reference_n": config.reference_n,

@@ -31,7 +31,10 @@ class DivergentRangeError(DiscfluxError):
 
 
 class GridAlignmentError(DiscfluxError):
-    """Two interfaces snap to one cell edge, or one reaches the domain's end."""
+    """Two interfaces snap to one cell edge, or one reaches the domain's end.
+
+    Also raised when a grid meets a model whose interfaces it was not built for.
+    """
 
 
 class DomainError(DiscfluxError):
@@ -48,9 +51,9 @@ class MonotonicityError(DiscfluxError, ValueError):
 class DiagnosticInputError(DiscfluxError, ValueError):
     """A diagnostic's levels or grid give nothing to measure.
 
-    Levels that are not strictly increasing in time, or a grid without a cell
-    whose left neighbour shares its law.  Also a ``ValueError``, which callers
-    caught before it had its own type.
+    Levels that are not strictly increasing in time, a grid without a cell
+    whose left neighbour shares its law, or no entropy constant.  Also a
+    ``ValueError``, which callers caught before it had its own type.
     """
 
 
@@ -59,7 +62,7 @@ class StabilityError(DiscfluxError):
 
 
 class ProjectionError(DiscfluxError):
-    """Two solutions cannot be compared (grids not nested, times differ)."""
+    """Two solutions cannot be compared (grids not nested, times differ, a state off its grid)."""
 
 
 class SequencingError(DiscfluxError):

@@ -2,9 +2,9 @@
 
 A model is a sorted list of interface positions together with one flux law per
 subdomain (one more law than interfaces).  Every law must be strictly
-increasing in the conserved quantity: the positive lower bound ``alpha`` on
-the derivative is what makes single-sided differencing stable and the
-interface coupling (flux continuity) uniquely invertible.
+increasing in the conserved quantity: a positive lower bound on the
+derivative is what makes single-sided differencing stable and the interface
+coupling (flux continuity) uniquely invertible.
 """
 
 from __future__ import annotations
@@ -32,16 +32,15 @@ _EPS = float(np.finfo(float).eps)
 class FluxSegment:
     """One strictly increasing flux law on a single subdomain.
 
-    ``func`` and ``deriv`` accept floats or numpy arrays.  ``alpha`` is a
-    positive lower bound for ``deriv`` on ``interval``, the interval the
-    segment was validated on at construction time.  ``kind`` is one of
-    ``"linear"``, ``"quadratic"`` or ``"custom"`` and selects analytic
-    shortcuts for inversion and derivative bounds where they exist.
+    ``func`` and ``deriv`` accept floats or numpy arrays.  ``interval`` is
+    the interval on which the law was checked to increase when it was
+    built.  ``kind`` is one of ``"linear"``, ``"quadratic"`` or
+    ``"custom"`` and selects analytic shortcuts for inversion and
+    derivative bounds where they exist.
     """
 
     func: Callable
     deriv: Callable
-    alpha: float
     interval: tuple[float, float]
     kind: str = "custom"
     params: tuple = ()
@@ -78,7 +77,6 @@ def linear_flux(a: float, b: float = 0.0) -> FluxSegment:
     return FluxSegment(
         func=lambda u: a * u + b,
         deriv=lambda u: np.full_like(np.asarray(u, dtype=float), a),
-        alpha=a,
         interval=(-math.inf, math.inf),
         kind="linear",
         params=(a, b),
@@ -115,7 +113,6 @@ def quadratic_flux(a: float, b: float = 0.0, *, interval: tuple[float, float]) -
     return FluxSegment(
         func=func,
         deriv=lambda u: a * np.asarray(u, dtype=float) + b,
-        alpha=alpha,
         interval=(lo, hi),
         kind="quadratic",
         params=(a, b),
@@ -206,11 +203,9 @@ def custom_flux(func: Callable, deriv: Callable, *, interval: tuple[float, float
             f"derivative disagrees with a finite difference of the flux "
             f"near u={worst} (relative mismatch {float(mismatch.max()):.2e})"
         )
-    # sampling may straddle the true minimum, keep a safety margin
     return FluxSegment(
         func=func,
         deriv=deriv,
-        alpha=0.999 * dmin,
         interval=(lo, hi),
         kind="custom",
         params=(),
@@ -258,14 +253,6 @@ class PiecewiseFlux:
     @property
     def n_interfaces(self) -> int:
         return len(self.interfaces)
-
-
-def max_wave_speed(model: PiecewiseFlux, interval: tuple[float, float]) -> float:
-    """Largest derivative any law attains on ``interval`` (sets the CFL limit)."""
-    lo, hi = float(interval[0]), float(interval[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
-        raise ValueError(f"need a finite interval with lo <= hi, got [{lo}, {hi}]")
-    return max(seg.deriv_bounds(lo, hi)[1] for seg in model.segments)
 
 
 # }}}

@@ -83,7 +83,7 @@ def build_grid(xmin: float, xmax: float, n: int, interfaces: Sequence[float] = (
         raise ValueError(f"interfaces must lie strictly inside ({xmin}, {xmax})")
 
     dx = (xmax - xmin) / n
-    cells = [math.floor((xi - xmin) / dx + 0.5) for xi in interfaces]
+    cells = _snap(xmin, dx, interfaces)
     if any(not 0 < p < n for p in cells) or len(set(cells)) < len(cells):
         raise GridAlignmentError(
             f"interfaces {interfaces} snap to edge indices {cells} for n={n}; each needs "
@@ -106,6 +106,25 @@ def build_grid(xmin: float, xmax: float, n: int, interfaces: Sequence[float] = (
         interface_cells=tuple(cells),
         subdomain_of_cell=np.searchsorted(snapped, centers).astype(np.intp),
     )
+
+
+def _snap(xmin: float, dx: float, interfaces) -> list[int]:
+    """The edge index each interface moves to: ``floor(pos + 0.5)``, ties to the right."""
+    return [math.floor((x - xmin) / dx + 0.5) for x in interfaces]
+
+
+def _check_snapped(grid: Grid, interfaces) -> None:
+    """Raise :class:`GridAlignmentError` unless ``grid`` was built for ``interfaces``.
+
+    The march and the diagnostics pair each law with one subdomain of the grid.
+    """
+    cells = _snap(grid.xmin, grid.dx, interfaces)
+    if tuple(cells) != grid.interface_cells:
+        raise GridAlignmentError(
+            f"the grid has its interfaces at edge indices {list(grid.interface_cells)}, "
+            f"but the model's interfaces {tuple(interfaces)} snap to {cells} for n={grid.n}: "
+            f"build the grid for the model's interfaces"
+        )
 
 
 # {{{ initial data

@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import MonotonicityError, StabilityError, _tolerance
 from .fluxes import PiecewiseFlux, invariant_interval, _array_form, _inverse
-from .grid import Grid, SampledTable, cell_average, _evaluate, _GL_NODES, _GL_WEIGHTS
+from .grid import (Grid, SampledTable, cell_average, _check_snapped, _evaluate, _GL_NODES,
+                   _GL_WEIGHTS)
 
 _CFL_SLACK = 1e-12
 
@@ -382,17 +383,20 @@ def step(
 
     Applies :func:`run`'s stability rule to each subdomain's own values:
     raises :class:`MonotonicityError` when a law stops increasing on them and
-    :class:`StabilityError` when ``dt`` exceeds what they allow.
+    :class:`StabilityError` when ``dt`` exceeds what they allow.  Raises
+    :class:`GridAlignmentError` when ``grid`` was not built for ``model``'s
+    interfaces.
     """
     u = state.u
     if u.shape != (grid.n,):
         raise ValueError(f"state has {u.shape[0]} cells, grid has {grid.n}")
+    _check_snapped(grid, model.interfaces)
     if dt is None:
         lam = config.lam
         dt = lam * grid.dx
     else:
         dt = float(dt)
-        if dt < 0.0:
+        if not dt >= 0.0:  # so NaN fails
             raise ValueError(f"dt must be nonnegative, got {dt}")
         lam = dt / grid.dx
 
@@ -510,11 +514,14 @@ def run(
     Snapshots record the first level at or after each requested time.
     ``record_increments`` accumulates per-cell sums of level-to-level changes;
     ``retain_levels`` keeps every level (memory scales with step count).
+    Raises :class:`GridAlignmentError` when ``grid`` was not built for
+    ``model``'s interfaces.
     """
     (x0, x1), slack = problem.domain, _tolerance(1e-12, *problem.domain)
     if abs(grid.xmin - x0) > slack or abs(grid.xmax - x1) > slack:
         raise ValueError(f"grid spans [{grid.xmin}, {grid.xmax}] but the problem lives on "
                          f"{problem.domain}")
+    _check_snapped(grid, model.interfaces)
     t_end = config.t_end
     pending = sorted(float(s) for s in snapshot_times)
     t_slack = _tolerance(1e-12, t_end)

@@ -79,6 +79,11 @@ def test_l1_error_rejects_mismatched_inputs():
     grid_d = build_grid(0.0, 1.0, 4, ())
     with pytest.raises(ProjectionError, match="different times"):
         l1_error(_state([0.0, 0.0], t=0.5), grid_a, _state([0.0] * 4, t=0.25), grid_d)
+    # a state whose size is not its grid's, coarse or fine
+    with pytest.raises(ProjectionError, match=r"shape \(3,\) is not on a grid of 2 cells"):
+        l1_error(_state([0.0] * 3), grid_a, _state([0.0] * 4), grid_d)
+    with pytest.raises(ProjectionError, match=r"shape \(6,\) is not on a grid of 4 cells"):
+        l1_error(_state([0.0, 0.0]), grid_a, _state([0.0] * 6), grid_d)
 
 
 def test_l1_error_vs_oracle_exact_for_linear_profile():
@@ -114,6 +119,8 @@ def test_ooc_degenerate_inputs():
     assert ooc([]) == []
     with pytest.raises(ValueError, match="positive"):
         ooc([(16, 0.1), (32, 0.0)])
+    with pytest.raises(ValueError, match="positive"):
+        ooc([(16, 0.1), (32, math.nan)])
 
 
 # }}}
@@ -555,6 +562,10 @@ BAD_INPUTS = {
         _trajectory([[1.0, 1.0]] * 2, [0.0, 0.1]), build_grid(0.0, 1.0, 2, (0.5,)),
         PiecewiseFlux((0.5,), (linear_flux(1.0), linear_flux(1.0))), [1.0]),
         "in-law left neighbour"),
+    # no constant: a report of -inf would pass any gate with nothing measured
+    "entropy-no-constant": (lambda: entropy_residual(
+        _trajectory([[1.0] * 4] * 2, [0.0, 0.1]), build_grid(0.0, 1.0, 4, ()),
+        _burgers_model(), []), "c_samples is empty"),
 }
 
 

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -6,16 +6,17 @@ import pytest
 from discflux import (
     DivergentRangeError,
     FluxRangeError,
+    FluxSegment,
     PiecewiseFlux,
     custom_flux,
     invariant_interval,
     invert,
     invert_near,
     linear_flux,
-    max_wave_speed,
     quadratic_flux,
 )
 from discflux.fluxes import _array_form, _inverse
+from discflux.solver import _check_cfl
 from oracles import bisect_root
 
 EPS = float(np.finfo(float).eps)
@@ -34,7 +35,11 @@ def test_linear_flux_values_and_bounds():
     u = np.array([-1.0, 0.0, 4.0])
     assert np.array_equal(seg(u), 2.0 * u - 1.0)
     assert seg.deriv_bounds(-10.0, 10.0) == (2.0, 2.0)
-    assert seg.alpha == 2.0
+
+
+def test_a_segment_holds_its_law_and_no_derived_bound():
+    # deriv_bounds is the one source of derivative bounds
+    assert [f.name for f in fields(FluxSegment)] == ["func", "deriv", "interval", "kind", "params"]
 
 
 def test_linear_flux_rejects_nonpositive_slope():
@@ -66,7 +71,6 @@ def test_custom_flux_accepts_monotone_pair():
         lambda u: np.exp(u), lambda u: np.exp(u), interval=(-1.0, 1.0)
     )
     assert seg.kind == "custom"
-    assert 0.0 < seg.alpha <= np.exp(-1.0)
     lo, hi = seg.deriv_bounds(-0.5, 0.5)
     assert lo == pytest.approx(np.exp(-0.5), rel=1e-6)
     assert hi == pytest.approx(np.exp(0.5), rel=1e-6)
@@ -104,11 +108,12 @@ def test_piecewise_model_validation():
         PiecewiseFlux((1.0, 1.0), (linear_flux(1.0),) * 3)
 
 
-def test_max_wave_speed():
+def test_check_cfl_takes_the_largest_speed_of_any_law():
     model = make_two_law_model()
-    # linear law contributes 1, quadratic law contributes max(u) on the range
-    assert max_wave_speed(model, (0.5, 2.0)) == 2.0
-    assert max_wave_speed(model, (0.25, 0.75)) == 1.0
+    # the rule returns lam times the speed: the linear law contributes 1,
+    # the quadratic law max(u) on the range
+    assert _check_cfl(0.5, [(seg, 0.5, 2.0) for seg in model.segments]) == 0.5 * 2.0
+    assert _check_cfl(0.5, [(seg, 0.25, 0.75) for seg in model.segments]) == 0.5 * 1.0
 
 
 @pytest.mark.parametrize(

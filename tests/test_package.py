@@ -122,7 +122,6 @@ def test_the_public_surface_is_this_list():
         "l1_error_vs_oracle",
         "linear_flux",
         "load_config",
-        "max_wave_speed",
         "ooc",
         "preset",
         "quadratic_flux",

@@ -7,6 +7,7 @@ import pytest
 from discflux import (
     DiscfluxError,
     DomainError,
+    GridAlignmentError,
     Inflow,
     Outflow,
     PiecewiseConstant,
@@ -23,6 +24,8 @@ from discflux import (
     cell_average,
     custom_flux,
     data_range,
+    entropy_residual,
+    flux_lipschitz_in_space,
     inflow_boundary_value,
     invariant_interval,
     linear_flux,
@@ -107,6 +110,15 @@ def test_step_cfl_violation_raises():
     config = SolverConfig(lam=0.6, t_end=1.0)  # wave speed 2 -> product 1.2
     with pytest.raises(StabilityError, match="> 1"):
         step(state, grid, TRANSPORT_THEN_BURGERS, config, u_range=(0.5, 2.0))
+
+
+@pytest.mark.parametrize("model", [PiecewiseFlux((), (linear_flux(1.0),)),
+                                   TRANSPORT_THEN_BURGERS], ids=["no-interface", "one-interface"])
+def test_step_rejects_a_nan_dt(model):
+    grid = build_grid(-1.0, 1.0, 8, model.interfaces)
+    state = State(np.full(8, 2.0), 0.0, 0)
+    with pytest.raises(ValueError, match="dt must be nonnegative, got nan"):
+        step(state, grid, model, SolverConfig(lam=0.5, t_end=1.0), dt=float("nan"))
 
 
 def test_step_unit_cfl_is_allowed():
@@ -517,6 +529,26 @@ def test_an_off_grid_interface_runs_as_a_model_on_its_snapped_edge():
         snapped = build_model(dataclasses.replace(config, interfaces=grid.interfaces))
         got = run(problem, grid, build_model(config), solver_config).final.u
         assert got.tobytes() == run(problem, again, snapped, solver_config).final.u.tobytes()
+
+
+@pytest.mark.parametrize("interfaces", [(), (-0.5, 0.5), (0.5,)],
+                         ids=["no-interface", "two-interfaces", "another-edge"])
+def test_a_grid_built_for_other_interfaces_is_refused(interfaces):
+    # the march and the diagnostics pair each law with one subdomain of the
+    # grid; on a grid built for other interfaces that pairing is wrong
+    config = preset("experiment1")
+    model, problem, solver_config = (build_model(config), build_problem(config),
+                                     build_solver_config(config))
+    trajectory = run(problem, build_grid(-1.0, 1.0, 16, config.interfaces), model,
+                     solver_config, retain_levels=True)
+    grid = build_grid(-1.0, 1.0, 16, interfaces)
+    calls = [lambda: run(problem, grid, model, solver_config),
+             lambda: step(trajectory.final, grid, model, solver_config),
+             lambda: entropy_residual(trajectory, grid, model, [1.0]),
+             lambda: flux_lipschitz_in_space(trajectory, grid, model)]
+    for call in calls:
+        with pytest.raises(GridAlignmentError, match=r"\(0.0,\) snap to \[8\] for n=16"):
+            call()
 
 
 def test_run_records_increments(three_interface_model):
