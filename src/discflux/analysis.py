@@ -69,10 +69,8 @@ def l1_error(coarse: State, coarse_grid: Grid, fine: State, fine_grid: Grid) -> 
         raise ProjectionError(
             f"fine n={fine_grid.n} is not a multiple of coarse n={coarse_grid.n}"
         )
-    for state, grid in ((coarse, coarse_grid), (fine, fine_grid)):
-        if state.u.shape != (grid.n,):
-            raise ProjectionError(f"a state of shape {state.u.shape} is not on a grid of "
-                                  f"{grid.n} cells")
+    _check_on(coarse, coarse_grid)
+    _check_on(fine, fine_grid)
     if abs(coarse.t - fine.t) > _tolerance(1e-12, coarse.t, fine.t):
         raise ProjectionError(f"states live at different times: {coarse.t} vs {fine.t}")
     ratio = fine_grid.n // coarse_grid.n
@@ -85,8 +83,10 @@ def l1_error_vs_oracle(state: State, grid: Grid, exact: ExactSolution, t: float 
 
     The closed-form solution is averaged with 16-point quadrature per cell,
     accurate far below scheme error for piecewise-smooth profiles.  Raises
+    :class:`ProjectionError` when the state is not on ``grid``, and
     :class:`ValidityError` through the oracle when ``t`` is out of window.
     """
+    _check_on(state, grid)
     t = state.t if t is None else float(t)
     # taken here, its only use, so that importing the package leaves
     # numpy.polynomial unloaded
@@ -119,10 +119,25 @@ def ooc(errors: Sequence[tuple[int, float]]) -> list[float]:
 
 
 def spatial_tv(state: State, grid: Grid, subdomain: Optional[int] = None) -> float:
-    """Total variation of the cell values; ``subdomain=i`` restricts to its cells."""
-    if subdomain is not None:
-        return float(_variation(state.u[grid.subdomain_slices()[subdomain]]))
-    return float(_variation(state.u))
+    """Total variation of the cell values; ``subdomain=i`` restricts to its cells.
+
+    Raises :class:`ProjectionError` when the state is not on ``grid`` or it
+    has no subdomain ``i``.
+    """
+    _check_on(state, grid)
+    if subdomain is None:
+        return float(_variation(state.u))
+    slices = grid.subdomain_slices()
+    if not -len(slices) <= subdomain < len(slices):
+        raise ProjectionError(f"subdomain {subdomain} is not one of the grid's {len(slices)}")
+    return float(_variation(state.u[slices[subdomain]]))
+
+
+def _check_on(state: State, grid: Grid):
+    """Raise :class:`ProjectionError` unless ``state`` holds one value per cell of ``grid``."""
+    if state.u.shape != (grid.n,):
+        raise ProjectionError(f"a state of shape {state.u.shape} is not on a grid of "
+                              f"{grid.n} cells")
 
 
 def _variation(block: np.ndarray) -> np.float64:

@@ -305,19 +305,15 @@ def _ordering_gap(data, model, solver_config, grid, u_range) -> float:
     state = np.empty((2, 20, grid.n))
     np.minimum(drawn[:, 0], drawn[:, 1], out=state[0])
     np.maximum(drawn[:, 0], drawn[:, 1], out=state[1])
-    spare, gap = np.empty_like(state), np.empty((20, grid.n))
+    gap = np.empty((20, grid.n))
     march = _March(grid, model, solver_config, u_range, batch=state.shape[:-1])
     lam = solver_config.lam
     dt = lam * grid.dx
-    # whole steps there and back, and the stack each step writes
-    steps = ((march.bind(state, spare, lam), spare), (march.bind(spare, state, lam), state))
     # level i + 1 starts at the running sum of i + 1 steps
     column = _inflow_column(solver_config.left, list(accumulate(repeat(dt, 100))), dt,
                             solver_config.t_end)
     worst = 0.0
-    for i, boundary in enumerate(column):
-        bound, new = steps[i % 2]
-        march.advance(bound, boundary)
+    for new, _ in march.steps(state, np.empty_like(state), repeat(lam, 100), column):
         np.subtract(new[0], new[1], out=gap)
         value = float(np.max(gap))
         if _wins(value, worst):

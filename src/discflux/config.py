@@ -203,10 +203,7 @@ def _validated_initial(raw, path: str) -> dict:
 
 
 def _validated_boundary(raw) -> dict:
-    raw = _as_map(raw, "boundary", optional=("left", "right"))
-    right = raw.get("right", "outflow")
-    if right != "outflow":
-        _fail("boundary.right", "only 'outflow' is supported on the right")
+    raw = _as_map(raw, "boundary", optional=("left",))
     left = raw.get("left", "outflow")
     if left != "outflow":
         _as_map(left, "boundary.left", required=("kind",), optional=("trace",))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -25,7 +25,7 @@ from .grid import (Grid, SampledTable, cell_average, _check_snapped, _evaluate, 
 
 _CFL_SLACK = 1e-12
 
-# Full steps in one window of the march, which share their recompute spans.
+# Steps in one window of the march, which share their recompute spans (an even count).
 _NARROW_EVERY = 32
 
 # c*u**2 folds its c into lam only while c*u*u stays this many binades inside
@@ -218,17 +218,17 @@ class _March:
     a scratch buffer for the linear blocks.
 
     :meth:`bind` resolves one step from a caller-owned array into another as
-    argument-free calls on views, and :meth:`advance` runs a bound
-    step, so a march can alternate between two buffers with the step of
-    each direction bound once.  Steps bound without spans write every cell.
-    A plan built with a ``batch`` shape marches arrays of shape
-    ``(*batch, n)``, each row a state of its own, as one step; every row
-    gets the bits a one-row march would give it.
+    argument-free calls on views, and :meth:`advance` runs a bound step;
+    :meth:`steps`, their one caller, alternates a march between two
+    buffers with the step of each direction bound once.  Steps bound
+    without spans write every cell.  A plan built with a ``batch`` shape
+    marches arrays of shape ``(*batch, n)``, each row a state of its own,
+    as one step; every row gets the bits a one-row march would give it.
 
-    Full steps of :func:`run` go in windows of ``_NARROW_EVERY`` steps that
-    share their spans (:meth:`window`).  The window invariant: at its start
-    the buffer written next holds the level before the current one, and
-    over the window a cell's value can only change if it lies in its
+    Steps at the lam of the step before go in windows of ``_NARROW_EVERY``
+    steps that share their spans (:meth:`window`).  The window invariant:
+    at its start the buffer written next holds the level before the current
+    one, and over the window a cell's value can only change if it lies in its
     block's span or is a block's first cell whose interface map is live.
     A cell outside its span then has, on every step, the inputs it had one
     step before, so its new value, a function of those inputs alone (every
@@ -328,15 +328,16 @@ class _March:
         """Spans and live interface maps of a window starting from ``u``.
 
         ``prev`` holds the level before ``u``.  A block's span is its range
-        of cells that differ bitwise between the two (so 0.0 and -0.0
-        differ), widened downwind by the window's length, as a change
+        of cells that differ bitwise between the two in any row (so 0.0 and
+        -0.0 differ), widened downwind by the window's length, as a change
         travels one cell a step, and capped at the block's end.  It opens
         at the block's second cell when the first cell differs or may move
         in the window: an inflow cell, an interface cell whose upstream
         span reaches its block's last cell, or one that follows a chain of
         one-cell subdomains from such a cell.
         """
-        changed = (u.view(np.int64) != prev.view(np.int64)).nonzero()[0]
+        differs = u.view(np.int64) != prev.view(np.int64)
+        changed = differs.reshape(-1, u.shape[-1]).any(axis=0).nonzero()[0]
         # changed[i:j] are the changed cells of a subdomain
         starts = changed.searchsorted(self.firsts).tolist()
         spans, live = [], []
@@ -357,6 +358,27 @@ class _March:
             spans.append((s, e))
             moving = e == b
         return spans, live
+
+    def steps(self, u: np.ndarray, new: np.ndarray, lams, column):
+        """March ``u`` one step per lam of ``lams``, yielding ``(new, old)`` each step.
+
+        ``column`` holds each step's :meth:`advance` boundary value.  The
+        steps alternate between ``u`` and ``new``, writing ``new`` first.  A
+        step whose lam differs from the step before's writes every cell; the
+        others go in windows of ``_NARROW_EVERY`` steps bound at their start.
+        """
+        last, bound = None, []
+        for lam, boundary in zip(lams, column):
+            if lam != last:
+                # no cell is known to keep its value at a new lam
+                last, bound = lam, [self.bind(u, new, lam)]
+            elif not bound:
+                spans, live = self.window(u, new)
+                bound = [self.bind(u, new, lam, spans, live),
+                         self.bind(new, u, lam, spans, live)] * (_NARROW_EVERY // 2)
+            self.advance(bound.pop(0), boundary)
+            yield new, u
+            u, new = new, u
 
 
 # }}}
@@ -405,12 +427,10 @@ def step(
     column = _inflow_column(config.left, [state.t + dt], config.lam * grid.dx, config.t_end)
     if u_range is None:
         u_range = _bracket(model, config, u, column)
-    new = np.empty_like(u)
     # the blocks read the state, which the bracket need not hold
     values = (min(u_range[0], float(u.min())), max(u_range[1], float(u.max())))
     march = _March(grid, model, config, u_range, values=values)
-    boundary, = column
-    march.advance(march.bind(u, new, lam), boundary)
+    new, _ = next(march.steps(u, np.empty_like(u), [lam], column))
     return State(new, state.t + dt, state.step + 1)
 
 
@@ -549,8 +569,7 @@ def run(
     # the march alternates between two buffers; every level handed out
     # (snapshot or retained) is a copy, and the last one written is final
     march = _March(grid, model, config, u_range)
-    u, spare = u0, np.empty_like(u0)
-    t, k = 0.0, 0
+    u, t, k = u0, 0.0, 0
     snapshots: list[Snapshot] = []
 
     def take_due():
@@ -561,28 +580,12 @@ def run(
     increments = np.zeros(grid.n) if record_increments else None
     change = np.empty_like(u0) if record_increments else None
     levels = [State(u.copy(), t, k)] if retain_levels else None
-    last_lam = remainder / grid.dx
+    lams = chain(repeat(config.lam, n_full), [remainder / grid.dx] * bool(remainder))
 
-    for k in range(1, len(level_times)):
-        boundary = column[k - 1]
-        if k > n_full:
-            # the shortened step's lam differs, so no cell is known to be fixed
-            march.advance(march.bind(u, spare, last_lam), boundary)
-        elif k == 1:
-            # the first step writes a whole level into the empty spare buffer
-            march.advance(march.bind(u, spare, config.lam), boundary)
-        else:
-            # full steps recompute only their window's spans (see _March);
-            # a window starts on an even step, with u and spare as bound first
-            if (k - 2) % _NARROW_EVERY == 0:
-                spans, live = march.window(u, spare)
-                window = (march.bind(u, spare, config.lam, spans, live),
-                          march.bind(spare, u, config.lam, spans, live))
-            march.advance(window[k % 2], boundary)
+    for k, (u, old) in enumerate(march.steps(u0, np.empty_like(u0), lams, column), 1):
         if record_increments:
-            np.subtract(spare, u, out=change)
+            np.subtract(u, old, out=change)
             increments += np.abs(change, out=change)
-        u, spare = spare, u
         # pin the clock to the precomputed level; summing dt would drift
         t = level_times[k]
         if retain_levels:

@@ -6,7 +6,8 @@ exceptions are :func:`reference_advance`, the march's allocating array-form
 update, :func:`entropy_residual_whole` and :func:`flux_lipschitz_whole`, the
 entropy residual and the flux's Lipschitz quotient over all levels at once,
 and :func:`ordering_gap_per_pair`, verify's order check one pair member at a
-time: the package must reproduce each bit for bit.
+time: the package must reproduce each bit for bit.  :func:`record_spans` is
+no oracle but a probe of the march's windows.
 """
 
 import bisect
@@ -232,6 +233,20 @@ def reference_levels(u0, grid, model, config, bracket):
             levels[-1], (k - 1) * dt, step_dt, step_dt / grid.dx if k > n_full else config.lam,
             model, grid.interface_cells, bracket, trace=trace, slab=dt, t_end=config.t_end))
     return levels
+
+
+def record_spans(monkeypatch):
+    """Log the spans each window of the march's steps starts from."""
+    log = []
+    window = _March.window
+
+    def logged(self, u, prev):
+        spans, live = window(self, u, prev)
+        log.append(list(spans))
+        return spans, live
+
+    monkeypatch.setattr(_March, "window", logged)
+    return log
 
 
 def ordering_gap_per_pair(data, model, solver_config, grid, u_range):

@@ -84,6 +84,10 @@ def test_l1_error_rejects_mismatched_inputs():
         l1_error(_state([0.0] * 3), grid_a, _state([0.0] * 4), grid_d)
     with pytest.raises(ProjectionError, match=r"shape \(6,\) is not on a grid of 4 cells"):
         l1_error(_state([0.0, 0.0]), grid_a, _state([0.0] * 6), grid_d)
+    # the same against a closed form, not numpy's broadcast error
+    sol = exact_linear_advection(0.5, lambda x: 2.0 * x + 1.0, valid_until=0.25)
+    with pytest.raises(ProjectionError, match=r"shape \(5,\) is not on a grid of 8 cells"):
+        l1_error_vs_oracle(_state([0.0] * 5), build_grid(0.0, 1.0, 8, ()), sol)
 
 
 def test_l1_error_vs_oracle_exact_for_linear_profile():
@@ -135,6 +139,20 @@ def test_spatial_tv_whole_split_and_per_subdomain():
     assert spatial_tv(state, grid) == pytest.approx(10.0)
     assert spatial_tv(state, grid, subdomain=0) == pytest.approx(4.0)
     assert spatial_tv(state, grid, subdomain=1) == pytest.approx(3.0)
+
+
+def test_spatial_tv_rejects_a_state_off_its_grid_and_a_missing_subdomain():
+    # a 5-cell state's slice 4:8 holds one cell, whose variation reads 0.0
+    grid = build_grid(0.0, 1.0, 8, (0.5,))
+    short = _state([0.0, 1.0, 0.0, 2.0, 5.0])
+    for subdomain in (None, 0, 1):
+        with pytest.raises(ProjectionError, match=r"shape \(5,\) is not on a grid of 8 cells"):
+            spatial_tv(short, grid, subdomain=subdomain)
+    state = _state(np.arange(8.0))
+    assert spatial_tv(state, grid, subdomain=-1) == spatial_tv(state, grid, subdomain=1)
+    for subdomain in (2, 5, -3):
+        with pytest.raises(ProjectionError, match=f"subdomain {subdomain} is not one of .* 2$"):
+            spatial_tv(state, grid, subdomain=subdomain)
 
 
 def test_temporal_tv_accumulates_level_differences():

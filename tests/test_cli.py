@@ -32,7 +32,7 @@ from discflux import (
 )
 from discflux.cli import _check_monotonicity, main
 from discflux.config import build_model, build_problem, build_solver_config, data_range, from_dict
-from oracles import ordering_gap_per_pair
+from oracles import ordering_gap_per_pair, record_spans
 
 
 def small_config(**overrides):
@@ -448,13 +448,17 @@ def test_order_check_reports_a_nan_gap_as_a_failure():
 
 
 def test_order_check_marches_its_pairs_in_100_steps(monkeypatch):
-    # one stacked plan takes the 20 pairs' 40 states a whole step at a time
+    # one stacked plan takes the 20 pairs' 40 states a step at a time: a
+    # whole first step, then windows of spans from step 2, 34, 66 and 98 on,
+    # as run's full steps go
     calls = []
     advance = cli._March.advance
     monkeypatch.setattr(cli._March, "advance",
                         lambda self, *args: calls.append(args) or advance(self, *args))
+    log = record_spans(monkeypatch)
     assert _check_monotonicity(*order_case(preset("experiment1")))[1] == "PASS"
     assert len(calls) == 100
+    assert len(log) == 4
 
 
 def test_verify_does_not_error_where_constants_chain_past_a_law(tmp_path, capsys):

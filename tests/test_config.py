@@ -138,8 +138,7 @@ VALIDATION_CASES = [
     ("interfaces-collide", _two_interfaces(0.1, 0.12),
      r"resolutions\[0\]: interfaces \(0.1, 0.12\) snap to edge indices \[9, 9\]"),
     ("numerical-flux", _set("numerical_flux", "lax"), "config.numerical_flux: unknown key"),
-    ("right-boundary", _set("boundary", {"right": "inflow"}),
-     "only 'outflow' is supported on the right"),
+    ("right-boundary", _set("boundary", {"right": "outflow"}), "boundary.right: unknown key"),
     ("left-boundary-kind", _set("boundary", {"left": {"kind": "periodic"}}),
      "expected outflow or inflow"),
     ("trace-kind", _set("boundary", {"left": {"kind": "inflow",

@@ -1,5 +1,6 @@
 """Properties of the march and its diagnostics over drawn models, grids and data."""
 
+from itertools import repeat
 from unittest import mock
 
 import numpy as np
@@ -27,7 +28,7 @@ from discflux import (
 )
 from discflux import analysis
 from discflux.fluxes import _array_form
-from discflux.solver import _March, _inflow_column
+from discflux.solver import _NARROW_EVERY, _March, _inflow_column
 from oracles import (
     entropy_residual_whole,
     flux_lipschitz_whole,
@@ -272,29 +273,44 @@ def test_the_inflow_column_is_the_slab_mean_of_every_level(case):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(marches(), st.integers(0, 2**32 - 1))
-def test_a_stacked_plan_marches_each_row_as_a_one_row_plan(case, seed):
+@given(marches(), st.integers(0, 2**32 - 1), st.booleans())
+def test_a_stacked_plan_marches_each_row_as_a_one_row_plan(case, seed, windowed):
     # a (2, 3) stack of states, the datum and five drawn from the data's
     # range, marched in whole steps both ways between two buffers: every
-    # row of every level has the bits of its own one-row march
+    # row of every level has the bits of its own one-row march.  Windowed,
+    # the five are flat on the datum's pieces and the stack goes through
+    # _March.steps over more than two windows, whose spans hold the cells
+    # that changed in any row
     model, grid, datum, steps, _, _ = case
     drawn = march_config(case)
     assume(drawn is not None)
     (lo, hi), bracket, config = drawn
     lam, dt = config.lam, config.lam * grid.dx
-    stack = np.random.default_rng(seed).uniform(lo, hi, (2, 3, grid.n))
+    rng = np.random.default_rng(seed)
+    if windowed:
+        pieces = rng.uniform(lo, hi, (6, len(datum.values)))
+        stack = np.stack([cell_average(PiecewiseConstant(datum.breakpoints, tuple(values)), grid)
+                          for values in pieces]).reshape(2, 3, grid.n)
+    else:
+        stack = rng.uniform(lo, hi, (2, 3, grid.n))
     stack[0, 0] = cell_average(datum, grid)
     spare = np.empty_like(stack)
     stacked = _March(grid, model, config, bracket, batch=stack.shape[:-1])
-    both_ways = (stacked.bind(stack, spare, lam), stacked.bind(spare, stack, lam))
     alone = _March(grid, model, config, bracket)
     rows = [(row.copy(), np.empty(grid.n)) for row in stack.reshape(-1, grid.n)]
     rows_both_ways = [(alone.bind(u, new, lam), alone.bind(new, u, lam)) for u, new in rows]
-    column = _inflow_column(config.left, dt * np.arange(1, np.ceil(steps) + 1), dt, config.t_end)
-    for k, boundary in enumerate(column):
-        stacked.advance(both_ways[k % 2], boundary)
-        level = (spare, stack)[k % 2].reshape(-1, grid.n)
-        for got, buffers, row_ways in zip(level, rows, rows_both_ways):
+    n_steps = max(np.ceil(steps), 2 * _NARROW_EVERY + 3 if windowed else 0)
+    column = _inflow_column(config.left, dt * np.arange(1, n_steps + 1), dt, config.t_end)
+
+    def whole_steps():
+        both_ways = (stacked.bind(stack, spare, lam), stacked.bind(spare, stack, lam))
+        for k, boundary in enumerate(column):
+            stacked.advance(both_ways[k % 2], boundary)
+            yield (spare, stack)[k % 2], None
+
+    levels = stacked.steps(stack, spare, repeat(lam), column) if windowed else whole_steps()
+    for k, ((level, _), boundary) in enumerate(zip(levels, column)):
+        for got, buffers, row_ways in zip(level.reshape(-1, grid.n), rows, rows_both_ways):
             alone.advance(row_ways[k % 2], boundary)
             assert got.tobytes() == buffers[1 - k % 2].tobytes()
 

@@ -40,6 +40,7 @@ from discflux.config import from_dict
 from discflux.solver import _slab_average
 from oracles import (
     godunov_edge,
+    record_spans,
     reference_advance,
     reference_levels,
     reference_step,
@@ -712,20 +713,6 @@ def window_case(name, three_interface_model=None):
         values += list(left.trace.values)
     return (ProblemSpec((-1.0, 1.0), datum), build_grid(-1.0, 1.0, n, model.interfaces),
             model, SolverConfig(lam=lam, t_end=t_end, left=left), (min(values), max(values)))
-
-
-def record_spans(monkeypatch):
-    """Log the spans each window of the march's full steps starts from."""
-    log = []
-    window = solver._March.window
-
-    def logged(self, u, prev):
-        spans, live = window(self, u, prev)
-        log.append(list(spans))
-        return spans, live
-
-    monkeypatch.setattr(solver._March, "window", logged)
-    return log
 
 
 @pytest.mark.parametrize(
