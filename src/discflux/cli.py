@@ -297,8 +297,9 @@ def _ordering_gap(data, model, solver_config, grid, u_range) -> float:
     The pairs are :func:`_unit_draws` scaled into ``data``, the config's
     data range.  Every pair's low and high members march as one stack on one
     plan, bracketed by the range the cfl line checked, so a violated cfl
-    shows up as a gap, not as an error.  A NaN gap wins and stays, as in the
-    entropy report.
+    shows up as a gap, not as an error.  The march goes block by block, and
+    each block's largest gap at each level takes part; a NaN gap wins and
+    stays, as in the entropy report.
     """
     lo, hi = data
     drawn = lo + (hi - lo) * _unit_draws((20, 2, grid.n))
@@ -313,9 +314,8 @@ def _ordering_gap(data, model, solver_config, grid, u_range) -> float:
     column = _inflow_column(solver_config.left, list(accumulate(repeat(dt, 100))), dt,
                             solver_config.t_end)
     worst = 0.0
-    for new, _ in march.steps(state, np.empty_like(state), repeat(lam, 100), column):
-        np.subtract(new[0], new[1], out=gap)
-        value = float(np.max(gap))
+    for _, cells, new, _ in march.steps(state, np.empty_like(state), [lam] * 100, column):
+        value = float(np.max(np.subtract(new[0], new[1], out=gap[..., cells])))
         if _wins(value, worst):
             worst = value
     return worst

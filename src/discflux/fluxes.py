@@ -275,23 +275,21 @@ def invert(seg: FluxSegment, w: float, bracket: tuple[float, float]) -> float:
     the bracket ends; the solver's march, which inverts on one bracket for a
     whole run, does that once per run through the same code.
     """
-    return _inverse(seg, bracket)(w)
+    return float(_inverse(seg, bracket)(w))
 
 
 def _inverse(seg: FluxSegment, bracket: tuple[float, float],
-             image: tuple[float, float] = None) -> Callable[[float], float]:
-    """The map ``w -> invert(seg, w, bracket)``, resolved once.
+             image: tuple[float, float] = None) -> Callable[[np.ndarray], np.ndarray]:
+    """The map ``w -> invert(seg, w, bracket)`` on every entry of an array, resolved once.
 
     The bracket is checked and the law evaluated at its ends here, not on
-    each call; results and error texts are those of :func:`invert`.  A
-    caller that has already evaluated the law at the bracket ends passes
-    those values as ``image``.
+    each call; each entry gets the bits of :func:`invert`, and an array its
+    error at the first entry it rejects.  A caller that has already
+    evaluated the law at the bracket ends passes those values as ``image``.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
-        def reject(w):
-            raise ValueError(f"bad inversion request: w={float(w)}, bracket=[{lo}, {hi}]")
-        return reject
+        return partial(_check_targets, bracket=(lo, hi))
     f_lo, f_hi = (float(seg(lo)), float(seg(hi))) if image is None else image
     # invert_near accepts a bracket within this same slack of its image, so
     # a target it accepts is never rejected here
@@ -299,46 +297,75 @@ def _inverse(seg: FluxSegment, bracket: tuple[float, float],
     kind, params = seg.kind, seg.params
 
     def inverse(w):
-        w = float(w)
-        if not math.isfinite(w):
-            raise ValueError(f"bad inversion request: w={w}, bracket=[{lo}, {hi}]")
-        if w < f_lo - slack or w > f_hi + slack:
-            raise FluxRangeError(
-                f"w={w} is outside the flux image [{f_lo}, {f_hi}] "
-                f"of the bracket [{lo}, {hi}]"
-            )
-        w = min(max(w, f_lo), f_hi)
+        w = _check_targets(w, (lo, hi), (f_lo, f_hi), slack)
+        w = np.minimum(np.maximum(w, f_lo), f_hi)
         if kind == "linear":
             a, b = params
             return (w - b) / a
         if kind == "quadratic":
             a, b = params
-            s = math.sqrt(max(b * b + 2.0 * a * w, 0.0))
+            s = np.sqrt(np.maximum(b * b + 2.0 * a * w, 0.0))
             # the root on the increasing branch; avoid cancellation when b > 0
             return 2.0 * w / (b + s) if b > 0.0 else (s - b) / a
-        if f_hi <= f_lo:
+        if f_hi <= f_lo or not w.size:
             # a one-point bracket is its own root
-            return lo
-        tol = 2.0 * _EPS * max(1.0, abs(w))
-        u_lo, u_hi = lo, hi
-        u = min(max(lo + (w - f_lo) / (f_hi - f_lo) * (hi - lo), lo), hi)
-        for _ in range(200):
-            r = float(seg(u)) - w
-            if abs(r) <= tol:
-                break
-            if r < 0.0:
-                u_lo = u
-            else:
-                u_hi = u
-            if u_hi - u_lo <= 4.0 * _EPS * max(1.0, abs(u_lo), abs(u_hi)):
-                break
-            d = float(seg.deriv(u))
-            # a NaN or nonpositive slope, or a step leaving the bracket, bisects
-            newton = u - r / d if d > 0.0 else math.nan
-            u = newton if u_lo < newton < u_hi else 0.5 * (u_lo + u_hi)
-        return u
+            return np.full(w.shape, lo)
+        return _newton(seg, w.ravel(), lo, hi, f_lo, f_hi).reshape(w.shape)
 
     return inverse
+
+
+def _check_targets(w, bracket, image=None, slack=0.0) -> np.ndarray:
+    """``w`` as a float array, after raising :func:`invert`'s error for its first bad entry.
+
+    Without an ``image`` (a bad bracket) every entry is a bad request.
+    """
+    w = np.asarray(w, dtype=float)
+    lo, hi = bracket
+    if image is None:
+        bad = np.ones(w.shape, dtype=bool)
+    else:
+        f_lo, f_hi = image
+        bad = ~np.isfinite(w) | (w < f_lo - slack) | (w > f_hi + slack)
+    if bad.any():
+        first = float(w.flat[int(np.argmax(bad))])
+        if image is None or not math.isfinite(first):
+            raise ValueError(f"bad inversion request: w={first}, bracket=[{lo}, {hi}]")
+        raise FluxRangeError(
+            f"w={first} is outside the flux image [{f_lo}, {f_hi}] "
+            f"of the bracket [{lo}, {hi}]"
+        )
+    return w
+
+
+def _newton(seg: FluxSegment, w: np.ndarray, lo: float, hi: float, f_lo: float,
+            f_hi: float) -> np.ndarray:
+    """:func:`invert`'s safeguarded Newton iteration on each entry of a nonempty 1-D ``w``.
+
+    Each pass calls the law and its derivative once, on the entries still
+    iterating, each of which takes its own scalar iteration's operations.
+    """
+    tol = 2.0 * _EPS * np.maximum(1.0, np.abs(w))
+    u_lo, u_hi = np.full(w.shape, lo), np.full(w.shape, hi)
+    u = np.minimum(np.maximum(lo + (w - f_lo) / (f_hi - f_lo) * (hi - lo), lo), hi)
+    live = np.arange(w.size)
+    for _ in range(200):
+        x = u[live]
+        r = np.asarray(seg(x), dtype=float) - w[live]
+        # a stopped entry's bracket is not read again
+        a = u_lo[live] = np.where(r < 0.0, x, u_lo[live])
+        b = u_hi[live] = np.where(r < 0.0, u_hi[live], x)
+        go = ~((np.abs(r) <= tol[live])
+               | (b - a <= 4.0 * _EPS * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))))
+        live, x, r, a, b = live[go], x[go], r[go], a[go], b[go]
+        if not live.size:
+            break
+        d = np.asarray(seg.deriv(x), dtype=float)
+        # a NaN or nonpositive slope, or a step leaving the bracket, bisects
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = np.where(d > 0.0, x - r / d, np.nan)
+        u[live] = np.where((a < newton) & (newton < b), newton, 0.5 * (a + b))
+    return u
 
 
 def invert_near(seg: FluxSegment, w: float, seed: tuple[float, float]) -> float:
@@ -349,14 +376,17 @@ def invert_near(seg: FluxSegment, w: float, seed: tuple[float, float]) -> float:
     ``-b/a`` of a convex one and left of a concave one's; the seed is
     clamped there first.  Linear and custom laws grow without a bound (a
     custom law beyond its declared interval is the caller's responsibility).
-    The law is evaluated once at each end of the bracket found.  Raises
-    :class:`FluxRangeError` when ``w`` lies outside a quadratic's image over
-    its increasing side, or if doubling the bracket 200 times never captures
-    ``w`` (the flux image is bounded away from it).
+    The law is evaluated once at each end of the bracket found.  A
+    non-finite ``w`` is :func:`invert`'s bad request on the seed, raised
+    before any evaluation.  Raises :class:`FluxRangeError` when ``w`` lies
+    outside a quadratic's image over its increasing side, or if doubling the
+    bracket 200 times never captures ``w`` (the flux image is bounded away
+    from it).
     """
     lo, hi = float(seed[0]), float(seed[1])
     if hi < lo:
         lo, hi = hi, lo
+    w = float(_check_targets(w, (lo, hi), (-math.inf, math.inf)))
     cap_lo, cap_hi = _increasing_range(seg)
     lo, hi = min(max(lo, cap_lo), cap_hi), min(max(hi, cap_lo), cap_hi)
     width = max(hi - lo, 1e-6 * max(1.0, abs(lo), abs(hi)))
@@ -364,7 +394,7 @@ def invert_near(seg: FluxSegment, w: float, seed: tuple[float, float]) -> float:
         f_lo, f_hi = float(seg(lo)), float(seg(hi))
         slack = _tolerance(1e-9, f_lo, f_hi)
         if f_lo - slack <= w <= f_hi + slack:
-            return _inverse(seg, (lo, hi), (f_lo, f_hi))(w)
+            return float(_inverse(seg, (lo, hi), (f_lo, f_hi))(w))
         if (w < f_lo and lo <= cap_lo) or (w > f_hi and hi >= cap_hi):
             raise FluxRangeError(
                 f"could not bracket w={w}: the law increases on [{cap_lo}, {cap_hi}], "

@@ -1,11 +1,12 @@
 """Single-sided finite-volume march for piecewise-flux conservation laws.
 
 Each subdomain is advanced with a monotone upwind update (information travels
-rightward because every law is increasing).  Afterwards each interface cell,
-the first cell right of the interface, is overwritten so that its law carries
-the same flux as the freshly updated cell on its left.  That overwrite is what
-couples the subdomains: flux is continuous across the interface even though
-the conserved quantity generally is not.
+rightward because every law is increasing).  Each interface cell, the first
+cell right of the interface, takes at every level the value whose law carries
+the same flux as the cell on its left at that level.  That map is what couples
+the subdomains: flux is continuous across the interface even though the
+conserved quantity generally is not.  As nothing travels leftward, the march
+takes the subdomains one at a time, left to right, each through every level.
 """
 
 from __future__ import annotations
@@ -13,12 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, repeat
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Container, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import MonotonicityError, StabilityError, _tolerance
+from .errors import DomainError, MonotonicityError, StabilityError, _tolerance
 from .fluxes import PiecewiseFlux, invariant_interval, _array_form, _inverse
 from .grid import (Grid, SampledTable, cell_average, _check_snapped, _evaluate, _GL_NODES,
                    _GL_WEIGHTS)
@@ -202,7 +202,7 @@ def _squares(shape) -> Callable:
 
 
 class _March:
-    """Everything one level-to-level update needs, resolved once.
+    """Everything one march needs, resolved once, marched subdomain by subdomain.
 
     Holds each subdomain as a :class:`_Block`: its cell bounds ``(a, b)``
     with the slope of a linear law, whose update is a convex combination,
@@ -211,30 +211,31 @@ class _March:
     the law's array form, or for a law ``c*u**2`` that :func:`_fold`
     accepts on ``values`` (the bracket unless given: a range holding every
     value a block reads) only the squares, with ``c`` folded into lam.
-    Each interface coupling ``(p, left law, inverse)`` holds the right
-    law's inverse on the bracket, with the bracket's flux image computed
-    once.  Also kept: whether the left boundary is an inflow (a plan holds
-    no times; :meth:`advance` takes each inflow value), the batch rows, and
-    a scratch buffer for the linear blocks.
+    Each interface coupling ``(left law, inverse)`` holds the right law's
+    elementwise inverse on the bracket, with the bracket's flux image
+    computed once.  Also kept: a scratch buffer for the linear blocks.
 
-    :meth:`bind` resolves one step from a caller-owned array into another as
-    argument-free calls on views, and :meth:`advance` runs a bound step;
-    :meth:`steps`, their one caller, alternates a march between two
-    buffers with the step of each direction bound once.  Steps bound
-    without spans write every cell.  A plan built with a ``batch`` shape
-    marches arrays of shape ``(*batch, n)``, each row a state of its own,
-    as one step; every row gets the bits a one-row march would give it.
+    Increasing laws and upwind edge fluxes make each subdomain an initial-
+    boundary value problem of its own: its cells read only its cells, and
+    its first cell is set from outside, by the inflow or the outflow ghost
+    for the first block and by the interface map for the others.  So
+    :meth:`steps` marches the first block through every level, recording
+    its last cell's column of values, maps that whole column into the next
+    block's first-cell column in one call, and goes on left to right.
+    :meth:`bind` resolves one step of one block between two caller-owned
+    arrays as argument-free calls on views.  A plan built with a ``batch``
+    shape marches arrays of shape ``(*batch, n)``, each row a state of its
+    own; every row gets the bits a one-row march would give it.
 
     Steps at the lam of the step before go in windows of ``_NARROW_EVERY``
-    steps that share their spans (:meth:`window`).  The window invariant:
-    at its start the buffer written next holds the level before the current
-    one, and over the window a cell's value can only change if it lies in its
-    block's span or is a block's first cell whose interface map is live.
-    A cell outside its span then has, on every step, the inputs it had one
-    step before, so its new value, a function of those inputs alone (every
-    law is elementwise), is the one the target buffer already holds.  An
-    interface map is live when its left neighbour may move in the window,
-    or when its cell differed bitwise at the window's start.
+    steps that share each block's span (:meth:`window`).  The window
+    invariant: at its start the buffer written next holds the level before
+    the current one, and over the window a cell's value can only change if
+    it lies in its block's span.  An interior cell outside it then has, on
+    every step, the inputs it had one step before, so its new value, a
+    function of those inputs alone (every law is elementwise), is the one
+    the target buffer already holds; a first cell outside it takes, at each
+    level, the value both buffers hold.
     """
 
     def __init__(self, grid: Grid, model: PiecewiseFlux, config: SolverConfig,
@@ -255,130 +256,121 @@ class _March:
             else:
                 block = _Block(a, b, kernel=_array_form(seg, shape))
             self.subdomains.append(block)
-        self.whole = [(a + 1, b) for a, b in zip(bounds, bounds[1:])]
-        self.firsts = np.array(bounds)
-        self.couplings = tuple(
-            (p, left.func, _inverse(right, bracket))
-            for p, left, right in zip(grid.interface_cells, segs, segs[1:])
-        )
-        self.inflow = isinstance(config.left, Inflow)
-        self.rows = list(np.ndindex(batch))
+        self.couplings = tuple((left.func, _inverse(right, bracket))
+                               for left, right in zip(segs, segs[1:]))
         self.scratch = np.empty((*batch, grid.n))
 
-    def bind(self, u: np.ndarray, new: np.ndarray, lam: float,
-             spans: list = None, live: list = None) -> tuple:
-        """The step from ``u`` into ``new`` at ``lam``, for :meth:`advance`.
+    def bind(self, u: np.ndarray, new: np.ndarray, lam: float, block: _Block,
+             span: tuple = None) -> list:
+        """The calls of ``block``'s step from ``u`` into ``new`` at ``lam``.
 
-        Without ``spans`` every cell of ``new`` is written.  ``spans`` holds,
-        for each subdomain, the half-open range ``(s, e)`` of its interior
-        cells to recompute (empty as ``s == e``), and ``live`` whether each
-        interface map runs; only those cells and, with an inflow, the
-        boundary cell are written.  In a batched plan the spans apply to
-        every row.
+        They write the block's interior cells in ``span``, a half-open range
+        ``(s, e)`` of its cells, or all of them without it; the first cell
+        is the march's to set.  In a batched plan the span applies to every
+        row.
 
         A nonlinear block writes its edge fluxes' difference, its product
         with lam (times the block's factor) and the new values straight into
         its span of ``new``: the kernel's calls, then three.  A linear block
         takes one scratch product.
         """
+        s, e = span or (block.a, block.b)
+        s = max(s, block.a + 1)
+        if s >= e:
+            return []
         # constants as 0-d arrays: a ufunc converts a Python float on every call
-        calls = []
-        for block, (s, e) in zip(self.subdomains, spans or self.whole):
-            if s >= e:
-                continue
-            dst = new[..., s:e]
-            if block.slope is not None:
-                # convex combination of the two upwind cells, exact at weight one
-                w, tmp = lam * block.slope, self.scratch[..., s:e]
-                calls += (partial(np.multiply, u[..., s:e], np.array(1.0 - w), dst),
-                          partial(np.multiply, u[..., s - 1:e - 1], np.array(w), tmp),
-                          partial(np.add, dst, tmp, dst))
-                continue
-            # conservative difference of the upwind edge fluxes f(u_left)
-            kernel, edge = block.kernel(u[..., s - 1:e])
-            scale = lam * block.factor
-            if scale / block.factor != lam:
-                # lam*c rounded, out of the normal floats: c scales the squares as in the law
-                kernel = [*kernel, partial(np.multiply, edge, np.array(block.factor), edge)]
-                scale = lam
-            calls += kernel
-            calls += (partial(np.subtract, edge[..., 1:], edge[..., :-1], dst),
-                      partial(np.multiply, dst, np.array(scale), dst),
-                      partial(np.subtract, u[..., s:e], dst, dst))
-        if spans is None and not self.inflow:
-            # ghost repeats the boundary cell, so the update cancels exactly
-            calls.append(partial(np.copyto, new[..., :1], u[..., :1]))
-        couplings = [c for c, on in zip(self.couplings, live or repeat(True)) if on]
-        maps = [(new[row], *c) for row in self.rows for c in couplings]
-        return calls, new[..., 0], maps
+        dst = new[..., s:e]
+        if block.slope is not None:
+            # convex combination of the two upwind cells, exact at weight one
+            w, tmp = lam * block.slope, self.scratch[..., s:e]
+            return [partial(np.multiply, u[..., s:e], np.array(1.0 - w), dst),
+                    partial(np.multiply, u[..., s - 1:e - 1], np.array(w), tmp),
+                    partial(np.add, dst, tmp, dst)]
+        # conservative difference of the upwind edge fluxes f(u_left)
+        kernel, edge = block.kernel(u[..., s - 1:e])
+        scale = lam * block.factor
+        if scale / block.factor != lam:
+            # lam*c rounded, out of the normal floats: c scales the squares as in the law
+            kernel = [*kernel, partial(np.multiply, edge, np.array(block.factor), edge)]
+            scale = lam
+        return [*kernel,
+                partial(np.subtract, edge[..., 1:], edge[..., :-1], dst),
+                partial(np.multiply, dst, np.array(scale), dst),
+                partial(np.subtract, u[..., s:e], dst, dst)]
 
-    def advance(self, bound: tuple, boundary: Optional[float]):
-        """Run a step bound by :meth:`bind`; ``boundary`` is its :func:`_inflow_column` entry."""
-        calls, inflow, maps = bound
-        for call in calls:
-            call()
-        if boundary is not None:
-            inflow[()] = boundary
+    def window(self, u: np.ndarray, prev: np.ndarray, block: _Block, ahead: np.ndarray) -> tuple:
+        """``block``'s span, its cells that may change, in a window starting from ``u``.
 
-        # interface cells: match the flux of the updated left neighbour
-        for row, p, left, inverse in maps:
-            row[p] = inverse(left(float(row[p - 1])))
-
-    def window(self, u: np.ndarray, prev: np.ndarray) -> tuple[list, list]:
-        """Spans and live interface maps of a window starting from ``u``.
-
-        ``prev`` holds the level before ``u``.  A block's span is its range
-        of cells that differ bitwise between the two in any row (so 0.0 and
-        -0.0 differ), widened downwind by the window's length, as a change
-        travels one cell a step, and capped at the block's end.  It opens
-        at the block's second cell when the first cell differs or may move
-        in the window: an inflow cell, an interface cell whose upstream
-        span reaches its block's last cell, or one that follows a chain of
-        one-cell subdomains from such a cell.
+        ``prev`` holds the level before ``u``, and ``ahead`` the block's
+        first cell at the levels the window writes.  The span is the block's
+        range of cells that differ bitwise between ``u`` and ``prev`` in any
+        row (so 0.0 and -0.0 differ), widened downwind by the window's
+        length, as a change travels one cell a step, and capped at the
+        block's end.  It starts at the first cell when that differs, or when
+        ``ahead`` holds another value; an empty span is ``(a + 1, a + 1)``.
         """
-        differs = u.view(np.int64) != prev.view(np.int64)
-        changed = differs.reshape(-1, u.shape[-1]).any(axis=0).nonzero()[0]
-        # changed[i:j] are the changed cells of a subdomain
-        starts = changed.searchsorted(self.firsts).tolist()
-        spans, live = [], []
-        moving = self.inflow
-        for (a, b, *_), i, j in zip(self.subdomains, starts, starts[1:]):
-            first_changed = i < j and int(changed[i]) == a
-            if a:
-                live.append(moving or first_changed)
-            if b - a < 2:
-                # the next interface cell's left neighbour is this block's first cell
-                spans.append((b, b))
-                continue
-            if moving or i < j:
-                s = a + 1 if moving or first_changed else int(changed[i])
-                e = min((int(changed[j - 1]) if i < j else a) + 1 + _NARROW_EVERY, b)
-            else:
-                s = e = a + 1
-            spans.append((s, e))
-            moving = e == b
-        return spans, live
+        a, b = block.a, block.b
+        differs = u[..., a:b].view(np.int64) != prev[..., a:b].view(np.int64)
+        changed = differs.reshape(-1, b - a).any(axis=0)
+        changed[0] |= (ahead.view(np.int64) != u[..., a].view(np.int64)).any()
+        changed = changed.nonzero()[0]
+        if not changed.size:
+            return a + 1, a + 1
+        return a + int(changed[0]), min(a + int(changed[-1]) + 1 + _NARROW_EVERY, b)
 
-    def steps(self, u: np.ndarray, new: np.ndarray, lams, column):
-        """March ``u`` one step per lam of ``lams``, yielding ``(new, old)`` each step.
+    def steps(self, u: np.ndarray, new: np.ndarray, lams: Sequence[float],
+              column: Optional[np.ndarray], shown: Container[int] = None):
+        """March ``u`` one step per lam of ``lams``, one block after another.
 
-        ``column`` holds each step's :meth:`advance` boundary value.  The
-        steps alternate between ``u`` and ``new``, writing ``new`` first.  A
-        step whose lam differs from the step before's writes every cell; the
-        others go in windows of ``_NARROW_EVERY`` steps bound at their start.
+        ``column`` holds the first block's first cell at each new level,
+        :func:`_inflow_column`'s slab means, or is ``None`` for an outflow
+        boundary, whose cell keeps its value.  Each block marches every
+        level, alternating between ``u`` and ``new`` and writing ``new``
+        first, and after the step to each level ``k`` in ``shown`` (every
+        level without it) yields ``(k, cells, new, old)``: the block's slice
+        and its views at levels ``k`` and ``k - 1``.  Its last cell's values
+        at every level, mapped through the interface in one call, are the
+        next block's first-cell column.  A step whose lam differs from the
+        step before's writes every cell; the others go in windows of
+        ``_NARROW_EVERY`` steps bound at their start, which write the first
+        cell and record the last one only where the span holds them.
         """
-        last, bound = None, []
-        for lam, boundary in zip(lams, column):
-            if lam != last:
-                # no cell is known to keep its value at a new lam
-                last, bound = lam, [self.bind(u, new, lam)]
-            elif not bound:
-                spans, live = self.window(u, new)
-                bound = [self.bind(u, new, lam, spans, live),
-                         self.bind(new, u, lam, spans, live)] * (_NARROW_EVERY // 2)
-            self.advance(bound.pop(0), boundary)
-            yield new, u
-            u, new = new, u
+        if not lams:
+            return
+        batch = u.shape[:-1]
+        firsts = u[..., 0].copy() if column is None else np.reshape(column, (-1,) + (1,) * len(batch))
+        firsts = np.broadcast_to(firsts, (len(lams), *batch))
+        for i, block in enumerate(self.subdomains):
+            if i:
+                left, inverse = self.couplings[i - 1]
+                firsts = inverse(left(lasts))
+            lasts = np.empty(firsts.shape)
+            cells = slice(block.a, block.b)
+            views = ((new[..., cells], u[..., cells]), (u[..., cells], new[..., cells]))
+            # a one-row plan takes the cheaper integer index
+            first, end = ((..., block.a), (..., block.b - 1)) if batch else (block.a, block.b - 1)
+            x, y = u, new
+            last, bound = None, []
+            for k, lam in enumerate(lams):
+                if lam != last:
+                    # no cell is known to keep its value at a new lam
+                    last, bound, (s, e) = lam, [self.bind(x, y, lam, block)], (block.a, block.b)
+                elif not bound:
+                    s, e = span = self.window(x, y, block, firsts[k:k + _NARROW_EVERY])
+                    if e < block.b:
+                        # the last cell keeps its value through the window
+                        lasts[k:k + _NARROW_EVERY] = x[end]
+                    bound = [self.bind(x, y, lam, block, span),
+                             self.bind(y, x, lam, block, span)] * (_NARROW_EVERY // 2)
+                for call in bound.pop(0):
+                    call()
+                if s == block.a:
+                    y[first] = firsts[k]
+                if e == block.b:
+                    lasts[k] = y[end]
+                if shown is None or k + 1 in shown:
+                    yield k + 1, cells, *views[k % 2]
+                x, y = y, x
 
 
 # }}}
@@ -430,7 +422,9 @@ def step(
     # the blocks read the state, which the bracket need not hold
     values = (min(u_range[0], float(u.min())), max(u_range[1], float(u.max())))
     march = _March(grid, model, config, u_range, values=values)
-    new, _ = next(march.steps(u, np.empty_like(u), [lam], column))
+    new = np.empty_like(u)
+    for _ in march.steps(u, new, [lam], column, shown=()):
+        pass
     return State(new, state.t + dt, state.step + 1)
 
 
@@ -495,16 +489,24 @@ def _empty(t0, t1):
     return t1 - t0 <= _tolerance(1e-15, t0, t1)
 
 
-def _inflow_column(left, starts, slab: float, t_end: float) -> list:
-    """Boundary value of the levels starting at ``starts``, for :meth:`_March.advance`.
+def _inflow_column(left, starts, slab: float, t_end: float) -> Optional[np.ndarray]:
+    """Boundary cell of the levels starting at ``starts``, for :meth:`_March.steps`.
 
     Each is :func:`_slab_average` of the trace over ``(t, min(t + slab,
-    t_end))``, or ``None`` on an outflow boundary.
+    t_end))``; ``None`` on an outflow boundary.  Raises :class:`DomainError`
+    naming the first slab whose mean is not finite.
     """
     if not isinstance(left, Inflow):
-        return [None] * len(starts)
+        return None
     t0 = np.asarray(starts, dtype=float)
-    return _slab_average(left.trace, t0, np.minimum(t0 + slab, t_end)).tolist()
+    t1 = np.minimum(t0 + slab, t_end)
+    column = _slab_average(left.trace, t0, t1)
+    bad = ~np.isfinite(column)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"inflow trace averages to {column[i]} over the slab "
+                          f"[{t0[i]}, {t1[i]}]")
+    return column
 
 
 # }}}
@@ -566,34 +568,35 @@ def run(
     u_range = _bracket(model, config, u0, column)
     _check_cfl(config.lam, [(seg, *u_range) for seg in model.segments])
 
-    # the march alternates between two buffers; every level handed out
-    # (snapshot or retained) is a copy, and the last one written is final
+    # the march alternates between two buffers, block by block, and the last
+    # one written is final; every level handed out is an array of its own,
+    # at the level index found before the march, which each block fills; the
+    # clock is pinned to the precomputed levels, as summing dt would drift
     march = _March(grid, model, config, u_range)
-    u, t, k = u0, 0.0, 0
-    snapshots: list[Snapshot] = []
-
-    def take_due():
-        while pending and t >= pending[0] - t_slack:
-            snapshots.append(Snapshot(pending.pop(0), State(u.copy(), t, k)))
-
-    take_due()
+    at = np.searchsorted(level_times, np.subtract(pending, t_slack)).tolist()
+    snapshots = [Snapshot(s, State(u0.copy(), level_times[k], k)) for s, k in zip(pending, at)]
+    due: dict = {}
+    for snap in snapshots:
+        due.setdefault(snap.state.step, []).append(snap.state.u)
+    lams = [config.lam] * n_full + [remainder / grid.dx] * bool(remainder)
+    levels = [State(u0.copy(), t, k) for k, t in enumerate(level_times)] if retain_levels else None
     increments = np.zeros(grid.n) if record_increments else None
     change = np.empty_like(u0) if record_increments else None
-    levels = [State(u.copy(), t, k)] if retain_levels else None
-    lams = chain(repeat(config.lam, n_full), [remainder / grid.dx] * bool(remainder))
+    buffers = (u0, np.empty_like(u0))
 
-    for k, (u, old) in enumerate(march.steps(u0, np.empty_like(u0), lams, column), 1):
+    shown = None if record_increments or retain_levels else due
+    for k, cells, new, old in march.steps(*buffers, lams, column, shown):
         if record_increments:
-            np.subtract(u, old, out=change)
-            increments += np.abs(change, out=change)
-        # pin the clock to the precomputed level; summing dt would drift
-        t = level_times[k]
+            diff = np.subtract(new, old, out=change[cells])
+            increments[cells] += np.abs(diff, out=diff)
         if retain_levels:
-            levels.append(State(u.copy(), t, k))
-        take_due()
+            levels[k].u[cells] = new
+        for u in due.get(k, ()):
+            u[cells] = new
 
+    k = len(lams)
     return Trajectory(
-        final=State(u, t, k),
+        final=State(buffers[k % 2], level_times[k], k),
         snapshots=snapshots,
         temporal_increments=increments,
         levels=levels,
@@ -601,18 +604,24 @@ def run(
 
 
 def _bracket(model: PiecewiseFlux, config: SolverConfig, u: np.ndarray,
-             column: list) -> tuple[float, float]:
+             column: Optional[np.ndarray]) -> tuple[float, float]:
     """Invariant interval of ``u``, of an inflow trace on [0, t_end] and of its ``column``.
 
     A table is sampled at its own points, a callable at 1025; a spike
     between those samples can still reach the column's quadrature nodes.
+    Raises :class:`DomainError` at the first sample that is not finite.
     """
     lo, hi = float(u.min()), float(u.max())
     if isinstance(config.left, Inflow):
         trace, t_end = config.left.trace, config.t_end
         pts = trace.points if isinstance(trace, SampledTable) else np.linspace(0.0, t_end, 1025)
         ts = np.concatenate(([0.0], pts[(pts > 0.0) & (pts < t_end)], [t_end]))
-        vals = np.append(_evaluate(trace, ts), column)
+        samples = _evaluate(trace, ts)
+        bad = ~np.isfinite(samples)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DomainError(f"inflow trace is {samples[i]} at its sample t={ts[i]}")
+        vals = np.append(samples, column)
         lo, hi = min(lo, float(vals.min())), max(hi, float(vals.max()))
     return invariant_interval(model, (lo, hi))
 

@@ -3,7 +3,8 @@
 Everything here is written from the definitions with plain loops and
 bisection so that agreement with the package is meaningful.  The
 exceptions are :func:`reference_advance`, the march's allocating array-form
-update, :func:`entropy_residual_whole` and :func:`flux_lipschitz_whole`, the
+update, :func:`scalar_inverse`, the interface inverse one float at a time,
+:func:`entropy_residual_whole` and :func:`flux_lipschitz_whole`, the
 entropy residual and the flux's Lipschitz quotient over all levels at once,
 and :func:`ordering_gap_per_pair`, verify's order check one pair member at a
 time: the package must reproduce each bit for bit.  :func:`record_spans` is
@@ -11,13 +12,20 @@ no oracle but a probe of the march's windows.
 """
 
 import bisect
+import math
+from typing import Callable
+from collections import defaultdict
 
 import numpy as np
 
-from discflux import EntropyResidualReport, SampledTable, invert
+from discflux import EntropyResidualReport, FluxRangeError, FluxSegment, SampledTable
 from discflux.analysis import _adapted_constants
 from discflux.cli import _unit_draws
+from discflux.errors import _tolerance
 from discflux.solver import _March
+
+# scalar_inverse's Newton stops at a residual or a bracket a few machine epsilons wide
+_EPS = float(np.finfo(float).eps)
 
 
 # bisect_root's stopping tolerance: a residual, or a bracket relative to the root
@@ -147,6 +155,70 @@ def reference_step(u, lam, fluxes, interface_cells, brackets, edge_flux=upwind_e
     return np.asarray(new)
 
 
+def scalar_inverse(seg: FluxSegment, bracket: tuple[float, float],
+             image: tuple[float, float] = None) -> Callable[[float], float]:
+    """The map ``w -> invert(seg, w, bracket)`` on one float, resolved once.
+
+    The interface inverse as it was before it took whole arrays, kept as
+    it was: closed forms for the builtin kinds, a safeguarded Newton
+    iteration with Python floats for a custom law, and :func:`invert`'s
+    error texts.  The package's elementwise inverse must give each entry
+    these bits.
+    """
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
+        def reject(w):
+            raise ValueError(f"bad inversion request: w={float(w)}, bracket=[{lo}, {hi}]")
+        return reject
+    f_lo, f_hi = (float(seg(lo)), float(seg(hi))) if image is None else image
+    # invert_near accepts a bracket within this same slack of its image, so
+    # a target it accepts is never rejected here
+    slack = _tolerance(1e-9, f_lo, f_hi)
+    kind, params = seg.kind, seg.params
+
+    def inverse(w):
+        w = float(w)
+        if not math.isfinite(w):
+            raise ValueError(f"bad inversion request: w={w}, bracket=[{lo}, {hi}]")
+        if w < f_lo - slack or w > f_hi + slack:
+            raise FluxRangeError(
+                f"w={w} is outside the flux image [{f_lo}, {f_hi}] "
+                f"of the bracket [{lo}, {hi}]"
+            )
+        w = min(max(w, f_lo), f_hi)
+        if kind == "linear":
+            a, b = params
+            return (w - b) / a
+        if kind == "quadratic":
+            a, b = params
+            s = math.sqrt(max(b * b + 2.0 * a * w, 0.0))
+            # the root on the increasing branch; avoid cancellation when b > 0
+            return 2.0 * w / (b + s) if b > 0.0 else (s - b) / a
+        if f_hi <= f_lo:
+            # a one-point bracket is its own root
+            return lo
+        tol = 2.0 * _EPS * max(1.0, abs(w))
+        u_lo, u_hi = lo, hi
+        u = min(max(lo + (w - f_lo) / (f_hi - f_lo) * (hi - lo), lo), hi)
+        for _ in range(200):
+            r = float(seg(u)) - w
+            if abs(r) <= tol:
+                break
+            if r < 0.0:
+                u_lo = u
+            else:
+                u_hi = u
+            if u_hi - u_lo <= 4.0 * _EPS * max(1.0, abs(u_lo), abs(u_hi)):
+                break
+            d = float(seg.deriv(u))
+            # a NaN or nonpositive slope, or a step leaving the bracket, bisects
+            newton = u - r / d if d > 0.0 else math.nan
+            u = newton if u_lo < newton < u_hi else 0.5 * (u_lo + u_hi)
+        return u
+
+    return inverse
+
+
 def reference_step_gap(segments, bracket, lam, tol=BISECT_TOL):
     """Largest gap a march step may show against :func:`reference_step` on ``bracket``.
 
@@ -186,7 +258,7 @@ def reference_advance(u, t, dt, lam, model, interface_cells, bracket, trace=None
     update shows that the law gives one value per point either way.  The
     boundary cell keeps its value or, with an inflow ``trace``, takes its
     :func:`slab_average_oracle` over ``(t + dt, min(t + dt + slab,
-    t_end))``.  Each interface cell is then one :func:`discflux.invert` of
+    t_end))``.  Each interface cell is then one :func:`scalar_inverse` of
     its updated left neighbour's flux on ``bracket``.
     """
     new = np.empty_like(u)
@@ -207,7 +279,7 @@ def reference_advance(u, t, dt, lam, model, interface_cells, bracket, trace=None
         new[0] = slab_average_oracle(trace, t + dt, min(t + dt + slab, t_end))
     for i, p in enumerate(interface_cells):
         w = float(model.segments[i](new[p - 1]))
-        new[p] = invert(model.segments[i + 1], w, bracket)
+        new[p] = scalar_inverse(model.segments[i + 1], bracket)(w)
     return new
 
 
@@ -236,14 +308,18 @@ def reference_levels(u0, grid, model, config, bracket):
 
 
 def record_spans(monkeypatch):
-    """Log the spans each window of the march's steps starts from."""
-    log = []
+    """Log the span each window of the march's steps gives each block.
+
+    Returns a dict from a block's first cell to the spans of its windows, in
+    the order the windows start.
+    """
+    log = defaultdict(list)
     window = _March.window
 
-    def logged(self, u, prev):
-        spans, live = window(self, u, prev)
-        log.append(list(spans))
-        return spans, live
+    def logged(self, u, prev, block, ahead):
+        span = window(self, u, prev, block, ahead)
+        log[block.a].append(span)
+        return span
 
     monkeypatch.setattr(_March, "window", logged)
     return log
@@ -255,34 +331,25 @@ def ordering_gap_per_pair(data, model, solver_config, grid, u_range):
     Takes verify's 20 pairs from the same counter hash,
     :func:`discflux.cli._unit_draws`, scaled into ``data``, the config's
     data range, and marches the low and the high member of each for 100
-    whole steps on a one-row plan, two buffers each; an inflow
-    cell takes :func:`slab_average_oracle` over the slab after each step's
-    running time.  Returns the largest low-minus-high gap; the first NaN gap
-    wins and stays.
+    steps of :func:`reference_advance`; an inflow cell takes
+    :func:`slab_average_oracle` over the slab after each step's running
+    time.  Returns the largest low-minus-high gap; the first NaN gap wins
+    and stays.
     """
-    march = _March(grid, model, solver_config, u_range)
     lam = solver_config.lam
     dt = lam * grid.dx
     trace, t_end = getattr(solver_config.left, "trace", None), solver_config.t_end
-    low, low_new, high, high_new, gap = (np.empty(grid.n) for _ in range(5))
-    steps = [march.bind(old, new, lam) for old, new in
-             ((low, low_new), (low_new, low), (high, high_new), (high_new, high))]
-    targets = ((low_new, high_new), (low, high))
     lo, hi = data
     worst = 0.0
     for a, b in lo + (hi - lo) * _unit_draws((20, 2, grid.n)):
-        np.minimum(a, b, out=low)
-        np.maximum(a, b, out=high)
+        low, high = np.minimum(a, b), np.maximum(a, b)
         t = 0.0
-        for i in range(100):
-            boundary = None
-            if trace is not None:
-                boundary = slab_average_oracle(trace, t + dt, min(t + dt + dt, t_end))
-            march.advance(steps[i % 2], boundary)
-            march.advance(steps[2 + i % 2], boundary)
-            np.subtract(*targets[i % 2], out=gap)
+        for _ in range(100):
+            low, high = [reference_advance(u, t, dt, lam, model, grid.interface_cells, u_range,
+                                           trace=trace, slab=dt, t_end=t_end)
+                         for u in (low, high)]
             t += dt
-            value = float(np.max(gap))
+            value = float(np.max(low - high))
             if value > worst or (np.isnan(value) and not np.isnan(worst)):
                 worst = value
     return worst

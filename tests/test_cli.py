@@ -448,17 +448,22 @@ def test_order_check_reports_a_nan_gap_as_a_failure():
 
 
 def test_order_check_marches_its_pairs_in_100_steps(monkeypatch):
-    # one stacked plan takes the 20 pairs' 40 states a step at a time: a
-    # whole first step, then windows of spans from step 2, 34, 66 and 98 on,
-    # as run's full steps go
-    calls = []
-    advance = cli._March.advance
-    monkeypatch.setattr(cli._March, "advance",
-                        lambda self, *args: calls.append(args) or advance(self, *args))
+    # one stacked plan takes the 20 pairs' 40 states a step at a time, block
+    # by block: a whole first step, then windows of spans from step 2, 34,
+    # 66 and 98 on, as run's full steps go
+    levels = []
+    steps = cli._March.steps
+
+    def counted(self, *args):
+        for level in steps(self, *args):
+            levels.append((level[1].start, level[0]))
+            yield level
+
+    monkeypatch.setattr(cli._March, "steps", counted)
     log = record_spans(monkeypatch)
     assert _check_monotonicity(*order_case(preset("experiment1")))[1] == "PASS"
-    assert len(calls) == 100
-    assert len(log) == 4
+    assert levels == [(a, k) for a in (0, 8) for k in range(1, 101)]
+    assert {a: len(spans) for a, spans in log.items()} == {0: 4, 8: 4}
 
 
 def test_verify_does_not_error_where_constants_chain_past_a_law(tmp_path, capsys):

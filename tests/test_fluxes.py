@@ -288,6 +288,20 @@ def test_resolved_inverse_equals_invert_on_every_call(seg, bracket):
             assert str(exc.value) == text
 
 
+@pytest.mark.parametrize("w", [np.nan, np.inf, -np.inf])
+def test_invert_near_rejects_a_non_finite_target_at_once(w):
+    # no bracket can capture a non-finite target, so growing one would only
+    # spend law calls: it is invert's bad request on the seed, raised before
+    # the law is called
+    calls = []
+    burgers = quadratic_flux(1.0, interval=(0.1, 4.0))
+    seg = replace(burgers, func=lambda u: calls.append(u) or burgers.func(u))
+    with pytest.raises(ValueError) as exc:
+        invert_near(seg, w, (0.5, 2.0))
+    assert str(exc.value) == f"bad inversion request: w={w}, bracket=[0.5, 2.0]"
+    assert calls == []
+
+
 def test_invert_near_grows_bracket():
     seg = quadratic_flux(1.0, 0.0, interval=(0.1, 50.0))
     w = float(seg(40.0))

@@ -1,9 +1,9 @@
 """Properties of the march and its diagnostics over drawn models, grids and data."""
 
-from itertools import repeat
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from discflux import (
@@ -27,13 +27,15 @@ from discflux import (
     run,
 )
 from discflux import analysis
-from discflux.fluxes import _array_form
+from discflux.errors import _tolerance
+from discflux.fluxes import _array_form, _inverse
 from discflux.solver import _NARROW_EVERY, _March, _inflow_column
 from oracles import (
     entropy_residual_whole,
     flux_lipschitz_whole,
     reference_levels,
     same_report,
+    scalar_inverse,
     slab_average_oracle,
 )
 
@@ -148,6 +150,62 @@ def test_a_law_gives_one_value_per_point(drawn):
         for call in calls:
             call()
         assert bound.tobytes() == values.tobytes()
+
+
+@st.composite
+def inversions(draw):
+    """A law, a bracket where it increases and targets on and around its image.
+
+    The law is linear, a convex or the concave quadratic, or a custom law;
+    the bracket may be one point.  The targets hold the image's ends, one
+    ulp past each, points inside the inverse's slack past each and points
+    inside the image.
+    """
+    seg = draw(st.one_of(
+        st.builds(linear_flux, st.floats(0.5, 2.0), st.sampled_from([0.0, 0.25])),
+        st.builds(lambda a, b: quadratic_flux(a, b, interval=(0.05, 8.0)),
+                  st.floats(0.5, 1.5), st.sampled_from([0.0, 0.3])),
+        st.just(quadratic_flux(-0.2, 2.0, interval=(0.0, 8.0))),
+        st.sampled_from(CUSTOM_LAWS),
+    ))
+    lo = draw(st.floats(0.05, 8.0))
+    hi = draw(st.one_of(st.just(lo), st.floats(lo, 8.0)))
+    f_lo, f_hi = float(seg(lo)), float(seg(hi))
+    slack = _tolerance(1e-9, f_lo, f_hi)
+    inside = st.floats(0.0, 1.0).map(lambda f: f_lo + f * (f_hi - f_lo))
+    near = st.floats(0.0, 1.0).map(lambda f: f * slack)
+    targets = draw(st.lists(st.one_of(
+        st.sampled_from([f_lo, f_hi, np.nextafter(f_lo, -np.inf), np.nextafter(f_hi, np.inf)]),
+        near.map(lambda d: f_lo - d), near.map(lambda d: f_hi + d), inside), min_size=1, max_size=40))
+    return seg, (lo, hi), targets
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(inversions(), st.sampled_from([np.nan, np.inf, -np.inf, "below", "above"]),
+       st.integers(0, 40))
+def test_the_elementwise_inverse_is_the_scalar_inverse_at_every_entry(drawn, bad, where):
+    # one array call gives each entry the bits of the scalar inverse; a
+    # batch with a target the scalar inverse rejects raises its error for
+    # the first such entry
+    seg, bracket, targets = drawn
+    inverse, oracle = _inverse(seg, bracket), scalar_inverse(seg, bracket)
+    want = np.array([oracle(w) for w in targets])
+    assert inverse(np.array(targets)).tobytes() == want.tobytes()
+    f_lo, f_hi = float(seg(bracket[0])), float(seg(bracket[1]))
+    if bad == "below":
+        bad = f_lo - 2.0 * _tolerance(1e-9, f_lo, f_hi) - 1e-3
+    elif bad == "above":
+        bad = f_hi + 2.0 * _tolerance(1e-9, f_lo, f_hi) + 1e-3
+    batch = list(targets)
+    batch.insert(min(where, len(batch)), bad)
+    batch.append(np.nan)
+    with pytest.raises(Exception) as expected:
+        for w in batch:
+            oracle(w)
+    with pytest.raises(type(expected.value)) as got:
+        inverse(np.array(batch))
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
 
 
 def run_and_reference_levels(case):
@@ -276,11 +334,10 @@ def test_the_inflow_column_is_the_slab_mean_of_every_level(case):
 @given(marches(), st.integers(0, 2**32 - 1), st.booleans())
 def test_a_stacked_plan_marches_each_row_as_a_one_row_plan(case, seed, windowed):
     # a (2, 3) stack of states, the datum and five drawn from the data's
-    # range, marched in whole steps both ways between two buffers: every
-    # row of every level has the bits of its own one-row march.  Windowed,
-    # the five are flat on the datum's pieces and the stack goes through
-    # _March.steps over more than two windows, whose spans hold the cells
-    # that changed in any row
+    # range, marched through _March.steps over more than two windows: every
+    # block of every row at every level has the bits of that row's own
+    # one-row march.  Windowed, the five are flat on the datum's pieces, so
+    # the spans, which hold the cells that changed in any row, narrow
     model, grid, datum, steps, _, _ = case
     drawn = march_config(case)
     assume(drawn is not None)
@@ -294,25 +351,19 @@ def test_a_stacked_plan_marches_each_row_as_a_one_row_plan(case, seed, windowed)
     else:
         stack = rng.uniform(lo, hi, (2, 3, grid.n))
     stack[0, 0] = cell_average(datum, grid)
-    spare = np.empty_like(stack)
-    stacked = _March(grid, model, config, bracket, batch=stack.shape[:-1])
-    alone = _March(grid, model, config, bracket)
-    rows = [(row.copy(), np.empty(grid.n)) for row in stack.reshape(-1, grid.n)]
-    rows_both_ways = [(alone.bind(u, new, lam), alone.bind(new, u, lam)) for u, new in rows]
-    n_steps = max(np.ceil(steps), 2 * _NARROW_EVERY + 3 if windowed else 0)
-    column = _inflow_column(config.left, dt * np.arange(1, n_steps + 1), dt, config.t_end)
-
-    def whole_steps():
-        both_ways = (stacked.bind(stack, spare, lam), stacked.bind(spare, stack, lam))
-        for k, boundary in enumerate(column):
-            stacked.advance(both_ways[k % 2], boundary)
-            yield (spare, stack)[k % 2], None
-
-    levels = stacked.steps(stack, spare, repeat(lam), column) if windowed else whole_steps()
-    for k, ((level, _), boundary) in enumerate(zip(levels, column)):
-        for got, buffers, row_ways in zip(level.reshape(-1, grid.n), rows, rows_both_ways):
-            alone.advance(row_ways[k % 2], boundary)
-            assert got.tobytes() == buffers[1 - k % 2].tobytes()
+    lams = [lam] * int(max(np.ceil(steps), 2 * _NARROW_EVERY + 3))
+    column = _inflow_column(config.left, dt * np.arange(1, len(lams) + 1), dt, config.t_end)
+    stacked = _March(grid, model, config, bracket, batch=stack.shape[:-1]).steps(
+        stack, np.empty_like(stack), lams, column)
+    alone = [_March(grid, model, config, bracket).steps(row.copy(), np.empty(grid.n), lams, column)
+             for row in stack.reshape(-1, grid.n)]
+    marched = 0
+    for (k, cells, level, _), *rows in zip(stacked, *alone):
+        marched += 1
+        for got, (row_k, row_cells, want, _) in zip(level.reshape(-1, level.shape[-1]), rows):
+            assert (row_k, row_cells) == (k, cells)
+            assert got.tobytes() == want.tobytes()
+    assert marched == len(lams) * len(model.segments)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from functools import partial
 
 import numpy as np
@@ -341,6 +342,36 @@ def test_a_callable_inflow_is_called_as_often_at_any_resolution():
     assert counts[0] == counts[1] == 3, counts
 
 
+def test_a_custom_laws_float_calls_do_not_grow_with_the_resolution():
+    # each interface's column is inverted in one elementwise call, so a
+    # custom law is called at floats only for the bracket ends and by
+    # invariant_interval, however many levels the run has
+    floats = []
+
+    def law(u):
+        if not isinstance(u, np.ndarray):
+            floats.append(u)
+        return u + 0.1 * np.sin(u)
+
+    model = PiecewiseFlux((-0.5, 0.0, 0.5), (
+        linear_flux(1.0),
+        quadratic_flux(1.0, interval=(0.05, 4.0)),
+        custom_flux(law, lambda u: 1.0 + 0.1 * np.cos(u), interval=(0.0, 4.0)),
+        quadratic_flux(-0.2, 2.0, interval=(0.0, 4.0)),
+    ))
+    rng = np.random.default_rng(29)
+    problem = ProblemSpec((-1.0, 1.0), PiecewiseConstant((-0.7, -0.2, 0.3, 0.8),
+                                                         tuple(rng.uniform(0.5, 2.0, 5))))
+    trace = SampledTable(np.linspace(0.0, 0.6, 13), rng.uniform(0.5, 2.0, 13))
+    config = SolverConfig(lam=0.3, t_end=0.6, left=Inflow(trace))
+    counts = []
+    for n in (64, 512):
+        floats.clear()
+        run(problem, build_grid(-1.0, 1.0, n, model.interfaces), model, config)
+        counts.append(len(floats))
+    assert counts[0] == counts[1] <= 12, counts
+
+
 def test_run_brackets_the_inflow_column_as_well_as_the_trace_samples():
     # a spike narrower than the bracket's sample spacing (t_end/1024) falls
     # between those samples but not between a slab's quadrature nodes: the
@@ -354,6 +385,56 @@ def test_run_brackets_the_inflow_column_as_well_as_the_trace_samples():
     config = SolverConfig(lam=0.9, t_end=1.0, left=Inflow(trace))
     with pytest.raises(StabilityError, match=r"on \[1, 5\.40768\]"):
         run(problem, build_grid(-1.0, 1.0, 4096), model, config)
+
+
+def _nan_near_03(t):
+    """An inflow trace that is 1 but NaN for |t - 0.3| < 0.01."""
+    t = np.asarray(t, dtype=float)
+    return np.where(np.abs(t - 0.3) < 0.01, np.nan, 1.0 + 0.0 * t)
+
+
+BURGERS_01_4 = quadratic_flux(1.0, interval=(0.1, 4.0))
+
+
+@pytest.mark.parametrize("model", [
+    PiecewiseFlux((), (BURGERS_01_4,)),
+    PiecewiseFlux((0.0,), (BURGERS_01_4, linear_flux(1.0))),
+], ids=["one-law", "interface"])
+def test_a_nan_inflow_is_rejected_before_the_march(model):
+    # Python's min and max would drop a NaN slab mean from the bracket and
+    # let it into the march; the first slab whose quadrature reaches the NaN
+    # stretch, (0.28125, 0.290625), is named before the march instead
+    grid = build_grid(-1.0, 1.0, 64, model.interfaces)
+    config = SolverConfig(lam=0.3, t_end=0.9, left=Inflow(_nan_near_03))
+    problem = ProblemSpec((-1.0, 1.0), PiecewiseConstant((), (1.0,)))
+    with pytest.raises(DomainError, match="inflow trace averages to nan over the slab") as exc:
+        run(problem, grid, model, config)
+    t0, t1 = (float(v) for v in str(exc.value).rsplit("[", 1)[1].rstrip("]").split(", "))
+    dt = config.lam * grid.dx
+    assert t0 < 0.29 < t1 and t1 - t0 == pytest.approx(dt)
+    assert slab_average_oracle(_nan_near_03, t0 - dt, t0) == 1.0
+
+
+def test_a_nan_trace_sample_is_rejected_before_the_march():
+    # NaN at t = 0 alone: every slab's quadrature misses it, the bracket's
+    # samples do not
+    def trace(t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t == 0.0, np.nan, 1.0 + 0.0 * t)
+
+    config = SolverConfig(lam=0.3, t_end=0.9, left=Inflow(trace))
+    problem = ProblemSpec((-1.0, 1.0), PiecewiseConstant((), (1.0,)))
+    with pytest.raises(DomainError, match=r"inflow trace is nan at its sample t=0\.0$"):
+        run(problem, build_grid(-1.0, 1.0, 64), PiecewiseFlux((), (BURGERS_01_4,)), config)
+
+
+def test_step_rejects_a_nan_time_with_an_inflow():
+    # a NaN clock gives a NaN slab, whose mean must not become the boundary cell
+    model = PiecewiseFlux((), (BURGERS_01_4,))
+    config = SolverConfig(lam=0.3, t_end=0.9, left=Inflow(lambda t: 1.0 + 0.0 * t))
+    state = State(np.ones(64), math.nan, 0)
+    with pytest.raises(DomainError, match=r"over the slab \[nan, nan\]"):
+        step(state, build_grid(-1.0, 1.0, 64), model, config)
 
 
 def test_inflow_table_slab_past_the_end_raises():
@@ -662,7 +743,8 @@ def window_case(name, three_interface_model=None):
       right of it; the front where -0.0 turns into 0.0 moves one cell a step
       without changing any value.
     - ``one-cell-subdomain``: the Burgers subdomain is one cell between two
-      interfaces, so the block right of it reopens through two interface maps.
+      interfaces, so the block right of it is fed through two interface
+      maps; the pulse never reaches them, so that block stays closed.
     - ``inflow-shortened``: transport of a step from 1 to 0.9, fed by an
       inflow table that holds 1 and then moves.  The final step is half a
       step: 0.9 is a fixed point of the full step's convex combination but,
@@ -793,7 +875,7 @@ def test_run_matches_the_reference_advance_where_spans_shrink_and_reopen(monkeyp
     log = record_spans(monkeypatch)
     assert_run_matches_reference_advance(problem, grid, model, config, data_range)
     bounds = (0, *grid.interface_cells, grid.n)
-    blocks = list(zip(*log))
+    blocks = [log[a] for a in bounds[:-1]]
     # every case narrows some span below its block's whole interior
     assert any(e - s < b - a - 1
                for spans, a, b in zip(blocks, bounds, bounds[1:]) for s, e in spans)
@@ -801,13 +883,36 @@ def test_run_matches_the_reference_advance_where_spans_shrink_and_reopen(monkeyp
         # no value moves in the linear block, but its sign front keeps it open
         assert all(s < e for s, e in blocks[0])
     elif case == "inflow-shortened":
-        # an inflow cell may move on any step, so its block always starts at
-        # the boundary's neighbour
-        assert all(s == 1 < e for s, e in blocks[0])
+        # the span holds the boundary cell in exactly the windows whose
+        # inflow column moves: not in the first, while the table holds 1,
+        # and in every one after it
+        assert blocks[0][0][0] > 0
+        assert all(s == 0 < e for s, e in blocks[0][1:])
+    elif case == "one-cell-subdomain":
+        # the block right of the one-cell subdomain reads its first-cell
+        # column, which the pulse never reaches, and opens in no window
+        assert blocks[2] and all(s == e for s, e in blocks[2])
     else:
         # some span empties out and reopens
         assert any(s0 >= e0 and s1 < e1
                    for spans in blocks for (s0, e0), (s1, e1) in zip(spans, spans[1:]))
+
+
+def test_an_inflow_pulse_on_a_windows_first_level_reaches_the_march():
+    # the second window writes levels 34 to 65; a trace that moves only on
+    # level 34's slab, (34 dt, 35 dt), must open that window's span at the
+    # boundary cell, whose neighbours then carry the pulse downwind
+    n, lam, t_end = 64, 0.5, 0.9
+    dt = lam * 2.0 / n
+    trace = SampledTable(np.array([0.0, 34 * dt, 34.5 * dt, 35 * dt, t_end]),
+                         np.array([1.0, 1.0, 2.0, 1.0, 1.0]))
+    model = PiecewiseFlux((), (linear_flux(1.0),))
+    config = SolverConfig(lam=lam, t_end=t_end, left=Inflow(trace))
+    problem = ProblemSpec((-1.0, 1.0), PiecewiseConstant((), (1.0,)))
+    trajectory = assert_run_matches_reference_advance(
+        problem, build_grid(-1.0, 1.0, n), model, config, (1.0, 2.0))
+    boundary = [float(level.u[0]) for level in trajectory.levels]
+    assert [k for k, v in enumerate(boundary) if v != 1.0] == [34]
 
 
 def test_a_custom_law_block_narrows_with_the_window():
@@ -830,13 +935,18 @@ def test_a_custom_law_block_narrows_with_the_window():
     trajectory = run(problem, grid, model, config, retain_levels=True)
     steps = trajectory.final.step
     assert steps > 3 * solver._NARROW_EVERY
-    # the interface map moves the first custom cell off 1.0 on the first
-    # step, a whole one; the change spreads one cell a step, so every later
-    # full step is far short of the 128 values a whole update of the block
-    # takes, its 127 interior cells and the interface cell upwind of them
-    # (the shortened last step recomputes them all)
-    assert len(sizes) == steps and sizes[0] == sizes[-1] == 128
-    assert max(sizes[1:-1]) < 128
+    # before the block marches, the law takes the Newton passes of the
+    # bracket's inversions and of the interface inverse, whose first pass is
+    # the block's whole first-cell column; then the
+    # interface map moves the first custom cell off 1.0 on the first step,
+    # a whole one; the change spreads one cell a step, so every later full
+    # step is far short of the 128 values a whole update of the block takes,
+    # its 127 interior cells and the interface cell upwind of them (the
+    # shortened last step recomputes them all)
+    newton, kernel = sizes[:-steps], sizes[-steps:]
+    assert max(newton) == steps
+    assert kernel[0] == kernel[-1] == 128
+    assert max(kernel[1:-1]) < 128
     levels = reference_levels(cell_average(problem.initial, grid), grid, model, config,
                               invariant_interval(model, (1.0, 1.0)))
     assert len(trajectory.levels) == len(levels)
@@ -848,20 +958,25 @@ def test_a_custom_law_block_narrows_with_the_window():
 def test_a_disturbance_reaching_an_interface_within_a_window(monkeypatch, case):
     # a window's spans are fixed at its start; a change that reaches a
     # block's last cell later in the window must still reach the interface
-    # cells downstream, through a one-cell subdomain too
+    # cells downstream, through a one-cell subdomain too, and the span of
+    # the block right of them must hold its first cell in that window, as
+    # its first-cell column moves there
     problem, grid, model, config, data_range = window_case(case)
     log = record_spans(monkeypatch)
     trajectory = assert_run_matches_reference_advance(problem, grid, model, config, data_range)
     levels = np.stack([level.u for level in trajectory.levels])
     bounds = (0, *grid.interface_cells, grid.n)
-    for p in grid.interface_cells:
+    for p, end in zip(grid.interface_cells, bounds[2:]):
         k = int(np.flatnonzero(levels[1:, p] != levels[:-1, p])[0]) + 1
         # full steps from the second on go in windows starting at step 2
         assert 2 < k < trajectory.final.step and (k - 2) % solver._NARROW_EVERY != 0
+        w = (k - 2) // solver._NARROW_EVERY
         # the nearest block upstream with an interior reached its end when
         # the window started
         i = max(i for i, (a, b) in enumerate(zip(bounds, bounds[1:])) if b <= p and b - a > 1)
-        assert log[(k - 2) // solver._NARROW_EVERY][i][1] == bounds[i + 1]
+        assert log[bounds[i]][w][1] == bounds[i + 1]
+        s, e = log[p][w]
+        assert s == p < e
 
 
 def test_run_hands_experiment1_kernels_fewer_than_half_of_its_cells(monkeypatch):
@@ -898,18 +1013,18 @@ def test_run_hands_experiment1_kernels_fewer_than_half_of_its_cells(monkeypatch)
 @pytest.mark.parametrize("left_law", ["transport", "custom"])
 def test_quiet_interface_maps_are_skipped_bit_for_bit(monkeypatch, three_interface_model,
                                                       left_law):
-    # a map whose left neighbour cannot move in a window, and whose cell did
-    # not change when it started, would write the value its cell holds; a
-    # custom law upstream keeps the map live no more than a linear one
-    inversions = 0
+    # one elementwise call maps the left block's whole last-cell column,
+    # quiet levels included, and a quiet level's entry is the value its cell
+    # already holds, so the levels keep the bits of a map at every step, a
+    # custom law upstream as much as a linear one
+    inversions = []
     resolve = solver._inverse
 
     def counting(seg, bracket, image=None):
         inverse = resolve(seg, bracket, image)
 
         def counted(w):
-            nonlocal inversions
-            inversions += 1
+            inversions.append(np.shape(w))
             return inverse(w)
         return counted
 
@@ -925,7 +1040,7 @@ def test_quiet_interface_maps_are_skipped_bit_for_bit(monkeypatch, three_interfa
         config = SolverConfig(lam=0.4, t_end=cfg.t_end)
     trajectory = assert_run_matches_reference_advance(
         build_problem(cfg), grid, model, config, data_range(cfg))
-    assert 0 < inversions < trajectory.final.step
+    assert inversions == [(trajectory.final.step,)]
 
 
 def test_march_evaluates_the_right_law_at_the_bracket_ends_once(three_interface_model):
@@ -1080,12 +1195,11 @@ def test_each_presets_burgers_block_binds_four_calls(name):
     model, solver_config = build_model(cfg), build_solver_config(cfg)
     grid = build_grid(cfg.xmin, cfg.xmax, 64, cfg.interfaces)
     march = solver._March(grid, model, solver_config, invariant_interval(model, data_range(cfg)))
-    burgers, = (i for i, seg in enumerate(model.segments) if seg.kind == "quadratic")
-    spans = [(a + 1, b) if i == burgers else (b, b)
-             for i, (a, b, *_) in enumerate(march.subdomains)]
+    burgers, = (block for block, seg in zip(march.subdomains, model.segments)
+                if seg.kind == "quadratic")
     u = np.full(grid.n, 1.0)
-    calls, _, _ = march.bind(u, np.empty_like(u), cfg.lam, spans, [False])
-    assert march.subdomains[burgers].factor == 0.5
+    calls = march.bind(u, np.empty_like(u), cfg.lam, burgers)
+    assert burgers.factor == 0.5
     assert len(calls) == 4
 
 
