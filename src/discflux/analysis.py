@@ -133,10 +133,10 @@ def spatial_tv(state: State, grid: Grid, subdomain: Optional[int] = None) -> flo
     return float(_variation(state.u[slices[subdomain]]))
 
 
-def _check_on(state: State, grid: Grid):
+def _check_on(state: State, grid: Grid, what: str = "a state"):
     """Raise :class:`ProjectionError` unless ``state`` holds one value per cell of ``grid``."""
     if state.u.shape != (grid.n,):
-        raise ProjectionError(f"a state of shape {state.u.shape} is not on a grid of "
+        raise ProjectionError(f"{what} of shape {state.u.shape} is not on a grid of "
                               f"{grid.n} cells")
 
 
@@ -147,12 +147,19 @@ def _variation(block: np.ndarray) -> np.float64:
 
 
 def temporal_tv(trajectory: Trajectory, cell: int) -> float:
-    """Accumulated per-cell level-to-level variation sum_n |u_j^{n+1} - u_j^n|."""
-    if trajectory.temporal_increments is None:
+    """Accumulated per-cell level-to-level variation sum_n |u_j^{n+1} - u_j^n|.
+
+    Raises :class:`ProjectionError` for a cell outside ``[0, n)``.
+    """
+    increments = trajectory.temporal_increments
+    if increments is None:
         raise MissingDataError(
             "run did not accumulate increments; pass record_increments=True"
         )
-    return float(trajectory.temporal_increments[int(cell)])
+    cell = int(cell)
+    if not 0 <= cell < increments.size:
+        raise ProjectionError(f"cell {cell} is not one of the trajectory's {increments.size}")
+    return float(increments[cell])
 
 
 def flux_lipschitz_in_space(trajectory: Trajectory, grid: Grid, model: PiecewiseFlux) -> float:
@@ -167,7 +174,7 @@ def flux_lipschitz_in_space(trajectory: Trajectory, grid: Grid, model: Piecewise
     of this quotient under refinement is the testable statement; there is no
     exact constant to hit.  A NaN quotient wins, as in the entropy report.
     A grid not built for ``model``'s interfaces raises
-    :class:`GridAlignmentError`.
+    :class:`GridAlignmentError`, and a level not on it :class:`ProjectionError`.
 
     Each subdomain reads the level store in blocks of about
     ``_RESIDUAL_BLOCK_BYTES`` and never copies it whole.  The running pair
@@ -177,8 +184,7 @@ def flux_lipschitz_in_space(trajectory: Trajectory, grid: Grid, model: Piecewise
     two cells has one pair, whose column numpy sums pairwise instead; it
     takes all its levels in one block of O(levels) values.
     """
-    _check_snapped(grid, model.interfaces)
-    levels, dts = _level_steps(trajectory)
+    levels, dts = _retained_levels(trajectory, grid, model)
     worst = 0.0
     for seg, sl in zip(model.segments, grid.subdomain_slices()):
         if sl.stop - sl.start < 2:
@@ -231,8 +237,9 @@ def entropy_residual(
     stable run.  The argmax is the first occurrence over constants, then
     steps, then cells.  A NaN residual wins and sticks: the report is then
     NaN, with its argmax at the first NaN.  A grid not built for ``model``'s
-    interfaces raises :class:`GridAlignmentError`, and an empty
-    ``c_samples`` :class:`DiagnosticInputError`.
+    interfaces raises :class:`GridAlignmentError`, a level not on it
+    :class:`ProjectionError`, and an empty ``c_samples`` or a constant that
+    is not finite :class:`DiagnosticInputError`.
 
     The steps go in blocks of about ``_RESIDUAL_BLOCK_BYTES``, whose levels
     are read into one reused buffer: the level store is never copied whole,
@@ -247,8 +254,7 @@ def entropy_residual(
     cell.  The cost follows the band; the report is the one the whole
     (steps x cells) residual gives.
     """
-    _check_snapped(grid, model.interfaces)
-    levels, dts = _level_steps(trajectory)
+    levels, dts = _retained_levels(trajectory, grid, model)
     # cells eligible for the conservative-update inequality
     in_law = np.zeros(grid.n, dtype=bool)
     in_law[1:] = grid.subdomain_of_cell[1:] == grid.subdomain_of_cell[:-1]
@@ -256,12 +262,13 @@ def entropy_residual(
     if eligible.size == 0:
         raise DiagnosticInputError("no interior cell has an in-law left neighbour")
 
-    # np.min and np.max keep a NaN, as on the stacked levels
-    seed = (float(np.min([lv.u.min() for lv in levels])),
-            float(np.max([lv.u.max() for lv in levels])))
+    seed = _level_range(levels)
     constants = tuple(float(c) for c in c_samples)
     if not constants:
         raise DiagnosticInputError("no entropy constant to sample: c_samples is empty")
+    for c in constants:
+        if not math.isfinite(c):
+            raise DiagnosticInputError(f"entropy constant {c} is not finite")
     adapted = np.array([_adapted_constants(model, c, seed) for c in constants])
     adapted = adapted.reshape(len(constants), model.n_interfaces + 1)
     c_cells = adapted[:, grid.subdomain_of_cell]
@@ -357,17 +364,25 @@ def _adapted_constants(model: PiecewiseFlux, c: float, seed: tuple[float, float]
     return np.asarray(out)
 
 
-def _level_steps(trajectory: Trajectory) -> tuple[list, np.ndarray]:
-    """The retained levels and the time steps between them."""
+def _retained_levels(trajectory: Trajectory, grid: Grid, model: PiecewiseFlux) -> tuple:
+    """The retained levels and the time steps between them, checked once: the
+    one reader of ``trajectory.levels``.  A level off ``grid`` raises
+    :class:`ProjectionError` naming it."""
+    _check_snapped(grid, model.interfaces)
     levels = trajectory.levels
     if not levels or len(levels) < 2:
-        raise MissingDataError(
-            "run did not retain time levels; pass retain_levels=True"
-        )
+        raise MissingDataError("run did not retain time levels; pass retain_levels=True")
+    for k, level in enumerate(levels):
+        _check_on(level, grid, f"level {k}")
     dts = np.diff(np.asarray([lv.t for lv in levels]))
     if not np.all(dts > 0.0):
         raise DiagnosticInputError("trajectory levels must be strictly increasing in time")
     return levels, dts
+
+
+def _level_range(levels: Sequence[State]) -> tuple[float, float]:
+    """Least and largest value over ``levels``; np.min and np.max keep a NaN level's NaN."""
+    return float(np.min([v.u.min() for v in levels])), float(np.max([v.u.max() for v in levels]))
 
 
 def _block_rows(width: int) -> int:

@@ -14,8 +14,8 @@ from itertools import accumulate, repeat, zip_longest
 
 import numpy as np
 
-from .analysis import (ErrorReport, _adapted_constants, _wins, entropy_residual, l1_error, ooc,
-                       spatial_tv)
+from .analysis import (ErrorReport, _adapted_constants, _level_range, _retained_levels, _wins,
+                       entropy_residual, l1_error, ooc, spatial_tv)
 from .config import (
     ExperimentConfig,
     build_model,
@@ -230,7 +230,7 @@ def cmd_verify(config: ExperimentConfig) -> int:
         # t_end 0 leaves the initial level alone: no step to check
         return _report(results, "the run takes no step, so it has one time level")
     return _report([*results,
-                    _check_tvd(trajectory0, grid0),
+                    _check_tvd(trajectory0, grid0, model),
                     _check_entropy(config, problem, model, solver_config, u_range),
                     _check_temporal_tv(trajectory0, grid0, model)])
 
@@ -307,7 +307,7 @@ def _ordering_gap(data, model, solver_config, grid, u_range) -> float:
     np.minimum(drawn[:, 0], drawn[:, 1], out=state[0])
     np.maximum(drawn[:, 0], drawn[:, 1], out=state[1])
     gap = np.empty((20, grid.n))
-    march = _March(grid, model, solver_config, u_range, batch=state.shape[:-1])
+    march = _March(grid, model, u_range, batch=state.shape[:-1])
     lam = solver_config.lam
     dt = lam * grid.dx
     # level i + 1 starts at the running sum of i + 1 steps
@@ -321,9 +321,9 @@ def _ordering_gap(data, model, solver_config, grid, u_range) -> float:
     return worst
 
 
-def _check_tvd(trajectory, grid):
+def _check_tvd(trajectory, grid, model):
     slices = grid.subdomain_slices()
-    levels = trajectory.levels
+    levels, _ = _retained_levels(trajectory, grid, model)
     # each level's per-subdomain TV and first cells, taken once and differenced
     tvs = np.array([[spatial_tv(level, grid, i) for i in range(len(slices))]
                     for level in levels])
@@ -365,13 +365,12 @@ def _check_temporal_tv(trajectory, grid, model):
     # left neighbor is too, S_j <= |u_j^0 - u_{j-1}^0| + S_{j-1}; at an
     # interface cell the ghost map gives S_j (past the first step) a Lipschitz
     # factor max g' / min f' times the neighbor's variation.
-    levels = trajectory.levels
+    levels, _ = _retained_levels(trajectory, grid, model)
     u0 = levels[0].u
     total = trajectory.temporal_increments
     tail = total - np.abs(levels[1].u - u0)
 
-    lo = min(float(level.u.min()) for level in levels)
-    hi = max(float(level.u.max()) for level in levels)
+    lo, hi = _level_range(levels)
     slacks = []
     quotients = []
     for i, sl in enumerate(grid.subdomain_slices()):

@@ -238,8 +238,8 @@ class _March:
     level, the value both buffers hold.
     """
 
-    def __init__(self, grid: Grid, model: PiecewiseFlux, config: SolverConfig,
-                 bracket: tuple[float, float], batch: tuple = (), values: tuple = None):
+    def __init__(self, grid: Grid, model: PiecewiseFlux, bracket: tuple[float, float],
+                 batch: tuple = (), values: tuple = None):
         segs = model.segments
         bounds = (0, *grid.interface_cells, grid.n)
         # every subdomain, one-cell ones included: a one-cell subdomain has
@@ -421,7 +421,7 @@ def step(
         u_range = _bracket(model, config, u, column)
     # the blocks read the state, which the bracket need not hold
     values = (min(u_range[0], float(u.min())), max(u_range[1], float(u.max())))
-    march = _March(grid, model, config, u_range, values=values)
+    march = _March(grid, model, u_range, values=values)
     new = np.empty_like(u)
     for _ in march.steps(u, new, [lam], column, shown=()):
         pass
@@ -572,7 +572,7 @@ def run(
     # one written is final; every level handed out is an array of its own,
     # at the level index found before the march, which each block fills; the
     # clock is pinned to the precomputed levels, as summing dt would drift
-    march = _March(grid, model, config, u_range)
+    march = _March(grid, model, u_range)
     at = np.searchsorted(level_times, np.subtract(pending, t_slack)).tolist()
     snapshots = [Snapshot(s, State(u0.copy(), level_times[k], k)) for s, k in zip(pending, at)]
     due: dict = {}

@@ -32,7 +32,7 @@ from discflux import (
     spatial_tv,
     temporal_tv,
 )
-from discflux import analysis
+from discflux import analysis, cli
 from discflux.analysis import _adapted_constants
 from discflux.errors import (
     DiagnosticInputError,
@@ -167,6 +167,10 @@ def test_temporal_tv_accumulates_level_differences():
     manual = np.abs(np.diff(u_all, axis=0)).sum(axis=0)
     for cell in (0, 5, grid.interface_cells[0], 15):
         assert temporal_tv(traj, cell) == pytest.approx(manual[cell], abs=1e-13)
+    # a cell off the grid, not the last cell's sum or numpy's IndexError
+    for cell in (-1, 16):
+        with pytest.raises(ProjectionError, match=f"cell {cell} is not one of .* 16$"):
+            temporal_tv(traj, cell)
 
     bare = run(problem, grid, model, solver_config)
     with pytest.raises(MissingDataError, match="record_increments"):
@@ -584,6 +588,19 @@ BAD_INPUTS = {
     "entropy-no-constant": (lambda: entropy_residual(
         _trajectory([[1.0] * 4] * 2, [0.0, 0.1]), build_grid(0.0, 1.0, 4, ()),
         _burgers_model(), []), "c_samples is empty"),
+    # a constant that is not finite, rejected before any law is evaluated:
+    # unchecked, it gives a NaN report without an interface and an untyped
+    # inversion error with one
+    "entropy-nan-constant": (lambda: entropy_residual(
+        _trajectory([[1.0] * 4] * 2, [0.0, 0.1]), build_grid(0.0, 1.0, 4, ()),
+        _burgers_model(), [math.nan]), "entropy constant nan is not finite"),
+    "entropy-inf-constant": (lambda: entropy_residual(
+        _trajectory([[1.0] * 4] * 2, [0.0, 0.1]), build_grid(0.0, 1.0, 4, ()),
+        _burgers_model(), [1.0, math.inf, math.nan]), "entropy constant inf is not finite"),
+    "entropy-nan-constant-interface": (lambda: entropy_residual(
+        _trajectory([[1.0] * 4] * 2, [0.0, 0.1]), build_grid(-1.0, 1.0, 4, (0.0,)),
+        build_model(preset("experiment1")), [1.0, math.nan]),
+        "entropy constant nan is not finite"),
 }
 
 
@@ -593,6 +610,35 @@ def test_a_diagnostic_rejects_bad_inputs_with_a_typed_error(name):
     with pytest.raises(DiagnosticInputError, match=message) as info:
         call()
     assert isinstance(info.value, DiscfluxError) and isinstance(info.value, ValueError)
+
+
+LEVEL_READERS = {
+    "entropy_residual": lambda traj, grid, model: entropy_residual(traj, grid, model, [1.0]),
+    "flux_lipschitz_in_space": flux_lipschitz_in_space,
+    "verify-tvd": cli._check_tvd,
+    "verify-temporal-tv": cli._check_temporal_tv,
+}
+
+
+@pytest.mark.parametrize("run_n, grid_n", [(16, 8), (8, 16)])
+@pytest.mark.parametrize("reader", sorted(LEVEL_READERS))
+def test_a_level_reader_rejects_levels_off_its_grid(reader, run_n, grid_n):
+    # Unchecked, a run measured on another grid of the same model gives a
+    # wrong number (16 cells on 8: entropy residual 2.32 and Lipschitz
+    # quotient 0.865, against 1.8e-15 and 1.49993 on its own grid) or
+    # numpy's broadcast error (8 cells on 16).
+    config = preset("experiment1")
+    model = build_model(config)
+    traj = run(build_problem(config), build_grid(-1.0, 1.0, run_n, config.interfaces), model,
+               build_solver_config(config), record_increments=True, retain_levels=True)
+    grid = build_grid(-1.0, 1.0, grid_n, config.interfaces)
+    message = rf"^level 0 of shape \({run_n},\) is not on a grid of {grid_n} cells$"
+    with pytest.raises(ProjectionError, match=message):
+        LEVEL_READERS[reader](traj, grid, model)
+    # a level that alone is off the grid is named
+    short = _trajectory([[1.0] * 4, [1.0] * 4, [1.0] * 3], [0.0, 0.1, 0.2])
+    with pytest.raises(ProjectionError, match=r"^level 2 of shape \(3,\)"):
+        LEVEL_READERS[reader](short, build_grid(0.0, 1.0, 4, ()), _burgers_model())
 
 
 @pytest.fixture(scope="module")

@@ -546,9 +546,12 @@ def test_verify_fails_a_nan_in_the_level_checks(monkeypatch, capsys, check):
 
     monkeypatch.setattr(cli, "run", poisoned_run)
     assert main(["verify", "--preset", "experiment1"]) == 3
-    line = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith(check))
-    assert line.split()[1:2] == ["FAIL"]
-    assert " nan " in line
+    lines = {ln.split()[0]: ln for ln in capsys.readouterr().out.splitlines()}
+    # a NaN level makes the levels' range NaN, and with it the temporal-TV
+    # check's ghost quotients
+    for name in {check, "temporal_tv"}:
+        assert lines[name].split()[1:2] == ["FAIL"]
+        assert " nan " in lines[name]
 
 
 _E = r"-?\d\.\d{3}e[+-]\d{2}"

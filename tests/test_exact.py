@@ -103,6 +103,15 @@ def test_two_flux_riemann_downward_jump_is_a_shock():
     assert sol(-0.1, 0.3) == pytest.approx(3.0)
     assert sol(0.05, 0.3) == pytest.approx(4.5)
     assert sol(0.2, 0.3) == pytest.approx(2.0)
+    # a constant datum sends no wave of its own; the interface alone emits a
+    # shock from the continuation value sqrt(2) down to 1, at chord speed
+    # (1 - 1/2)/(sqrt(2) - 1)
+    sol = exact_two_flux_riemann(TRANSPORT_THEN_BURGERS, 1.0, 1.0, -0.5)
+    assert np.isinf(sol.valid_until)
+    head = 0.3 * 0.5 / (np.sqrt(2.0) - 1.0)
+    assert head == pytest.approx(0.3621, abs=1e-4)
+    x = np.array([-0.6, -0.01, 0.01, head - 0.01, head + 0.01, 0.9])
+    assert np.allclose(sol(x, 0.3), [1.0, 1.0, np.sqrt(2.0), np.sqrt(2.0), 1.0, 1.0])
 
 
 def test_two_flux_riemann_collision_closes_window():

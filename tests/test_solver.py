@@ -121,6 +121,10 @@ def test_step_rejects_a_nan_dt(model):
     state = State(np.full(8, 2.0), 0.0, 0)
     with pytest.raises(ValueError, match="dt must be nonnegative, got nan"):
         step(state, grid, model, SolverConfig(lam=0.5, t_end=1.0), dt=float("nan"))
+    # and a state that is not on its grid
+    with pytest.raises(ValueError, match="state has 8 cells, grid has 16"):
+        step(state, build_grid(-1.0, 1.0, 16, model.interfaces), model,
+             SolverConfig(lam=0.5, t_end=1.0))
 
 
 def test_step_unit_cfl_is_allowed():
@@ -1194,7 +1198,7 @@ def test_each_presets_burgers_block_binds_four_calls(name):
     cfg = preset(name)
     model, solver_config = build_model(cfg), build_solver_config(cfg)
     grid = build_grid(cfg.xmin, cfg.xmax, 64, cfg.interfaces)
-    march = solver._March(grid, model, solver_config, invariant_interval(model, data_range(cfg)))
+    march = solver._March(grid, model, invariant_interval(model, data_range(cfg)))
     burgers, = (block for block, seg in zip(march.subdomains, model.segments)
                 if seg.kind == "quadratic")
     u = np.full(grid.n, 1.0)
@@ -1218,7 +1222,7 @@ def test_squares_outside_the_normal_floats_keep_the_laws_chain(binade):
     lam = 0.9 / max(seg.deriv_bounds(*bracket)[1] for seg in model.segments)
     config = SolverConfig(lam=lam, t_end=60 * lam * grid.dx)
     folds = binade == -480
-    march = solver._March(grid, model, config, bracket)
+    march = solver._March(grid, model, bracket)
     assert [b.factor for b in march.subdomains] == ([0.5, 2.0] if folds else [1.0, 1.0])
 
     def levels():
