@@ -128,10 +128,12 @@ def _array_form(seg: FluxSegment, shape) -> Callable:
     owned by the form, and the view of the result they fill.  The calls can
     be run any number of times, and each run of calls bound to any view
     overwrites the previous result.  A quadratic law is bound as the ufunc
-    calls of its formula (see :func:`quadratic_flux`) through two such
-    buffers, so each value has the bits of the law's float form.  A custom
-    law is one call of its ``func``, elementwise as :func:`custom_flux`
-    checks.
+    calls of its formula (see :func:`quadratic_flux`) through such a
+    buffer, and one more for a ``u*b`` term, so each value has the bits of
+    the law's float form; bound
+    with ``fold=True`` it leaves out the product with ``c = a/2``, so a law
+    ``c*u**2`` gives its squares ``u*u`` alone.  A custom law is one call
+    of its ``func``, elementwise as :func:`custom_flux` checks.
     """
     out = np.empty(shape)
     if seg.kind == "custom":
@@ -140,12 +142,15 @@ def _array_form(seg: FluxSegment, shape) -> Callable:
     a, b = seg.params
     # constants as 0-d arrays: a ufunc converts a Python float on every call
     c, b = np.array(0.5 * a), (np.array(b) if b != 0.0 else None)
-    tmp = np.empty(shape)
+    tmp = np.empty(shape) if b is not None else None
 
-    def bind(u):
-        dst, term = out[..., :u.shape[-1]], tmp[..., :u.shape[-1]]
-        calls = [partial(np.square, u, dst), partial(np.multiply, dst, c, dst)]
+    def bind(u, fold=False):
+        dst = out[..., :u.shape[-1]]
+        calls = [partial(np.square, u, dst)]
+        if not fold:
+            calls.append(partial(np.multiply, dst, c, dst))
         if b is not None:
+            term = tmp[..., :u.shape[-1]]
             calls += (partial(np.multiply, u, b, term), partial(np.add, dst, term, dst))
         return calls, dst
     return bind

@@ -156,18 +156,13 @@ def _check_cfl(lam: float, laws) -> float:
 class _Block(NamedTuple):
     """One subdomain of a march plan: cells ``a`` to ``b - 1`` and their update.
 
-    A linear law has its ``slope``; any other law a ``kernel``, which binds
-    to up to ``b - a`` values as ``(calls, edge)``, and a ``factor`` that
-    scales the edge fluxes' difference together with lam: 1.0 for the law's
-    array form, the law's ``c`` when the kernel gives only the squares of a
-    folded ``c*u**2`` (:func:`_fold`).
+    ``update(u, dst, lam)`` gives the argument-free calls of a step at lam
+    into ``dst`` from ``u``, the same cells with their upwind one in front.
     """
 
     a: int
     b: int
-    slope: Optional[float] = None
-    kernel: Optional[Callable] = None
-    factor: float = 1.0
+    update: Callable
 
 
 def _fold(seg, lo: float, hi: float) -> Optional[float]:
@@ -180,7 +175,7 @@ def _fold(seg, lo: float, hi: float) -> Optional[float]:
     read: then ``c*S`` and ``c`` times a difference are exact scalings, so
     ``lam * (c*S_j - c*S_{j-1})`` and ``(lam*c) * (S_j - S_{j-1})`` are one
     real number rounded once, as long as ``lam*c`` is exact too, which
-    :meth:`_March.bind` checks for each lam.  A range reaching zero, or
+    :func:`_upwind` checks for each lam.  A range reaching zero, or
     whose ``c*u*u`` comes within ``_FOLD_MARGIN`` of the normal range's
     ends, keeps the law's chain.
     """
@@ -195,25 +190,50 @@ def _fold(seg, lo: float, hi: float) -> Optional[float]:
     return None
 
 
-def _squares(shape) -> Callable:
-    """:func:`~discflux.fluxes._array_form`'s ``bind`` for the squares ``u*u`` alone."""
-    out = np.empty(shape)
-    return lambda u: ([partial(np.square, u, out[..., :u.shape[-1]])], out[..., :u.shape[-1]])
+def _convex(slope: float, shape) -> Callable:
+    """A linear law's update: each cell's convex combination with its upwind one.
+
+    Exact at weight one; one product goes through a scratch buffer of the block's own.
+    """
+    scratch = np.empty(shape)
+
+    def update(u, dst, lam):
+        # constants as 0-d arrays: a ufunc converts a Python float on every call
+        w, tmp = lam * slope, scratch[..., :dst.shape[-1]]
+        return [partial(np.multiply, u[..., 1:], np.array(1.0 - w), dst),
+                partial(np.multiply, u[..., :-1], np.array(w), tmp),
+                partial(np.add, dst, tmp, dst)]
+    return update
+
+
+def _upwind(form: Callable, c: Optional[float]) -> Callable:
+    """Any other law's update: the conservative difference of its upwind edge fluxes.
+
+    ``form`` is the law's :func:`~discflux.fluxes._array_form`.  With ``c``
+    from :func:`_fold` it is bound with ``fold=True``, the squares alone,
+    and ``c`` rides on lam, unless lam*c rounds, which binds the law's chain.
+    """
+    def update(u, dst, lam):
+        fold = c is not None and lam * c / c == lam
+        calls, edge = form(u, fold=True) if fold else form(u)
+        return [*calls,
+                partial(np.subtract, edge[..., 1:], edge[..., :-1], dst),
+                partial(np.multiply, dst, np.array(lam * c if fold else lam), dst),
+                partial(np.subtract, u[..., 1:], dst, dst)]
+    return update
 
 
 class _March:
     """Everything one march needs, resolved once, marched subdomain by subdomain.
 
     Holds each subdomain as a :class:`_Block`: its cell bounds ``(a, b)``
-    with the slope of a linear law, whose update is a convex combination,
-    or else a kernel on up to ``b - a`` values that gives every upwind edge
-    flux of the block, its last cell's right edge included.  The kernel is
-    the law's array form, or for a law ``c*u**2`` that :func:`_fold`
-    accepts on ``values`` (the bracket unless given: a range holding every
-    value a block reads) only the squares, with ``c`` folded into lam.
+    and its update, fixed here once: a convex combination for a linear law,
+    the conservative upwind difference for any other, whose ``c`` folds
+    into lam for a law ``c*u**2`` that :func:`_fold` accepts on ``values``
+    (the bracket unless given: a range holding every value a block reads).
     Each interface coupling ``(left law, inverse)`` holds the right law's
     elementwise inverse on the bracket, with the bracket's flux image
-    computed once.  Also kept: a scratch buffer for the linear blocks.
+    computed once.
 
     Increasing laws and upwind edge fluxes make each subdomain an initial-
     boundary value problem of its own: its cells read only its cells, and
@@ -248,17 +268,12 @@ class _March:
         for seg, a, b in zip(segs, bounds, bounds[1:]):
             shape = (*batch, b - a)
             if seg.kind == "linear":
-                block = _Block(a, b, slope=seg.params[0])
-            elif b - a < 2:
-                block = _Block(a, b)
-            elif (c := _fold(seg, *(values or bracket))) is not None:
-                block = _Block(a, b, kernel=_squares(shape), factor=c)
+                update = _convex(seg.params[0], shape)
             else:
-                block = _Block(a, b, kernel=_array_form(seg, shape))
-            self.subdomains.append(block)
+                update = _upwind(_array_form(seg, shape), _fold(seg, *(values or bracket)))
+            self.subdomains.append(_Block(a, b, update))
         self.couplings = tuple((left.func, _inverse(right, bracket))
                                for left, right in zip(segs, segs[1:]))
-        self.scratch = np.empty((*batch, grid.n))
 
     def bind(self, u: np.ndarray, new: np.ndarray, lam: float, block: _Block,
              span: tuple = None) -> list:
@@ -268,35 +283,12 @@ class _March:
         ``(s, e)`` of its cells, or all of them without it; the first cell
         is the march's to set.  In a batched plan the span applies to every
         row.
-
-        A nonlinear block writes its edge fluxes' difference, its product
-        with lam (times the block's factor) and the new values straight into
-        its span of ``new``: the kernel's calls, then three.  A linear block
-        takes one scratch product.
         """
         s, e = span or (block.a, block.b)
         s = max(s, block.a + 1)
         if s >= e:
             return []
-        # constants as 0-d arrays: a ufunc converts a Python float on every call
-        dst = new[..., s:e]
-        if block.slope is not None:
-            # convex combination of the two upwind cells, exact at weight one
-            w, tmp = lam * block.slope, self.scratch[..., s:e]
-            return [partial(np.multiply, u[..., s:e], np.array(1.0 - w), dst),
-                    partial(np.multiply, u[..., s - 1:e - 1], np.array(w), tmp),
-                    partial(np.add, dst, tmp, dst)]
-        # conservative difference of the upwind edge fluxes f(u_left)
-        kernel, edge = block.kernel(u[..., s - 1:e])
-        scale = lam * block.factor
-        if scale / block.factor != lam:
-            # lam*c rounded, out of the normal floats: c scales the squares as in the law
-            kernel = [*kernel, partial(np.multiply, edge, np.array(block.factor), edge)]
-            scale = lam
-        return [*kernel,
-                partial(np.subtract, edge[..., 1:], edge[..., :-1], dst),
-                partial(np.multiply, dst, np.array(scale), dst),
-                partial(np.subtract, u[..., s:e], dst, dst)]
+        return block.update(u[..., s - 1:e], new[..., s:e], lam)
 
     def window(self, u: np.ndarray, prev: np.ndarray, block: _Block, ahead: np.ndarray) -> tuple:
         """``block``'s span, its cells that may change, in a window starting from ``u``.

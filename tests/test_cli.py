@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -297,11 +298,17 @@ def _slow_lam(self, u, new, lam, *args, **kwargs):
     return _BIND(self, u, new, 0.95 * lam, *args, **kwargs)
 
 
-def _scaled_difference(self, *args, **kwargs):
-    # the block factor scales the difference on the law's chain and the folded one
-    _INIT(self, *args, **kwargs)
-    self.subdomains = [b._replace(factor=0.95 * b.factor) if b.kernel else b
-                       for b in self.subdomains]
+def _scaled_difference(self, grid, model, *args, **kwargs):
+    # the nonlinear blocks' updates scale their difference, on the law's
+    # chain and the folded one, by 0.95 lam
+    _INIT(self, grid, model, *args, **kwargs)
+    self.subdomains = [b._replace(update=partial(_slow_update, b.update))
+                       if seg.kind != "linear" else b
+                       for b, seg in zip(self.subdomains, model.segments)]
+
+
+def _slow_update(update, u, dst, lam):
+    return update(u, dst, 0.95 * lam)
 
 
 def _short_map(seg, bracket, image=None):

@@ -147,6 +147,11 @@ VALIDATION_CASES = [
     ("trace-value", _set("boundary", {"left": {"kind": "inflow",
                                                "trace": {"kind": "constant"}}}),
      "expected a number, got None"),
+    ("trace-path", _set("boundary", {"left": {"kind": "inflow",
+                                              "trace": {"kind": "table"}}}),
+     "boundary.left.trace: table trace needs a 'path'"),
+    # YAML's .inf
+    ("lambda-inf", _set("lambda", float("inf")), "lambda: must be finite, got inf"),
     ("snapshots-range", _set("snapshots", [1.5]), "must lie within"),
     ("outputs-key", _set("outputs", {"weird": "x"}), "unknown key"),
     ("outputs-block", _set("outputs", {"run_dir": "out"}), "config.outputs: unknown key"),
@@ -155,6 +160,8 @@ VALIDATION_CASES = [
                                         "center": 0.0}),
      "must be positive"),
     ("initial-kind", _set("initial", {"kind": "sine"}), "unknown initial datum kind"),
+    ("initial-no-kind", _set("initial", {"breakpoints": [], "values": [1.0]}),
+     "initial: expected a mapping with a 'kind' key"),
     ("initial-counts", _set("initial", {"kind": "piecewise_constant",
                                         "breakpoints": [-0.5],
                                         "values": [1.0]}),

@@ -27,6 +27,12 @@ def test_linear_advection_translates():
     assert sol(1.0, 0.0) == pytest.approx(np.sin(1.0))
 
 
+@pytest.mark.parametrize("speed", [np.inf, np.nan])
+def test_linear_advection_rejects_a_non_finite_speed(speed):
+    with pytest.raises(ValueError, match=f"speed must be finite, got {speed}"):
+        exact_linear_advection(speed, np.sin)
+
+
 def test_validity_window():
     sol = exact_linear_advection(1.0, lambda x: np.asarray(x), valid_until=0.5)
     sol(0.0, 0.5)  # boundary of the window is fine

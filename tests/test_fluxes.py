@@ -108,6 +108,46 @@ def test_piecewise_model_validation():
         PiecewiseFlux((1.0, 1.0), (linear_flux(1.0),) * 3)
 
 
+def _not_finite_above_half(u):
+    return np.where(u > 0.5, np.inf, u)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: linear_flux(1.0).deriv_bounds(2.0, 1.0), r"empty interval \[2.0, 1.0\]"),
+    (lambda: linear_flux(np.nan), "linear flux coefficients must be finite"),
+    (lambda: linear_flux(1.0, np.inf), "linear flux coefficients must be finite"),
+    (lambda: custom_flux(np.sum, lambda u: 1.0 + 0.0 * u, interval=(0.0, 1.0)),
+     "flux and derivative must evaluate elementwise on arrays"),
+    (lambda: custom_flux(_not_finite_above_half, lambda u: 1.0 + 0.0 * u, interval=(0.0, 1.0)),
+     r"flux or derivative is not finite on \[0.0, 1.0\]"),
+    (lambda: quadratic_flux(1.0, interval=(2.0, 1.0)),
+     r"need a finite interval with lo < hi, got \[2.0, 1.0\]"),
+    (lambda: custom_flux(lambda u: u, lambda u: 1.0 + 0.0 * u, interval=(0.0, np.inf)),
+     r"need a finite interval with lo < hi, got \[0.0, inf\]"),
+    (lambda: PiecewiseFlux((np.nan,), (linear_flux(1.0),) * 2),
+     "interface positions must be finite"),
+    (lambda: invariant_interval(make_two_law_model(), (2.0, 1.0)),
+     r"need a finite range with lo <= hi, got \[2.0, 1.0\]"),
+    (lambda: invariant_interval(make_two_law_model(), (np.nan, 1.0)),
+     r"need a finite range with lo <= hi, got \[nan, 1.0\]"),
+], ids=["deriv-bounds-reversed", "linear-nan-slope", "linear-inf-offset", "custom-shape",
+        "custom-not-finite", "interval-reversed", "interval-infinite", "interface-nan",
+        "range-reversed", "range-nan"])
+def test_a_flux_input_check_raises_its_error(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_invariant_interval_rejects_a_map_that_overflows():
+    # the transmitted flux 1e300 is in the image of a*u^2/2 for a = 1e-320
+    # (its square overflows at the bracket's top), but its root sqrt(2w/a)
+    # is past the largest float
+    model = PiecewiseFlux((0.0,), (linear_flux(1.0), quadratic_flux(1e-320, interval=(1.0, 2.0))))
+    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(
+            DivergentRangeError, match=r"interface map 1 produced a non-finite range \[1.0, inf\]"):
+        invariant_interval(model, (1.0, 1e300))
+
+
 def test_check_cfl_takes_the_largest_speed_of_any_law():
     model = make_two_law_model()
     # the rule returns lam times the speed: the linear law contributes 1,

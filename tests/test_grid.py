@@ -85,6 +85,20 @@ def test_piecewise_constant_lookup():
         PiecewiseConstant((0.0,), (1.0,))
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: PiecewiseConstant((0.5, -0.5), (1.0, 2.0, 3.0)), ValueError,
+     r"breakpoints must be strictly increasing: \(0.5, -0.5\)"),
+    (lambda: SampledTable([0.0, 1.0, 2.0], [1.0, 2.0]), ValueError,
+     "need matching 1d arrays with at least two samples"),
+    (lambda: SampledTable([0.0, 1.0], [1.0, np.nan]), ValueError, "table entries must be finite"),
+    (lambda: cell_average("1.0", build_grid(0.0, 1.0, 4)), TypeError,
+     "cannot average data of type str"),
+], ids=["breakpoints-decreasing", "table-mismatched", "table-not-finite", "datum-type"])
+def test_a_datum_input_check_raises_its_error(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 def test_cell_average_steps_exact():
     grid = build_grid(-1.0, 1.0, 10)
     datum = PiecewiseConstant((-0.13, 0.4), (1.0, 5.0, 2.0))
