@@ -384,7 +384,8 @@ def invert_near(seg: FluxSegment, w: float, seed: tuple[float, float]) -> float:
     The law is evaluated once at each end of the bracket found.  A
     non-finite ``w`` is :func:`invert`'s bad request on the seed, raised
     before any evaluation.  Raises :class:`FluxRangeError` when ``w`` lies
-    outside a quadratic's image over its increasing side, or if doubling the
+    outside a quadratic's image over its increasing side, when the next
+    bracket or the root would pass the largest float, or if doubling the
     bracket 200 times never captures ``w`` (the flux image is bounded away
     from it).
     """
@@ -399,7 +400,15 @@ def invert_near(seg: FluxSegment, w: float, seed: tuple[float, float]) -> float:
         f_lo, f_hi = float(seg(lo)), float(seg(hi))
         slack = _tolerance(1e-9, f_lo, f_hi)
         if f_lo - slack <= w <= f_hi + slack:
-            return float(_inverse(seg, (lo, hi), (f_lo, f_hi))(w))
+            if math.isfinite(f_lo) and math.isfinite(f_hi):
+                return float(_inverse(seg, (lo, hi), (f_lo, f_hi))(w))
+            # the law overflows at an end of the bracket, so w's root may overflow too
+            with np.errstate(over="ignore"):
+                root = float(_inverse(seg, (lo, hi), (f_lo, f_hi))(w))
+            if not math.isfinite(root):
+                raise FluxRangeError(f"could not invert w={w}: its root on [{lo}, {hi}] "
+                                     f"is {root}")
+            return root
         if (w < f_lo and lo <= cap_lo) or (w > f_hi and hi >= cap_hi):
             raise FluxRangeError(
                 f"could not bracket w={w}: the law increases on [{cap_lo}, {cap_hi}], "
@@ -409,6 +418,9 @@ def invert_near(seg: FluxSegment, w: float, seed: tuple[float, float]) -> float:
             lo = max(lo - width, cap_lo)
         if w > f_hi:
             hi = min(hi + width, cap_hi)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise FluxRangeError(f"could not bracket w={w}: the next bracket [{lo}, {hi}] "
+                                 f"passes the largest float")
         width *= 2.0
     raise FluxRangeError(
         f"could not bracket w={w}: flux image still [{float(seg(lo))}, "
@@ -439,8 +451,8 @@ def invariant_interval(model: PiecewiseFlux, data_range: tuple[float, float]) ->
     hull of the data and the image of subdomain ``i-1``'s range.  Coupling
     runs only rightward, so one left-to-right pass is already the fixed
     point; the hull of all subdomain ranges is returned.  Raises
-    :class:`DivergentRangeError` when a map leaves a law's flux image or
-    goes non-finite.
+    :class:`DivergentRangeError` when a map transmits a non-finite flux or
+    takes a value outside a law's flux image or past the largest float.
     """
     lo, hi = float(data_range[0]), float(data_range[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
@@ -448,18 +460,20 @@ def invariant_interval(model: PiecewiseFlux, data_range: tuple[float, float]) ->
     segs = model.segments
     r_lo, r_hi = hull_lo, hull_hi = lo, hi
     for i in range(1, model.n_interfaces + 1):
+        w_lo, w_hi = float(segs[i - 1](r_lo)), float(segs[i - 1](r_hi))
+        if not (math.isfinite(w_lo) and math.isfinite(w_hi)):
+            raise DivergentRangeError(
+                f"interface map {i} transmits a non-finite flux [{w_lo}, {w_hi}] "
+                f"from the range [{r_lo}, {r_hi}]"
+            )
         try:
-            m_lo = invert_near(segs[i], float(segs[i - 1](r_lo)), (lo, hi))
-            m_hi = invert_near(segs[i], float(segs[i - 1](r_hi)), (lo, hi))
+            m_lo = invert_near(segs[i], w_lo, (lo, hi))
+            m_hi = invert_near(segs[i], w_hi, (lo, hi))
         except FluxRangeError as exc:
             raise DivergentRangeError(
                 f"interface map {i} pushes the range outside the flux image: {exc}"
             ) from exc
         r_lo, r_hi = min(lo, m_lo), max(hi, m_hi)
-        if not (math.isfinite(r_lo) and math.isfinite(r_hi)):
-            raise DivergentRangeError(
-                f"interface map {i} produced a non-finite range [{r_lo}, {r_hi}]"
-            )
         hull_lo, hull_hi = min(hull_lo, r_lo), max(hull_hi, r_hi)
     return hull_lo, hull_hi
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import groupby
 from typing import Callable, Container, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -25,8 +26,8 @@ from .grid import (Grid, SampledTable, cell_average, _check_snapped, _evaluate, 
 
 _CFL_SLACK = 1e-12
 
-# Steps in one window of the march, which share their recompute spans (an even count).
-_NARROW_EVERY = 32
+# Steps in one window of the march, which share their recompute spans.
+_NARROW_EVERY = 128
 
 # c*u**2 folds its c into lam only while c*u*u stays this many binades inside
 # the normal floats on the plan's range, far past any roundoff excursion
@@ -302,13 +303,14 @@ class _March:
         ``ahead`` holds another value; an empty span is ``(a + 1, a + 1)``.
         """
         a, b = block.a, block.b
-        differs = u[..., a:b].view(np.int64) != prev[..., a:b].view(np.int64)
-        changed = differs.reshape(-1, b - a).any(axis=0)
+        changed = u[..., a:b].view(np.int64) != prev[..., a:b].view(np.int64)
+        if changed.ndim > 1:
+            changed = changed.reshape(-1, b - a).any(axis=0)
         changed[0] |= (ahead.view(np.int64) != u[..., a].view(np.int64)).any()
-        changed = changed.nonzero()[0]
-        if not changed.size:
+        first = int(changed.argmax())
+        if not changed[first]:
             return a + 1, a + 1
-        return a + int(changed[0]), min(a + int(changed[-1]) + 1 + _NARROW_EVERY, b)
+        return a + first, min(b - int(changed[::-1].argmax()) + len(ahead), b)
 
     def steps(self, u: np.ndarray, new: np.ndarray, lams: Sequence[float],
               column: Optional[np.ndarray], shown: Container[int] = None):
@@ -323,15 +325,26 @@ class _March:
         and its views at levels ``k`` and ``k - 1``.  Its last cell's values
         at every level, mapped through the interface in one call, are the
         next block's first-cell column.  A step whose lam differs from the
-        step before's writes every cell; the others go in windows of
-        ``_NARROW_EVERY`` steps bound at their start, which write the first
-        cell and record the last one only where the span holds them.
+        step before's writes every cell; the others go in windows of up to
+        ``_NARROW_EVERY`` steps, which write the first cell and record the
+        last one only where the span holds them.  A window binds each
+        direction it takes between ``u`` and ``new`` once, and keeps the
+        window before's calls when its span and lam are the same.
         """
         if not lams:
             return
         batch = u.shape[:-1]
         firsts = u[..., 0].copy() if column is None else np.reshape(column, (-1,) + (1,) * len(batch))
         firsts = np.broadcast_to(firsts, (len(lams), *batch))
+        shown = range(len(lams) + 1) if shown is None else shown
+        # (start, stop, lam, narrow): no cell is known to keep its value at a new lam
+        windows, k = [], 0
+        for lam, group in groupby(lams):
+            m = len(list(group))
+            windows += [(k, k + 1, lam, False),
+                        *((j, min(j + _NARROW_EVERY, k + m), lam, True)
+                          for j in range(k + 1, k + m, _NARROW_EVERY))]
+            k += m
         for i, block in enumerate(self.subdomains):
             if i:
                 left, inverse = self.couplings[i - 1]
@@ -341,28 +354,29 @@ class _March:
             views = ((new[..., cells], u[..., cells]), (u[..., cells], new[..., cells]))
             # a one-row plan takes the cheaper integer index
             first, end = ((..., block.a), (..., block.b - 1)) if batch else (block.a, block.b - 1)
-            x, y = u, new
-            last, bound = None, []
-            for k, lam in enumerate(lams):
-                if lam != last:
-                    # no cell is known to keep its value at a new lam
-                    last, bound, (s, e) = lam, [self.bind(x, y, lam, block)], (block.a, block.b)
-                elif not bound:
-                    s, e = span = self.window(x, y, block, firsts[k:k + _NARROW_EVERY])
-                    if e < block.b:
-                        # the last cell keeps its value through the window
-                        lasts[k:k + _NARROW_EVERY] = x[end]
-                    bound = [self.bind(x, y, lam, block, span),
-                             self.bind(y, x, lam, block, span)] * (_NARROW_EVERY // 2)
-                for call in bound.pop(0):
-                    call()
-                if s == block.a:
-                    y[first] = firsts[k]
-                if e == block.b:
-                    lasts[k] = y[end]
-                if shown is None or k + 1 in shown:
-                    yield k + 1, cells, *views[k % 2]
-                x, y = y, x
+            targets, key = (new, u), None  # step k writes targets[k % 2]
+            for k, stop, lam, narrow in windows:
+                x, y = targets[1 - k % 2], targets[k % 2]
+                span = (self.window(x, y, block, firsts[k:stop]) if narrow
+                        else (block.a, block.b))
+                if (span, lam) != key:
+                    key, bound = (span, lam), [None, None]
+                for j in range(k, min(k + 2, stop)):  # the directions the window takes
+                    if bound[j % 2] is None:
+                        bound[j % 2] = self.bind(targets[1 - j % 2], targets[j % 2], lam, block, span)
+                head, tail = span[0] == block.a, span[1] == block.b
+                if not tail:
+                    # the last cell keeps its value through the window
+                    lasts[k:stop] = x[end]
+                for j in range(k, stop):
+                    for call in bound[j % 2]:
+                        call()
+                    if head:
+                        targets[j % 2][first] = firsts[j]
+                    if tail:
+                        lasts[j] = targets[j % 2][end]
+                    if j + 1 in shown:
+                        yield j + 1, cells, *views[j % 2]
 
 
 # }}}

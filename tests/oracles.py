@@ -7,8 +7,9 @@ update, :func:`scalar_inverse`, the interface inverse one float at a time,
 :func:`entropy_residual_whole` and :func:`flux_lipschitz_whole`, the
 entropy residual and the flux's Lipschitz quotient over all levels at once,
 and :func:`ordering_gap_per_pair`, verify's order check one pair member at a
-time: the package must reproduce each bit for bit.  :func:`record_spans` is
-no oracle but a probe of the march's windows.
+time: the package must reproduce each bit for bit.  :func:`window_scan` is
+the march's window span by the former reshape, ``any`` and ``nonzero`` scan,
+and :func:`record_spans` no oracle but a probe of the march's windows.
 """
 
 import bisect
@@ -305,6 +306,23 @@ def reference_levels(u0, grid, model, config, bracket):
             levels[-1], (k - 1) * dt, step_dt, step_dt / grid.dx if k > n_full else config.lam,
             model, grid.interface_cells, bracket, trace=trace, slab=dt, t_end=config.t_end))
     return levels
+
+
+def window_scan(u, prev, a, b, ahead, length):
+    """The span of cells ``a`` to ``b - 1`` for a window of ``length`` steps, by a full scan.
+
+    Every cell that differs bitwise between ``u`` and ``prev`` in any row,
+    the first one also where ``ahead`` differs from ``u``, widened by
+    ``length`` cells downwind and capped at ``b``; ``(a + 1, a + 1)`` when
+    none does.
+    """
+    differs = u[..., a:b].view(np.int64) != prev[..., a:b].view(np.int64)
+    changed = differs.reshape(-1, b - a).any(axis=0)
+    changed[0] |= (ahead.view(np.int64) != u[..., a].view(np.int64)).any()
+    changed = changed.nonzero()[0]
+    if not changed.size:
+        return a + 1, a + 1
+    return a + int(changed[0]), min(a + int(changed[-1]) + 1 + length, b)
 
 
 def record_spans(monkeypatch):

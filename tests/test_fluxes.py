@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -141,11 +142,34 @@ def test_a_flux_input_check_raises_its_error(build, message):
 def test_invariant_interval_rejects_a_map_that_overflows():
     # the transmitted flux 1e300 is in the image of a*u^2/2 for a = 1e-320
     # (its square overflows at the bracket's top), but its root sqrt(2w/a)
-    # is past the largest float
+    # is past the largest float: a typed error, and no numpy warning first
     model = PiecewiseFlux((0.0,), (linear_flux(1.0), quadratic_flux(1e-320, interval=(1.0, 2.0))))
-    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(
-            DivergentRangeError, match=r"interface map 1 produced a non-finite range \[1.0, inf\]"):
-        invariant_interval(model, (1.0, 1e300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergentRangeError,
+                           match=r"interface map 1 .* w=1e\+300: its root on \[1.0, 1e\+300\] is inf"):
+            invariant_interval(model, (1.0, 1e300))
+
+
+@pytest.mark.parametrize("case", ["flux-overflows", "bracket-overflows"])
+def test_invariant_interval_rejects_a_map_that_leaves_the_floats(case):
+    # u^2/2 transmits an infinite flux from 1e200; a slope of 1e-10 takes the
+    # flux -1e300 to -1e310, which invert_near's bracket cannot reach
+    if case == "flux-overflows":
+        laws, data = (quadratic_flux(1.0, interval=(1.0, 2.0)), linear_flux(1.0)), (1.0, 1e200)
+        message = r"interface map 1 transmits a non-finite flux \[0.5, inf\]"
+    else:
+        laws, data = (linear_flux(1.0), linear_flux(1e-10)), (-1e300, 1.0)
+        message = (r"interface map 1 .* w=-1e\+300: the next bracket \[-inf, 1.0\] "
+                   r"passes the largest float")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergentRangeError, match=message):
+            invariant_interval(PiecewiseFlux((0.0,), laws), data)
+    # invert_near itself stops with its typed error, never a non-finite end
+    if case == "bracket-overflows":
+        with pytest.raises(FluxRangeError, match="passes the largest float"):
+            invert_near(laws[1], -1e300, data)
 
 
 def test_check_cfl_takes_the_largest_speed_of_any_law():

@@ -101,8 +101,9 @@ def marches(draw):
     breakpoints = sorted(draw(st.lists(st.floats(0.01, 0.99), max_size=5, unique=True)))
     datum = PiecewiseConstant(tuple(breakpoints),
                               tuple(draw(VALUES) for _ in range(len(breakpoints) + 1)))
-    # up to 200 steps, so that draws cross several of the march's windows
-    steps = draw(st.integers(1, 200))
+    # up to six windows of steps and a few more, so that draws cross several
+    # of the march's windows
+    steps = draw(st.integers(1, 6 * _NARROW_EVERY + 8))
     fraction = draw(st.sampled_from([0.0, 0.5, 0.3]))
     inflow = draw(st.booleans())
     trace = np.array(draw(st.lists(VALUES, min_size=2, max_size=8))) if inflow else None

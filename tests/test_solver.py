@@ -37,6 +37,7 @@ from discflux import (
     step,
 )
 from discflux import solver
+from discflux.cli import _ordering_gap
 from discflux.config import from_dict
 from discflux.solver import _slab_average
 from oracles import (
@@ -48,6 +49,7 @@ from oracles import (
     reference_step_gap,
     slab_average_oracle,
     upwind_edge,
+    window_scan,
 )
 
 TRANSPORT_THEN_BURGERS = PiecewiseFlux(
@@ -757,6 +759,9 @@ STEADY_2_2_1 = PiecewiseFlux((-0.5, 0.0), (
 def window_case(name, three_interface_model=None):
     """``(problem, grid, model, config, data range)`` of a march the recompute spans shape.
 
+    Whatever ``solver._NARROW_EVERY``, the cases of ``long`` cells, eight
+    windows' length, span more than two windows, and ``flat-runs`` lasts 11.
+
     - ``flat-runs``: a pulse in the first block of the steady state at
       n=2048; the spans of the quiet blocks empty out and reopen when the
       pulse's domain of dependence reaches them.
@@ -779,14 +784,16 @@ def window_case(name, three_interface_model=None):
       interface; it first reaches the one-cell subdomain, and through its
       map the next interface cell, on a step inside a window.
     """
+    long = 8 * solver._NARROW_EVERY
     if name == "flat-runs":
-        model, n, lam, t_end = STEADY_2_2_1, 2048, 0.3, 0.1
+        model, n, lam = STEADY_2_2_1, 2048, 0.3
+        t_end = 11 * solver._NARROW_EVERY * lam * 2.0 / n
         datum = PiecewiseConstant((-0.6, -0.55, -0.5, 0.0), (2.0, 2.4, 2.0, 2.0, 1.0))
         left = Outflow()
     elif name == "signed-zeros":
         model = PiecewiseFlux((0.5,), (linear_flux(1.0),
                                        quadratic_flux(1.0, 1.0, interval=(-0.5, 3.0))))
-        n, lam, t_end = 256, 0.5, 0.6
+        n, lam, t_end = long, 0.5, 0.6
         datum = PiecewiseConstant((-0.9, 0.5), (0.0, -0.0, 1.0))
         left = Outflow()
     elif name == "reaches-last-cell":
@@ -794,15 +801,15 @@ def window_case(name, three_interface_model=None):
         datum = PiecewiseConstant((-0.9, -0.85, -0.5, 0.0), (2.0, 2.4, 2.0, 2.0, 1.0))
         left = Outflow()
     elif name in ("one-cell-subdomain", "one-cell-chain"):
-        model = PiecewiseFlux((0.0, 2.0 / 256), STEADY_2_2_1.segments)
-        n, lam, t_end = 256, 0.3, 0.4
+        n, lam, t_end = long, 0.3, 0.4
+        model = PiecewiseFlux((0.0, 2.0 / n), STEADY_2_2_1.segments)
         pulse = -0.9 if name == "one-cell-subdomain" else -0.4
-        datum = PiecewiseConstant((pulse, pulse + 0.05, 0.0, 2.0 / 256),
+        datum = PiecewiseConstant((pulse, pulse + 0.05, 0.0, 2.0 / n),
                                   (2.0, 2.4, 2.0, 2.0, 1.0))
         left = Outflow()
     elif name == "inflow-shortened":
-        model, n, lam = PiecewiseFlux((), (linear_flux(1.0),)), 256, 0.3
-        t_end = 0.3 + 0.5 * lam * 2.0 / n  # 128 full steps and half of one
+        model, n, lam = PiecewiseFlux((), (linear_flux(1.0),)), long, 0.3
+        t_end = 0.3 + 0.5 * lam * 2.0 / n  # n / 2 full steps and half of one
         datum = PiecewiseConstant((-0.5,), (1.0, 0.9))
         left = Inflow(SampledTable(np.array([0.0, 0.1, 0.15, 0.2, t_end]),
                                    np.array([1.0, 1.0, 1.2, 0.7, 1.0])))
@@ -920,12 +927,15 @@ def test_run_matches_the_reference_advance_where_spans_shrink_and_reopen(monkeyp
 
 
 def test_an_inflow_pulse_on_a_windows_first_level_reaches_the_march():
-    # the second window writes levels 34 to 65; a trace that moves only on
-    # level 34's slab, (34 dt, 35 dt), must open that window's span at the
-    # boundary cell, whose neighbours then carry the pulse downwind
-    n, lam, t_end = 64, 0.5, 0.9
+    # the second window writes levels k = _NARROW_EVERY + 2 on; a trace that
+    # moves only on level k's slab, (k dt, (k + 1) dt), must open that
+    # window's span at the boundary cell, whose neighbours then carry the
+    # pulse downwind
+    n, lam = 64, 0.5
     dt = lam * 2.0 / n
-    trace = SampledTable(np.array([0.0, 34 * dt, 34.5 * dt, 35 * dt, t_end]),
+    k = solver._NARROW_EVERY + 2
+    t_end = (k + 23.6) * dt
+    trace = SampledTable(np.array([0.0, k * dt, (k + 0.5) * dt, (k + 1) * dt, t_end]),
                          np.array([1.0, 1.0, 2.0, 1.0, 1.0]))
     model = PiecewiseFlux((), (linear_flux(1.0),))
     config = SolverConfig(lam=lam, t_end=t_end, left=Inflow(trace))
@@ -933,7 +943,7 @@ def test_an_inflow_pulse_on_a_windows_first_level_reaches_the_march():
     trajectory = assert_run_matches_reference_advance(
         problem, build_grid(-1.0, 1.0, n), model, config, (1.0, 2.0))
     boundary = [float(level.u[0]) for level in trajectory.levels]
-    assert [k for k, v in enumerate(boundary) if v != 1.0] == [34]
+    assert [j for j, v in enumerate(boundary) if v != 1.0] == [k]
 
 
 def test_a_custom_law_block_narrows_with_the_window():
@@ -949,7 +959,9 @@ def test_a_custom_law_block_narrows_with_the_window():
     model = PiecewiseFlux((0.0,), (
         linear_flux(1.0),
         custom_flux(law, lambda u: 1.0 + 0.1 * np.cos(u), interval=(0.0, 4.0))))
-    grid = build_grid(-1.0, 1.0, 256, model.interfaces)
+    # eight windows' length of cells, so that the march spans three windows
+    n = 8 * solver._NARROW_EVERY
+    grid = build_grid(-1.0, 1.0, n, model.interfaces)
     problem = ProblemSpec((-1.0, 1.0), PiecewiseConstant((), (1.0,)))
     config = SolverConfig(lam=0.3, t_end=0.25)
     sizes.clear()
@@ -961,13 +973,13 @@ def test_a_custom_law_block_narrows_with_the_window():
     # the block's whole first-cell column; then the
     # interface map moves the first custom cell off 1.0 on the first step,
     # a whole one; the change spreads one cell a step, so every later full
-    # step is far short of the 128 values a whole update of the block takes,
-    # its 127 interior cells and the interface cell upwind of them (the
-    # shortened last step recomputes them all)
+    # step is far short of the n / 2 values a whole update of the block
+    # takes, its n / 2 - 1 interior cells and the interface cell upwind of
+    # them (the shortened last step recomputes them all)
     newton, kernel = sizes[:-steps], sizes[-steps:]
     assert max(newton) == steps
-    assert kernel[0] == kernel[-1] == 128
-    assert max(kernel[1:-1]) < 128
+    assert kernel[0] == kernel[-1] == n // 2
+    assert max(kernel[1:-1]) < n // 2
     levels = reference_levels(cell_average(problem.initial, grid), grid, model, config,
                               invariant_interval(model, (1.0, 1.0)))
     assert len(trajectory.levels) == len(levels)
@@ -1028,6 +1040,136 @@ def test_run_hands_experiment1_kernels_fewer_than_half_of_its_cells(monkeypatch)
     trajectory = run(build_problem(cfg), grid, build_model(cfg), build_solver_config(cfg))
     assert sizes == [(grid.n // 2,)]
     assert 0 < received < 0.5 * trajectory.final.step * (grid.n // 2)
+
+
+def order_check_levels(name):
+    """Every level of verify's stacked order-check march on a preset, block by block."""
+    cfg = preset(name)
+    model, data = build_model(cfg), data_range(cfg)
+    grid = build_grid(cfg.xmin, cfg.xmax, min(cfg.resolutions), cfg.interfaces)
+    levels = np.empty((101, 2, 20, grid.n))
+    steps = solver._March.steps
+
+    def recorded(self, *args):
+        for k, cells, new, old in steps(self, *args):
+            levels[k][..., cells] = new
+            yield k, cells, new, old
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver._March, "steps", recorded)
+        _ordering_gap(data, model, build_solver_config(cfg), grid,
+                      invariant_interval(model, data))
+    return levels[1:]
+
+
+@pytest.mark.parametrize("case", ["experiment1", "experiment2", "custom-chain",
+                                  "order-check-experiment1", "order-check-experiment2"])
+def test_every_level_is_the_same_at_any_window_length(monkeypatch, three_interface_model,
+                                                      case):
+    # a span skips only cells whose inputs did not change, so a window of 2,
+    # 32 or 128 steps gives every retained level the same bits; the custom
+    # chain has every law kind, a seeded datum and a 13-point inflow table
+    def levels():
+        if case.startswith("order-check"):
+            return order_check_levels(case.split("-")[-1])
+        if case == "custom-chain":
+            rng = np.random.default_rng(7)
+            breakpoints = tuple(np.sort(rng.uniform(-0.95, 0.95, 7)))
+            problem = ProblemSpec((-1.0, 1.0), PiecewiseConstant(
+                breakpoints, tuple(rng.uniform(0.5, 2.0, 8))))
+            trace = SampledTable(np.linspace(0.0, 0.6, 13), rng.uniform(0.5, 2.0, 13))
+            model, config = three_interface_model, SolverConfig(0.3, 0.6, Inflow(trace))
+            grid = build_grid(-1.0, 1.0, 512, model.interfaces)
+        else:
+            cfg = preset(case)
+            problem, model, config = build_problem(cfg), build_model(cfg), build_solver_config(cfg)
+            grid = build_grid(cfg.xmin, cfg.xmax, 256, cfg.interfaces)
+        return np.stack([level.u for level in run(problem, grid, model, config,
+                                                  retain_levels=True).levels])
+
+    marched, windows = {}, {}
+    for length in (2, 32, 128):
+        monkeypatch.setattr(solver, "_NARROW_EVERY", length)
+        log = record_spans(monkeypatch)
+        marched[length] = levels()
+        windows[length] = len(log[0])
+        monkeypatch.undo()
+    # the window length took effect: more windows at 2 steps than at 128
+    assert windows[2] > windows[32] >= windows[128] > 0
+    for length in (32, 128):
+        assert np.array_equal(marched[length].view(np.int64), marched[2].view(np.int64))
+
+
+@pytest.mark.parametrize("case", ["saturated", "quiet"])
+def test_a_window_reuses_the_calls_of_a_repeated_span_and_lam(monkeypatch, case):
+    # a block whose span and lam repeat from window to window binds each
+    # direction of its step once for each distinct (span, lam), not once a
+    # window: a smooth datum fed by a smooth inflow changes every cell of
+    # its block at every step, and the steady state 2 | 2 | 1 changes none
+    if case == "saturated":
+        model = PiecewiseFlux((), (linear_flux(1.0),))
+        datum = lambda x: 1.5 + 0.4 * np.sin(3.0 * np.asarray(x, dtype=float))  # noqa: E731
+        left = Inflow(lambda t: 1.5 + 0.4 * np.sin(7.0 * np.asarray(t, dtype=float)))
+    else:
+        model, datum = STEADY_2_2_1, PiecewiseConstant((-0.5, 0.0), (2.0, 2.0, 1.0))
+        left = Outflow()
+    grid = build_grid(-1.0, 1.0, 64, model.interfaces)
+    n_steps = 5 * solver._NARROW_EVERY + 1  # a whole step and five windows
+    config = SolverConfig(lam=0.5, t_end=n_steps * 0.5 * grid.dx, left=left)
+    bound = []
+    bind = solver._March.bind
+
+    def logged(self, u, new, lam, block, span=None):
+        bound.append((block.a, span, lam, id(u)))
+        return bind(self, u, new, lam, block, span)
+
+    monkeypatch.setattr(solver._March, "bind", logged)
+    log = record_spans(monkeypatch)
+    trajectory = run(ProblemSpec((-1.0, 1.0), datum), grid, model, config)
+    assert trajectory.final.step == n_steps
+    for a, spans in log.items():
+        assert len(spans) == 5 and len(set(spans)) == 1
+        expected = (a, grid.n) if case == "saturated" else (a + 1, a + 1)
+        assert spans[0] == expected
+    # every (block, span, lam, direction) is bound once: the first step's
+    # direction and the windows' other one when the span is the whole
+    # block, and both directions once more when it is empty
+    assert len(bound) == len(set(bound)) == len(log) * (2 if case == "saturated" else 3)
+
+
+@pytest.mark.parametrize("batch", [(), (2, 3)])
+@pytest.mark.parametrize("case", ["none", "all", "first-cell", "ahead-only", "signed-zero",
+                                  "last-cell"])
+def test_the_window_scan_finds_the_full_scans_span(case, batch):
+    # the one-pass scan (two argmax reads over one comparison, an any over
+    # rows for a stack) returns the span of a full reshape/any/nonzero scan;
+    # a window of 3 steps on 32-cell blocks leaves room to widen
+    grid = build_grid(-1.0, 1.0, 64, (0.0,))
+    march = solver._March(grid, TRANSPORT_THEN_BURGERS, (0.5, 2.0), batch=batch)
+    length = 3
+    for block in march.subdomains:
+        a, b = block.a, block.b
+        prev = np.full((*batch, grid.n), 1.0)
+        u = prev.copy()
+        ahead = np.full((length, *batch), 1.0)
+        if case == "all":
+            u[..., a:b] = 1.5
+            ahead[:] = 1.5
+        elif case == "first-cell":
+            u[..., a] = 1.5
+            ahead[:] = 1.5
+        elif case == "ahead-only":
+            ahead[-1] = 1.25
+        elif case == "signed-zero":
+            prev[..., a:b], u[..., a:b], ahead[:] = -0.0, -0.0, -0.0
+            u[(0,) * len(batch) + (a + 3,)] = 0.0
+        elif case == "last-cell":
+            u[..., b - 1] = 1.5
+        span = march.window(u, prev, block, ahead)
+        assert span == window_scan(u, prev, a, b, ahead, length)
+        assert span == {"none": (a + 1, a + 1), "all": (a, b), "first-cell": (a, a + 4),
+                        "ahead-only": (a, a + 4), "signed-zero": (a + 3, a + 7),
+                        "last-cell": (b - 1, b)}[case]
 
 
 @pytest.mark.parametrize("left_law", ["transport", "custom"])
