@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     DiagnosticInputError,
+    FluxRangeError,
     MissingDataError,
     ProjectionError,
     SequencingError,
@@ -238,8 +239,9 @@ def entropy_residual(
     steps, then cells.  A NaN residual wins and sticks: the report is then
     NaN, with its argmax at the first NaN.  A grid not built for ``model``'s
     interfaces raises :class:`GridAlignmentError`, a level not on it
-    :class:`ProjectionError`, and an empty ``c_samples`` or a constant that
-    is not finite :class:`DiagnosticInputError`.
+    :class:`ProjectionError`, an empty ``c_samples`` or a constant that is not
+    finite :class:`DiagnosticInputError`, and a constant whose adapted chain
+    transmits a non-finite flux, or one outside a law's image, :class:`FluxRangeError`.
 
     The steps go in blocks of about ``_RESIDUAL_BLOCK_BYTES``, whose levels
     are read into one reused buffer: the level store is never copied whole,
@@ -356,10 +358,14 @@ def _evaluate_laws(laws, u, lo, hi, out):
 
 
 def _adapted_constants(model: PiecewiseFlux, c: float, seed: tuple[float, float]) -> np.ndarray:
-    """Per-subdomain constants chained through flux continuity."""
+    """Per-subdomain constants chained through flux continuity.  Raises :class:`FluxRangeError`
+    where an interface transmits a non-finite flux, or one outside the next law's image."""
     out = [float(c)]
     for i in range(model.n_interfaces):
         w = float(model.segments[i](out[-1]))
+        if not math.isfinite(w):
+            raise FluxRangeError(f"adapted constants of c={c}: the interface at "
+                                 f"x={model.interfaces[i]} transmits the flux {w} from {out[-1]}")
         out.append(invert_near(model.segments[i + 1], w, seed))
     return np.asarray(out)
 

@@ -374,23 +374,20 @@ def initial_datum(config: ExperimentConfig):
 
 def data_range(config: ExperimentConfig) -> tuple[float, float]:
     """Hull of the initial datum's values (and inflow trace values, if any)."""
-    spec = config.initial
+    specs = (config.initial, config.boundary_left.get("trace"))  # no trace on an outflow
+    values = np.hstack([_values(spec) for spec in specs if spec is not None])
+    return float(values.min()), float(values.max())
+
+
+def _values(spec: dict):
+    """Values of a datum or trace spec, or two whose hull is theirs."""
     if spec["kind"] == "piecewise_constant":
-        lo, hi = min(spec["values"]), max(spec["values"])
-    elif spec["kind"] == "gaussian_offset":
-        base, amp = spec["base"], spec["amplitude"]
-        lo, hi = min(base, base + amp), max(base, base + amp)
-    else:
-        table = _load_table(spec["path"])
-        lo, hi = float(table.values.min()), float(table.values.max())
-    if config.boundary_left["kind"] == "inflow":
-        trace = config.boundary_left["trace"]
-        if trace["kind"] == "constant":
-            lo, hi = min(lo, trace["value"]), max(hi, trace["value"])
-        else:
-            tab = _load_table(trace["path"])
-            lo, hi = min(lo, float(tab.values.min())), max(hi, float(tab.values.max()))
-    return lo, hi
+        return spec["values"]
+    if spec["kind"] == "gaussian_offset":
+        return spec["base"], spec["base"] + spec["amplitude"]
+    if spec["kind"] == "constant":
+        return [spec["value"]]
+    return _load_table(spec["path"]).values
 
 
 def build_model(config: ExperimentConfig) -> PiecewiseFlux:

@@ -12,7 +12,7 @@ def _tolerance(rel, *scales):
 
     The one rule of every range, window and slack check.  The smallest normal
     float keeps a zero scale from rejecting its own roundoff.  Elementwise on
-    arrays; a Python float for scalars, which the march compares every step.
+    arrays; a Python float for scalars, cheaper in ``invert_near``'s per-bracket slack.
     """
     top = np.maximum.reduce(np.abs(scales), initial=2.0**-1022)
     return rel * (top if top.ndim else float(top))

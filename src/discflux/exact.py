@@ -173,17 +173,15 @@ def exact_two_flux_riemann(
 
     valid_until = math.inf
     w_arrival = None
-    if w_datum is None:
-        t_hit = math.inf
-    elif w_datum.fan:
+    # when the datum wave's head reaches the interface
+    t_hit = (math.inf if w_datum is None or w_datum.s_head <= 0.0
+             else (pos_iface - jump_pos) / w_datum.s_head)
+    if w_datum is not None and w_datum.fan:
         # once a fan touches the interface the transmitted state varies
         # continuously and this three-wave picture stops applying
-        t_hit = math.inf if w_datum.s_head <= 0.0 else (pos_iface - jump_pos) / w_datum.s_head
         valid_until = t_hit
-    else:
-        t_hit = math.inf if w_datum.s_head <= 0.0 else (pos_iface - jump_pos) / w_datum.s_head
-        if math.isfinite(t_hit):
-            w_arrival = _make_wave(f, pos_iface, t_hit, v_left, v_right)
+    elif math.isfinite(t_hit):
+        w_arrival = _make_wave(f, pos_iface, t_hit, v_left, v_right)
     if w_arrival is not None and w_start is not None and w_arrival.s_head > w_start.s_tail:
         valid_until = min(
             valid_until,

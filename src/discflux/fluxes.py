@@ -400,9 +400,7 @@ def invert_near(seg: FluxSegment, w: float, seed: tuple[float, float]) -> float:
         f_lo, f_hi = float(seg(lo)), float(seg(hi))
         slack = _tolerance(1e-9, f_lo, f_hi)
         if f_lo - slack <= w <= f_hi + slack:
-            if math.isfinite(f_lo) and math.isfinite(f_hi):
-                return float(_inverse(seg, (lo, hi), (f_lo, f_hi))(w))
-            # the law overflows at an end of the bracket, so w's root may overflow too
+            # where the law overflows at an end of the bracket, w's root may overflow too
             with np.errstate(over="ignore"):
                 root = float(_inverse(seg, (lo, hi), (f_lo, f_hi))(w))
             if not math.isfinite(root):

@@ -448,8 +448,7 @@ def inflow_boundary_value(trace, step_index: int, dt: float) -> float:
     dt = float(dt)
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive, got {dt}")
-    t = (k - 1) * dt + dt
-    return _slab_average(trace, t, t + dt)
+    return float(_inflow_column(Inflow(trace), [(k - 1) * dt + dt], dt, math.inf)[0])
 
 
 def _slab_average(trace, t0, t1):

@@ -37,6 +37,7 @@ from discflux.analysis import _adapted_constants
 from discflux.errors import (
     DiagnosticInputError,
     DiscfluxError,
+    FluxRangeError,
     MissingDataError,
     ProjectionError,
     SequencingError,
@@ -553,6 +554,20 @@ def test_adapted_constants_chain_through_flux_continuity():
     assert adapted == pytest.approx([3.0, 4.5])
     assert model.segments[1](adapted[1]) == pytest.approx(
         model.segments[0](adapted[0]), abs=1e-14)
+
+
+def test_a_constant_whose_chain_overflows_raises_a_flux_range_error():
+    # g(1e160) = 1e320 is past the largest float: a typed error naming the
+    # interface and the constant, which verify's chain filter drops
+    config = preset("experiment2")
+    grid = build_grid(config.xmin, config.xmax, 32, config.interfaces)
+    model = build_model(config)
+    traj = run(build_problem(config), grid, model, build_solver_config(config),
+               retain_levels=True)
+    with pytest.raises(FluxRangeError, match=r"c=1e\+160: the interface at x=0\.0 "
+                                             r"transmits the flux inf"):
+        entropy_residual(traj, grid, model, [2.0, 1e160])
+    assert not cli._chains(model, 1e160, (2.0, 3.0)) and cli._chains(model, 2.0, (2.0, 3.0))
 
 
 # }}}

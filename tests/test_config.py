@@ -222,6 +222,20 @@ def test_initial_datum_kinds(tmp_path):
     assert sampled(0.0) == pytest.approx(2.0)
     assert data_range(tab) == (1.0, 3.0)
 
+    # each datum kind under each inflow trace kind: the hull of both
+    trace = tmp_path / "trace.csv"
+    trace.write_text("0.0,2.5\n1.0,1.25\n")
+    traces = ({"kind": "constant", "value": 0.5}, {"kind": "table", "path": str(trace)})
+    hulls = {"piecewise_constant": [(0.5, 2.0), (1.0, 2.5)],
+             "gaussian_offset": [(0.5, 2.0), (1.25, 2.5)],
+             "table": [(0.5, 3.0), (1.0, 3.0)]}
+    for datum in (pc, gauss, tab):
+        for left, hull in zip(traces, hulls[datum.initial["kind"]]):
+            raw = base_dict()
+            raw["initial"] = datum.initial
+            raw["boundary"] = {"left": {"kind": "inflow", "trace": left}}
+            assert data_range(from_dict(raw)) == hull
+
 
 def test_initial_table_failures(tmp_path):
     raw = base_dict()

@@ -206,6 +206,18 @@ def test_inflow_boundary_value_slab_mean():
         inflow_boundary_value(table, 1, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_inflow_boundary_value_rejects_a_non_finite_slab_mean(bad):
+    # run's check on its boundary column: level 4's slab lies past the jump
+    # to a non-finite value, level 2's before it
+    def trace(t):
+        return np.where(np.asarray(t) > 0.3, bad, 1.0)
+
+    assert inflow_boundary_value(trace, 2, 0.1) == 1.0
+    with pytest.raises(DomainError, match=rf"averages to {bad} over the slab \[0\.4, 0\.5\]"):
+        inflow_boundary_value(trace, 4, 0.1)
+
+
 def test_inflow_table_slab_average_honours_kinks():
     # trace has a kink strictly inside the slab; exact trapezoid on the kink
     # differs from any rule that ignores it
