@@ -262,17 +262,16 @@ class _March:
     def __init__(self, grid: Grid, model: PiecewiseFlux, bracket: tuple[float, float],
                  batch: tuple = (), values: tuple = None):
         segs = model.segments
-        bounds = (0, *grid.interface_cells, grid.n)
         # every subdomain, one-cell ones included: a one-cell subdomain has
         # no interior, its cell is the boundary or an interface cell
         self.subdomains = []
-        for seg, a, b in zip(segs, bounds, bounds[1:]):
-            shape = (*batch, b - a)
+        for seg, sl in zip(segs, grid.subdomain_slices()):
+            shape = (*batch, sl.stop - sl.start)
             if seg.kind == "linear":
                 update = _convex(seg.params[0], shape)
             else:
                 update = _upwind(_array_form(seg, shape), _fold(seg, *(values or bracket)))
-            self.subdomains.append(_Block(a, b, update))
+            self.subdomains.append(_Block(sl.start, sl.stop, update))
         self.couplings = tuple((left.func, _inverse(right, bracket))
                                for left, right in zip(segs, segs[1:]))
 
@@ -422,7 +421,7 @@ def step(
 
     _check_cfl(lam, [(seg, float(u[sl].min()), float(u[sl].max()))
                      for seg, sl in zip(model.segments, grid.subdomain_slices())])
-    column = _inflow_column(config.left, [state.t + dt], config.lam * grid.dx, config.t_end)
+    column = _inflow_column(config.left, [state.t], dt, config.lam * grid.dx, config.t_end)
     if u_range is None:
         u_range = _bracket(model, config, u, column)
     # the blocks read the state, which the bracket need not hold
@@ -437,9 +436,9 @@ def step(
 def inflow_boundary_value(trace, step_index: int, dt: float) -> float:
     """Boundary-cell value at a level: the trace's mean over that level's slab.
 
-    Level ``k``'s slab is ``(t, t + dt)`` with ``t = (k-1)*dt + dt``, as
-    :func:`run` starts it: for every full step whose slab ends by ``t_end``
-    this is :func:`run`'s level-``k`` boundary cell bit for bit.  Level 0
+    Level ``k``'s slab is ``(t, t + dt)``, ``t`` one step after ``(k-1)*dt``
+    by :func:`_inflow_column`'s rule: for every full step whose slab ends by
+    ``t_end`` this is :func:`run`'s level-``k`` boundary cell bit for bit.  Level 0
     takes the initial datum instead, so callers normally ask for ``k >= 1``.
     """
     k = int(step_index)
@@ -448,7 +447,7 @@ def inflow_boundary_value(trace, step_index: int, dt: float) -> float:
     dt = float(dt)
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive, got {dt}")
-    return float(_inflow_column(Inflow(trace), [(k - 1) * dt + dt], dt, math.inf)[0])
+    return float(_inflow_column(Inflow(trace), [(k - 1) * dt], dt, dt, math.inf)[0])
 
 
 def _slab_average(trace, t0, t1):
@@ -494,16 +493,17 @@ def _empty(t0, t1):
     return t1 - t0 <= _tolerance(1e-15, t0, t1)
 
 
-def _inflow_column(left, starts, slab: float, t_end: float) -> Optional[np.ndarray]:
-    """Boundary cell of the levels starting at ``starts``, for :meth:`_March.steps`.
+def _inflow_column(left, times, steps, slab: float, t_end: float) -> Optional[np.ndarray]:
+    """Boundary cell of each level ``steps`` after the pinned ``times``, for :meth:`_March.steps`.
 
-    Each is :func:`_slab_average` of the trace over ``(t, min(t + slab,
-    t_end))``; ``None`` on an outflow boundary.  Raises :class:`DomainError`
-    naming the first slab whose mean is not finite.
+    The one slab rule: a slab starts at ``t = time + step`` and its cell is
+    :func:`_slab_average` of the trace over ``(t, min(t + slab, t_end))``;
+    ``None`` on outflow.  Raises :class:`DomainError` naming the first slab
+    whose mean is not finite.
     """
     if not isinstance(left, Inflow):
         return None
-    t0 = np.asarray(starts, dtype=float)
+    t0 = np.add(times, steps, dtype=float)
     t1 = np.minimum(t0 + slab, t_end)
     column = _slab_average(left.trace, t0, t1)
     bad = ~np.isfinite(column)
@@ -561,29 +561,24 @@ def run(
     remainder = t_end - n_full * dt
     if remainder <= _tolerance(1e-12, dt, t_end):
         remainder = 0.0
-    level_times = [k * dt for k in range(n_full + 1)]
-    if remainder:
-        level_times.append(t_end)
-    else:
-        level_times[-1] = t_end
-    # every level's boundary value, before the first step: a level starts
-    # one step after the pinned time of the level before it
+    # every level's step, lam, time and boundary value before the first step;
+    # the clock is pinned to multiples of dt and to t_end, as summing drifts
     lengths = [dt] * n_full + [remainder] * bool(remainder)
-    column = _inflow_column(config.left, np.add(level_times[:-1], lengths), dt, t_end)
+    lams = [config.lam] * n_full + [h / grid.dx for h in lengths[n_full:]]
+    level_times = [k * dt for k in range(len(lengths))] + [t_end]
+    column = _inflow_column(config.left, level_times[:-1], lengths, dt, t_end)
     u_range = _bracket(model, config, u0, column)
     _check_cfl(config.lam, [(seg, *u_range) for seg in model.segments])
 
     # the march alternates between two buffers, block by block, and the last
     # one written is final; every level handed out is an array of its own,
-    # at the level index found before the march, which each block fills; the
-    # clock is pinned to the precomputed levels, as summing dt would drift
+    # at the level index found before the march, which each block fills
     march = _March(grid, model, u_range)
     at = np.searchsorted(level_times, np.subtract(pending, t_slack)).tolist()
     snapshots = [Snapshot(s, State(u0.copy(), level_times[k], k)) for s, k in zip(pending, at)]
     due: dict = {}
     for snap in snapshots:
         due.setdefault(snap.state.step, []).append(snap.state.u)
-    lams = [config.lam] * n_full + [remainder / grid.dx] * bool(remainder)
     levels = [State(u0.copy(), t, k) for k, t in enumerate(level_times)] if retain_levels else None
     increments = np.zeros(grid.n) if record_increments else None
     change = np.empty_like(u0) if record_increments else None

@@ -350,9 +350,9 @@ def ordering_gap_per_pair(data, model, solver_config, grid, u_range):
     :func:`discflux.cli._unit_draws`, scaled into ``data``, the config's
     data range, and marches the low and the high member of each for 100
     steps of :func:`reference_advance`; an inflow cell takes
-    :func:`slab_average_oracle` over the slab after each step's running
-    time.  Returns the largest low-minus-high gap; the first NaN gap wins
-    and stays.
+    :func:`slab_average_oracle` over the slab one step after each level's
+    pinned time ``k * dt``.  Returns the largest low-minus-high gap; the
+    first NaN gap wins and stays.
     """
     lam = solver_config.lam
     dt = lam * grid.dx
@@ -361,12 +361,10 @@ def ordering_gap_per_pair(data, model, solver_config, grid, u_range):
     worst = 0.0
     for a, b in lo + (hi - lo) * _unit_draws((20, 2, grid.n)):
         low, high = np.minimum(a, b), np.maximum(a, b)
-        t = 0.0
-        for _ in range(100):
-            low, high = [reference_advance(u, t, dt, lam, model, grid.interface_cells, u_range,
-                                           trace=trace, slab=dt, t_end=t_end)
+        for k in range(100):
+            low, high = [reference_advance(u, k * dt, dt, lam, model, grid.interface_cells,
+                                           u_range, trace=trace, slab=dt, t_end=t_end)
                          for u in (low, high)]
-            t += dt
             value = float(np.max(low - high))
             if value > worst or (np.isnan(value) and not np.isnan(worst)):
                 worst = value

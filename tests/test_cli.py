@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -32,7 +33,8 @@ from discflux import (
     step,
 )
 from discflux.cli import _check_monotonicity, main
-from discflux.config import build_model, build_problem, build_solver_config, data_range, from_dict
+from discflux.config import (build_model, build_problem, build_solver_config, data_range,
+                              from_dict, load_config)
 from oracles import ordering_gap_per_pair, record_spans
 
 
@@ -471,6 +473,28 @@ def test_order_check_reports_a_nan_gap_as_a_failure():
         name, status, detail = _check_monotonicity(*order_case(config))
     assert (name, status) == ("monotonicity", "FAIL")
     assert detail.split()[3] == "nan"
+
+
+def test_the_order_check_marches_run_s_boundary_column(monkeypatch):
+    # one slab rule: the order check's boundary column is, level by level,
+    # the boundary cell that run writes.  At lambda = 0.2 on 16 cells dt =
+    # 0.025 is not dyadic, so a running sum of steps drifts off run's pinned
+    # level times: it starts 7 of the 20 slabs elsewhere
+    config = replace(load_config(Path(__file__).parent / "data" / "inflow.yaml"), lam=0.2)
+    data, model, solver_config, grid, u_range = order_case(config)
+    levels = run(build_problem(config), grid, model, solver_config, retain_levels=True).levels
+    columns = []
+    steps = cli._March.steps
+
+    def seen(self, u, new, lams, column, *args):
+        columns.append(column)
+        return steps(self, u, new, lams, column, *args)
+
+    monkeypatch.setattr(cli._March, "steps", seen)
+    cli._ordering_gap(data, model, solver_config, grid, u_range)
+    assert len(columns) == 1 and len(levels) == 21
+    assert [v.hex() for v in columns[0][:20].tolist()] == [
+        float(level.u[0]).hex() for level in levels[1:]]
 
 
 def test_order_check_marches_its_pairs_in_100_steps(monkeypatch):

@@ -353,7 +353,7 @@ def test_a_stacked_plan_marches_each_row_as_a_one_row_plan(case, seed, windowed)
         stack = rng.uniform(lo, hi, (2, 3, grid.n))
     stack[0, 0] = cell_average(datum, grid)
     lams = [lam] * int(max(np.ceil(steps), 2 * _NARROW_EVERY + 3))
-    column = _inflow_column(config.left, dt * np.arange(1, len(lams) + 1), dt, config.t_end)
+    column = _inflow_column(config.left, dt * np.arange(len(lams)), dt, dt, config.t_end)
     stacked = _March(grid, model, bracket, batch=stack.shape[:-1]).steps(
         stack, np.empty_like(stack), lams, column)
     alone = [_March(grid, model, bracket).steps(row.copy(), np.empty(grid.n), lams, column)

@@ -150,4 +150,4 @@ def test_the_slab_average_and_the_inflow_column_share_the_empty_slab_rule():
     for t1, mean in zip(ends, means):
         got = _slab_average(table, t0, t1)
         assert type(got) is float and got == mean
-        assert _inflow_column(Inflow(table), [t0], t1 - t0, t1) == [mean]
+        assert _inflow_column(Inflow(table), [0.0], t0, t1 - t0, t1) == [mean]
