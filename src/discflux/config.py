@@ -75,6 +75,16 @@ def _as_map(value, path: str, required=(), optional=()) -> dict:
     return value
 
 
+def _kind_of(value, path: str, keys: dict) -> str:
+    """The ``kind`` of the mapping ``value``, one of ``keys``, which maps it to its other keys."""
+    _as_map(value, path, required=("kind",), optional=sum(keys.values(), ()))
+    kind = value["kind"]
+    if kind not in tuple(keys):
+        _fail(f"{path}.kind", f"expected {' or '.join(keys)}, got {kind!r}")
+    _as_map(value, path, required=("kind",), optional=keys[kind])
+    return kind
+
+
 def _as_list(value, path: str, item, nonempty: bool = False) -> tuple:
     """``item(x, "<path>[i]")`` for each entry of the list ``value``."""
     if not isinstance(value, (list, tuple)) or (nonempty and not value):
@@ -205,27 +215,20 @@ def _validated_initial(raw, path: str) -> dict:
 def _validated_boundary(raw) -> dict:
     raw = _as_map(raw, "boundary", optional=("left",))
     left = raw.get("left", "outflow")
-    if left != "outflow":
-        _as_map(left, "boundary.left", required=("kind",), optional=("trace",))
-    if left == "outflow" or left["kind"] == "outflow":
+    if left == "outflow" or _kind_of(left, "boundary.left",
+                                     {"outflow": (), "inflow": ("trace",)}) == "outflow":
         return {"kind": "outflow"}
-    if left["kind"] != "inflow":
-        _fail("boundary.left.kind", f"expected outflow or inflow, got {left['kind']!r}")
-    trace = _as_map(
-        left.get("trace"), "boundary.left.trace", required=("kind",),
-        optional=("value", "path"),
-    )
-    if trace["kind"] == "constant":
+    trace = left.get("trace")
+    if _kind_of(trace, "boundary.left.trace",
+                {"constant": ("value",), "table": ("path",)}) == "constant":
         return {
             "kind": "inflow",
             "trace": {"kind": "constant",
                       "value": _as_float(trace.get("value"), "boundary.left.trace.value")},
         }
-    if trace["kind"] == "table":
-        if "path" not in trace:
-            _fail("boundary.left.trace", "table trace needs a 'path'")
-        return {"kind": "inflow", "trace": {"kind": "table", "path": str(trace["path"])}}
-    _fail("boundary.left.trace.kind", f"expected constant or table, got {trace['kind']!r}")
+    if "path" not in trace:
+        _fail("boundary.left.trace", "table trace needs a 'path'")
+    return {"kind": "inflow", "trace": {"kind": "table", "path": str(trace["path"])}}
 
 
 # }}}

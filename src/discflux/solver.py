@@ -30,7 +30,7 @@ _CFL_SLACK = 1e-12
 _NARROW_EVERY = 128
 
 # c*u**2 folds its c into lam only while c*u*u stays this many binades inside
-# the normal floats on the plan's range, far past any roundoff excursion
+# the normal floats on the march's range, far past any roundoff excursion
 _FOLD_MARGIN = 2.0 ** 1000
 
 
@@ -151,11 +151,11 @@ def _check_cfl(lam: float, laws) -> float:
 # }}}
 
 
-# {{{ march plan
+# {{{ march
 
 
 class _Block(NamedTuple):
-    """One subdomain of a march plan: cells ``a`` to ``b - 1`` and their update.
+    """One subdomain of a march: cells ``a`` to ``b - 1`` and their update.
 
     ``update(u, dst, lam)`` gives the argument-free calls of a step at lam
     into ``dst`` from ``u``, the same cells with their upwind one in front.
@@ -224,158 +224,150 @@ def _upwind(form: Callable, c: Optional[float]) -> Callable:
     return update
 
 
-class _March:
-    """Everything one march needs, resolved once, marched subdomain by subdomain.
+def _blocks(grid: Grid, model: PiecewiseFlux, bracket: tuple[float, float], u: np.ndarray) -> list:
+    """Every subdomain of a march of ``u`` as a :class:`_Block`, one-cell ones included.
 
-    Holds each subdomain as a :class:`_Block`: its cell bounds ``(a, b)``
-    and its update, fixed here once: a convex combination for a linear law,
-    the conservative upwind difference for any other, whose ``c`` folds
-    into lam for a law ``c*u**2`` that :func:`_fold` accepts on ``values``
-    (the bracket unless given: a range holding every value a block reads).
-    Each interface coupling ``(left law, inverse)`` holds the right law's
-    elementwise inverse on the bracket, with the bracket's flux image
-    computed once.
+    Each update is fixed here once: a convex combination for a linear law,
+    the conservative upwind difference for any other, whose ``c`` folds into
+    lam for a law ``c*u**2`` that :func:`_fold` accepts on the hull of
+    ``bracket`` and ``u``, a range holding every value a block reads.  A
+    block's arrays take ``u``'s batch shape, ``u.shape[:-1]``.
+    """
+    values = (min(bracket[0], float(u.min())), max(bracket[1], float(u.max())))
+    blocks = []
+    for seg, sl in zip(model.segments, grid.subdomain_slices()):
+        shape = (*u.shape[:-1], sl.stop - sl.start)
+        if seg.kind == "linear":
+            update = _convex(seg.params[0], shape)
+        else:
+            update = _upwind(_array_form(seg, shape), _fold(seg, *values))
+        blocks.append(_Block(sl.start, sl.stop, update))
+    return blocks
+
+
+def _bind(u: np.ndarray, new: np.ndarray, lam: float, block: _Block, span: tuple) -> list:
+    """The calls of ``block``'s step from ``u`` into ``new`` at ``lam``.
+
+    They write the block's interior cells in ``span``, a half-open range
+    ``(s, e)`` of its cells; the first cell is the march's to set.  In a
+    batched march the span applies to every row.
+    """
+    s, e = span
+    s = max(s, block.a + 1)
+    if s >= e:
+        return []
+    return block.update(u[..., s - 1:e], new[..., s:e], lam)
+
+
+def _window(u: np.ndarray, prev: np.ndarray, block: _Block, ahead: np.ndarray) -> tuple:
+    """``block``'s span, its cells that may change, in a window starting from ``u``.
+
+    ``prev`` holds the level before ``u``, and ``ahead`` the block's
+    first cell at the levels the window writes.  The span is the block's
+    range of cells that differ bitwise between ``u`` and ``prev`` in any
+    row (so 0.0 and -0.0 differ), widened downwind by the window's
+    length, as a change travels one cell a step, and capped at the
+    block's end.  It starts at the first cell when that differs, or when
+    ``ahead`` holds another value; an empty span is ``(a + 1, a + 1)``.
+    """
+    a, b = block.a, block.b
+    changed = u[..., a:b].view(np.int64) != prev[..., a:b].view(np.int64)
+    if changed.ndim > 1:
+        changed = changed.reshape(-1, b - a).any(axis=0)
+    changed[0] |= (ahead.view(np.int64) != u[..., a].view(np.int64)).any()
+    first = int(changed.argmax())
+    if not changed[first]:
+        return a + 1, a + 1
+    return a + first, min(b - int(changed[::-1].argmax()) + len(ahead), b)
+
+
+def _march(grid: Grid, model: PiecewiseFlux, bracket: tuple[float, float], u: np.ndarray,
+           new: np.ndarray, lams: Sequence[float], column: Optional[np.ndarray],
+           shown: Container[int] = None):
+    """March ``u`` one step per lam of ``lams``, one block after another.
 
     Increasing laws and upwind edge fluxes make each subdomain an initial-
     boundary value problem of its own: its cells read only its cells, and
     its first cell is set from outside, by the inflow or the outflow ghost
-    for the first block and by the interface map for the others.  So
-    :meth:`steps` marches the first block through every level, recording
-    its last cell's column of values, maps that whole column into the next
-    block's first-cell column in one call, and goes on left to right.
-    :meth:`bind` resolves one step of one block between two caller-owned
-    arrays as argument-free calls on views.  A plan built with a ``batch``
-    shape marches arrays of shape ``(*batch, n)``, each row a state of its
-    own; every row gets the bits a one-row march would give it.
+    for the first block and by the interface map for the others.  The
+    blocks are :func:`_blocks` of ``u``, whose shape ``(*batch, n)`` may
+    stack states: every row gets the bits a one-row march would give it.
+    Each interface coupling ``(left law, inverse)`` holds the right law's
+    elementwise inverse on ``bracket``, with the bracket's flux image
+    computed once.
 
-    Steps at the lam of the step before go in windows of ``_NARROW_EVERY``
-    steps that share each block's span (:meth:`window`).  The window
+    ``column`` holds the first block's first cell at each new level,
+    :func:`_inflow_column`'s slab means, or is ``None`` for an outflow
+    boundary, whose cell keeps its value.  Each block marches every
+    level, alternating between ``u`` and ``new`` and writing ``new``
+    first, and after the step to each level ``k`` in ``shown`` (every
+    level without it) yields ``(k, cells, new, old)``: the block's slice
+    and its views at levels ``k`` and ``k - 1``.  Its last cell's values
+    at every level, mapped through the interface in one call, are the
+    next block's first-cell column.
+
+    A step whose lam differs from the step before's writes every cell;
+    the others go in windows of up to ``_NARROW_EVERY`` steps that share
+    each block's span (:func:`_window`), which write the first cell and
+    record the last one only where the span holds them.  The window
     invariant: at its start the buffer written next holds the level before
     the current one, and over the window a cell's value can only change if
     it lies in its block's span.  An interior cell outside it then has, on
     every step, the inputs it had one step before, so its new value, a
     function of those inputs alone (every law is elementwise), is the one
     the target buffer already holds; a first cell outside it takes, at each
-    level, the value both buffers hold.
+    level, the value both buffers hold.  A window binds (:func:`_bind`)
+    each direction it takes between ``u`` and ``new`` once, and keeps the
+    window before's calls when its span and lam are the same.
     """
-
-    def __init__(self, grid: Grid, model: PiecewiseFlux, bracket: tuple[float, float],
-                 batch: tuple = (), values: tuple = None):
-        segs = model.segments
-        # every subdomain, one-cell ones included: a one-cell subdomain has
-        # no interior, its cell is the boundary or an interface cell
-        self.subdomains = []
-        for seg, sl in zip(segs, grid.subdomain_slices()):
-            shape = (*batch, sl.stop - sl.start)
-            if seg.kind == "linear":
-                update = _convex(seg.params[0], shape)
-            else:
-                update = _upwind(_array_form(seg, shape), _fold(seg, *(values or bracket)))
-            self.subdomains.append(_Block(sl.start, sl.stop, update))
-        self.couplings = tuple((left.func, _inverse(right, bracket))
-                               for left, right in zip(segs, segs[1:]))
-
-    def bind(self, u: np.ndarray, new: np.ndarray, lam: float, block: _Block,
-             span: tuple = None) -> list:
-        """The calls of ``block``'s step from ``u`` into ``new`` at ``lam``.
-
-        They write the block's interior cells in ``span``, a half-open range
-        ``(s, e)`` of its cells, or all of them without it; the first cell
-        is the march's to set.  In a batched plan the span applies to every
-        row.
-        """
-        s, e = span or (block.a, block.b)
-        s = max(s, block.a + 1)
-        if s >= e:
-            return []
-        return block.update(u[..., s - 1:e], new[..., s:e], lam)
-
-    def window(self, u: np.ndarray, prev: np.ndarray, block: _Block, ahead: np.ndarray) -> tuple:
-        """``block``'s span, its cells that may change, in a window starting from ``u``.
-
-        ``prev`` holds the level before ``u``, and ``ahead`` the block's
-        first cell at the levels the window writes.  The span is the block's
-        range of cells that differ bitwise between ``u`` and ``prev`` in any
-        row (so 0.0 and -0.0 differ), widened downwind by the window's
-        length, as a change travels one cell a step, and capped at the
-        block's end.  It starts at the first cell when that differs, or when
-        ``ahead`` holds another value; an empty span is ``(a + 1, a + 1)``.
-        """
-        a, b = block.a, block.b
-        changed = u[..., a:b].view(np.int64) != prev[..., a:b].view(np.int64)
-        if changed.ndim > 1:
-            changed = changed.reshape(-1, b - a).any(axis=0)
-        changed[0] |= (ahead.view(np.int64) != u[..., a].view(np.int64)).any()
-        first = int(changed.argmax())
-        if not changed[first]:
-            return a + 1, a + 1
-        return a + first, min(b - int(changed[::-1].argmax()) + len(ahead), b)
-
-    def steps(self, u: np.ndarray, new: np.ndarray, lams: Sequence[float],
-              column: Optional[np.ndarray], shown: Container[int] = None):
-        """March ``u`` one step per lam of ``lams``, one block after another.
-
-        ``column`` holds the first block's first cell at each new level,
-        :func:`_inflow_column`'s slab means, or is ``None`` for an outflow
-        boundary, whose cell keeps its value.  Each block marches every
-        level, alternating between ``u`` and ``new`` and writing ``new``
-        first, and after the step to each level ``k`` in ``shown`` (every
-        level without it) yields ``(k, cells, new, old)``: the block's slice
-        and its views at levels ``k`` and ``k - 1``.  Its last cell's values
-        at every level, mapped through the interface in one call, are the
-        next block's first-cell column.  A step whose lam differs from the
-        step before's writes every cell; the others go in windows of up to
-        ``_NARROW_EVERY`` steps, which write the first cell and record the
-        last one only where the span holds them.  A window binds each
-        direction it takes between ``u`` and ``new`` once, and keeps the
-        window before's calls when its span and lam are the same.
-        """
-        if not lams:
-            return
-        batch = u.shape[:-1]
-        firsts = u[..., 0].copy() if column is None else np.reshape(column, (-1,) + (1,) * len(batch))
-        firsts = np.broadcast_to(firsts, (len(lams), *batch))
-        shown = range(len(lams) + 1) if shown is None else shown
-        # (start, stop, lam, narrow): no cell is known to keep its value at a new lam
-        windows, k = [], 0
-        for lam, group in groupby(lams):
-            m = len(list(group))
-            windows += [(k, k + 1, lam, False),
-                        *((j, min(j + _NARROW_EVERY, k + m), lam, True)
-                          for j in range(k + 1, k + m, _NARROW_EVERY))]
-            k += m
-        for i, block in enumerate(self.subdomains):
-            if i:
-                left, inverse = self.couplings[i - 1]
-                firsts = inverse(left(lasts))
-            lasts = np.empty(firsts.shape)
-            cells = slice(block.a, block.b)
-            views = ((new[..., cells], u[..., cells]), (u[..., cells], new[..., cells]))
-            # a one-row plan takes the cheaper integer index
-            first, end = ((..., block.a), (..., block.b - 1)) if batch else (block.a, block.b - 1)
-            targets, key = (new, u), None  # step k writes targets[k % 2]
-            for k, stop, lam, narrow in windows:
-                x, y = targets[1 - k % 2], targets[k % 2]
-                span = (self.window(x, y, block, firsts[k:stop]) if narrow
-                        else (block.a, block.b))
-                if (span, lam) != key:
-                    key, bound = (span, lam), [None, None]
-                for j in range(k, min(k + 2, stop)):  # the directions the window takes
-                    if bound[j % 2] is None:
-                        bound[j % 2] = self.bind(targets[1 - j % 2], targets[j % 2], lam, block, span)
-                head, tail = span[0] == block.a, span[1] == block.b
-                if not tail:
-                    # the last cell keeps its value through the window
-                    lasts[k:stop] = x[end]
-                for j in range(k, stop):
-                    for call in bound[j % 2]:
-                        call()
-                    if head:
-                        targets[j % 2][first] = firsts[j]
-                    if tail:
-                        lasts[j] = targets[j % 2][end]
-                    if j + 1 in shown:
-                        yield j + 1, cells, *views[j % 2]
+    blocks = _blocks(grid, model, bracket, u)
+    segs = model.segments
+    couplings = [(left.func, _inverse(right, bracket)) for left, right in zip(segs, segs[1:])]
+    if not lams:
+        return
+    batch = u.shape[:-1]
+    firsts = u[..., 0].copy() if column is None else np.reshape(column, (-1,) + (1,) * len(batch))
+    firsts = np.broadcast_to(firsts, (len(lams), *batch))
+    shown = range(len(lams) + 1) if shown is None else shown
+    # (start, stop, lam, narrow): no cell is known to keep its value at a new lam
+    windows, k = [], 0
+    for lam, group in groupby(lams):
+        m = len(list(group))
+        windows += [(k, k + 1, lam, False),
+                    *((j, min(j + _NARROW_EVERY, k + m), lam, True)
+                      for j in range(k + 1, k + m, _NARROW_EVERY))]
+        k += m
+    for i, block in enumerate(blocks):
+        if i:
+            left, inverse = couplings[i - 1]
+            firsts = inverse(left(lasts))
+        lasts = np.empty(firsts.shape)
+        cells = slice(block.a, block.b)
+        views = ((new[..., cells], u[..., cells]), (u[..., cells], new[..., cells]))
+        # a one-row march takes the cheaper integer index
+        first, end = ((..., block.a), (..., block.b - 1)) if batch else (block.a, block.b - 1)
+        targets, key = (new, u), None  # step k writes targets[k % 2]
+        for k, stop, lam, narrow in windows:
+            x, y = targets[1 - k % 2], targets[k % 2]
+            span = _window(x, y, block, firsts[k:stop]) if narrow else (block.a, block.b)
+            if (span, lam) != key:
+                key, bound = (span, lam), [None, None]
+            for j in range(k, min(k + 2, stop)):  # the directions the window takes
+                if bound[j % 2] is None:
+                    bound[j % 2] = _bind(targets[1 - j % 2], targets[j % 2], lam, block, span)
+            head, tail = span[0] == block.a, span[1] == block.b
+            if not tail:
+                # the last cell keeps its value through the window
+                lasts[k:stop] = x[end]
+            for j in range(k, stop):
+                for call in bound[j % 2]:
+                    call()
+                if head:
+                    targets[j % 2][first] = firsts[j]
+                if tail:
+                    lasts[j] = targets[j % 2][end]
+                if j + 1 in shown:
+                    yield j + 1, cells, *views[j % 2]
 
 
 # }}}
@@ -424,11 +416,8 @@ def step(
     column = _inflow_column(config.left, [state.t], dt, config.lam * grid.dx, config.t_end)
     if u_range is None:
         u_range = _bracket(model, config, u, column)
-    # the blocks read the state, which the bracket need not hold
-    values = (min(u_range[0], float(u.min())), max(u_range[1], float(u.max())))
-    march = _March(grid, model, u_range, values=values)
     new = np.empty_like(u)
-    for _ in march.steps(u, new, [lam], column, shown=()):
+    for _ in _march(grid, model, u_range, u, new, [lam], column, shown=()):
         pass
     return State(new, state.t + dt, state.step + 1)
 
@@ -494,7 +483,7 @@ def _empty(t0, t1):
 
 
 def _inflow_column(left, times, steps, slab: float, t_end: float) -> Optional[np.ndarray]:
-    """Boundary cell of each level ``steps`` after the pinned ``times``, for :meth:`_March.steps`.
+    """Boundary cell of each level ``steps`` after the pinned ``times``, for :func:`_march`.
 
     The one slab rule: a slab starts at ``t = time + step`` and its cell is
     :func:`_slab_average` of the trace over ``(t, min(t + slab, t_end))``;
@@ -535,8 +524,8 @@ def run(
     Full steps use ``dt = lam * dx``; one shortened final step lands exactly
     on the end time.  Stability is checked once, up front, on the invariant
     range of the data: no interface map can escape it and every inversion is
-    clamped to it, so a run either fails immediately or finishes.  The march
-    plan is built once as well; the steps then only apply it.
+    clamped to it, so a run either fails immediately or finishes.  Each
+    subdomain's update is resolved once as well; the steps then only apply it.
 
     Snapshots record the first level at or after each requested time.
     ``record_increments`` accumulates per-cell sums of level-to-level changes;
@@ -573,7 +562,6 @@ def run(
     # the march alternates between two buffers, block by block, and the last
     # one written is final; every level handed out is an array of its own,
     # at the level index found before the march, which each block fills
-    march = _March(grid, model, u_range)
     at = np.searchsorted(level_times, np.subtract(pending, t_slack)).tolist()
     snapshots = [Snapshot(s, State(u0.copy(), level_times[k], k)) for s, k in zip(pending, at)]
     due: dict = {}
@@ -585,7 +573,7 @@ def run(
     buffers = (u0, np.empty_like(u0))
 
     shown = None if record_increments or retain_levels else due
-    for k, cells, new, old in march.steps(*buffers, lams, column, shown):
+    for k, cells, new, old in _march(grid, model, u_range, *buffers, lams, column, shown):
         if record_increments:
             diff = np.subtract(new, old, out=change[cells])
             increments[cells] += np.abs(diff, out=diff)

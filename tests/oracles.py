@@ -23,7 +23,7 @@ from discflux import EntropyResidualReport, FluxRangeError, FluxSegment, Sampled
 from discflux.analysis import _adapted_constants
 from discflux.cli import _unit_draws
 from discflux.errors import _tolerance
-from discflux.solver import _March
+from discflux import solver
 
 # scalar_inverse's Newton stops at a residual or a bracket a few machine epsilons wide
 _EPS = float(np.finfo(float).eps)
@@ -332,14 +332,14 @@ def record_spans(monkeypatch):
     the order the windows start.
     """
     log = defaultdict(list)
-    window = _March.window
+    window = solver._window
 
-    def logged(self, u, prev, block, ahead):
-        span = window(self, u, prev, block, ahead)
+    def logged(u, prev, block, ahead):
+        span = window(u, prev, block, ahead)
         log[block.a].append(span)
         return span
 
-    monkeypatch.setattr(_March, "window", logged)
+    monkeypatch.setattr(solver, "_window", logged)
     return log
 
 

@@ -156,6 +156,25 @@ def test_run_output_bytes_of_experiment2_are_pinned(tmp_path, capsys):
             for p in tmp_path.iterdir()} == EXPERIMENT2_N2048
 
 
+# sha256 of the stdout of `discflux verify` and `discflux convergence` on each
+# preset, recorded while the march was a plan object; the run pins' notes on
+# each preset's arithmetic hold here too
+REPORTS = {
+    ("verify", "experiment1"): "147c4511b37ff82401349f771b436cc1666c28fac5a016afd08a06ce8ac121d7",
+    ("verify", "experiment2"): "085c127107381ef60bc061147795ef64dcc903ea99eb984efcc7a0cf721e2154",
+    ("convergence", "experiment1"):
+        "207f9dfcac7c45faadb5782c6da8875aa47c70eece324820af6b9ca24a0d1840",
+    ("convergence", "experiment2"):
+        "5d2df9ac8c4e30f6f451c138bc7c79399a875d33b53bde8b85296e56f342b54c",
+}
+
+
+@pytest.mark.parametrize("command, name", list(REPORTS))
+def test_report_bytes_of_each_preset_are_pinned(capsys, command, name):
+    assert main([command, "--preset", name]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == REPORTS[command, name]
+
+
 def test_run_transmits_past_the_padded_data_range_towards_a_vertex(tmp_path, capsys):
     # u^2/2 | u^2 with data 2 | 0.5: the right law transmits sqrt(0.125),
     # below the data and its padded interval but right of the vertex at 0
@@ -312,20 +331,18 @@ def test_the_inflow_example_reads_its_table_next_to_it(monkeypatch, capsys):
 # each config: exit 3 and the checks that fail, exit 2 (the map leaves the
 # right law's image on experiment2), or exit 0 where the defect changes
 # nothing (experiment2's right law is u, so its flux is its value).
-_BIND, _INIT, _INVERSE = solver._March.bind, solver._March.__init__, solver._inverse
+_BIND, _BLOCKS, _INVERSE = solver._bind, solver._blocks, solver._inverse
 
 
-def _slow_lam(self, u, new, lam, *args, **kwargs):
-    return _BIND(self, u, new, 0.95 * lam, *args, **kwargs)
+def _slow_lam(u, new, lam, *args):
+    return _BIND(u, new, 0.95 * lam, *args)
 
 
-def _scaled_difference(self, grid, model, *args, **kwargs):
+def _scaled_difference(grid, model, *args):
     # the nonlinear blocks' updates scale their difference, on the law's
     # chain and the folded one, by 0.95 lam
-    _INIT(self, grid, model, *args, **kwargs)
-    self.subdomains = [b._replace(update=partial(_slow_update, b.update))
-                       if seg.kind != "linear" else b
-                       for b, seg in zip(self.subdomains, model.segments)]
+    return [b._replace(update=partial(_slow_update, b.update)) if seg.kind != "linear" else b
+            for b, seg in zip(_BLOCKS(grid, model, *args), model.segments)]
 
 
 def _slow_update(update, u, dst, lam):
@@ -342,8 +359,8 @@ def _flux_as_u(seg, bracket, image=None):
 
 
 _DEFECTS = {
-    "lam": (solver._March, "bind", _slow_lam),
-    "difference": (solver._March, "__init__", _scaled_difference),
+    "lam": (solver, "_bind", _slow_lam),
+    "difference": (solver, "_blocks", _scaled_difference),
     "map98": (solver, "_inverse", _short_map),
     "flux_as_u": (solver, "_inverse", _flux_as_u),
 }
@@ -484,13 +501,13 @@ def test_the_order_check_marches_run_s_boundary_column(monkeypatch):
     data, model, solver_config, grid, u_range = order_case(config)
     levels = run(build_problem(config), grid, model, solver_config, retain_levels=True).levels
     columns = []
-    steps = cli._March.steps
+    march = cli._march
 
-    def seen(self, u, new, lams, column, *args):
+    def seen(grid, model, bracket, u, new, lams, column, *args):
         columns.append(column)
-        return steps(self, u, new, lams, column, *args)
+        return march(grid, model, bracket, u, new, lams, column, *args)
 
-    monkeypatch.setattr(cli._March, "steps", seen)
+    monkeypatch.setattr(cli, "_march", seen)
     cli._ordering_gap(data, model, solver_config, grid, u_range)
     assert len(columns) == 1 and len(levels) == 21
     assert [v.hex() for v in columns[0][:20].tolist()] == [
@@ -498,18 +515,18 @@ def test_the_order_check_marches_run_s_boundary_column(monkeypatch):
 
 
 def test_order_check_marches_its_pairs_in_100_steps(monkeypatch):
-    # one stacked plan takes the 20 pairs' 40 states a step at a time, block
+    # one stacked march takes the 20 pairs' 40 states a step at a time, block
     # by block: a whole first step, then the other 99 in windows of spans of
     # solver._NARROW_EVERY steps from step 2 on, as run's full steps go
     levels = []
-    steps = cli._March.steps
+    march = cli._march
 
-    def counted(self, *args):
-        for level in steps(self, *args):
+    def counted(*args):
+        for level in march(*args):
             levels.append((level[1].start, level[0]))
             yield level
 
-    monkeypatch.setattr(cli._March, "steps", counted)
+    monkeypatch.setattr(cli, "_march", counted)
     log = record_spans(monkeypatch)
     assert _check_monotonicity(*order_case(preset("experiment1")))[1] == "PASS"
     assert levels == [(a, k) for a in (0, 8) for k in range(1, 101)]
@@ -556,6 +573,27 @@ def test_verify_skips_the_entropy_check_when_no_constant_chains(tmp_path, capsys
     lines = {ln.split()[0]: ln for ln in capsys.readouterr().out.splitlines()}
     assert lines["entropy_residual"].split(None, 2)[1:] == [
         "SKIP", "no constant's adapted chain stays inside every law's image"]
+
+
+@pytest.mark.parametrize("interfaces, fluxes, n", [
+    ([0.0], [{"kind": "linear"}, {"kind": "quadratic"}], 2),
+    ([], [{"kind": "linear"}], 1),
+], ids=["a-cell-per-law", "one-cell"])
+def test_verify_skips_the_entropy_check_on_a_grid_without_an_in_law_cell(capsys, interfaces,
+                                                                         fluxes, n):
+    # the entropy inequality is checked at cells whose left neighbour shares
+    # their law; a grid of one cell per law has none, so the check does not
+    # apply, and the other five still run
+    config = small_config(interfaces=interfaces, fluxes=fluxes,
+                          initial={"kind": "piecewise_constant", "breakpoints": [-0.5],
+                                   "values": [0.5, 2.0]},
+                          t_end=0.9, resolutions=[n], reference_n=2 * n, **{"lambda": 0.5})
+    assert cli.cmd_verify(config) == 0
+    lines = {ln.split()[0]: ln.split(None, 2)[1:] for ln in capsys.readouterr().out.splitlines()}
+    assert lines.pop("entropy_residual") == [
+        "SKIP", f"no interior cell has an in-law left neighbour at n={n}"]
+    assert lines.pop("steady_state")[0] == ("PASS" if interfaces else "SKIP")
+    assert {status for status, _ in lines.values()} == {"PASS"}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -150,6 +150,16 @@ VALIDATION_CASES = [
     ("trace-path", _set("boundary", {"left": {"kind": "inflow",
                                               "trace": {"kind": "table"}}}),
      "boundary.left.trace: table trace needs a 'path'"),
+    # each kind takes its own keys only
+    ("constant-trace-path", _set("boundary", {"left": {"kind": "inflow", "trace": {
+        "kind": "constant", "value": 0.5, "path": "x.csv"}}}),
+     "boundary.left.trace.path: unknown key"),
+    ("table-trace-value", _set("boundary", {"left": {"kind": "inflow", "trace": {
+        "kind": "table", "path": "x.csv", "value": 3}}}),
+     "boundary.left.trace.value: unknown key"),
+    ("outflow-trace", _set("boundary", {"left": {"kind": "outflow", "trace": {
+        "kind": "constant", "value": 0.5}}}),
+     "boundary.left.trace: unknown key"),
     # YAML's .inf
     ("lambda-inf", _set("lambda", float("inf")), "lambda: must be finite, got inf"),
     ("snapshots-range", _set("snapshots", [1.5]), "must lie within"),

@@ -29,7 +29,7 @@ from discflux import (
 from discflux import analysis
 from discflux.errors import _tolerance
 from discflux.fluxes import _array_form, _inverse
-from discflux.solver import _NARROW_EVERY, _March, _inflow_column
+from discflux.solver import _NARROW_EVERY, _inflow_column, _march
 from oracles import (
     entropy_residual_whole,
     flux_lipschitz_whole,
@@ -335,7 +335,7 @@ def test_the_inflow_column_is_the_slab_mean_of_every_level(case):
 @given(marches(), st.integers(0, 2**32 - 1), st.booleans())
 def test_a_stacked_plan_marches_each_row_as_a_one_row_plan(case, seed, windowed):
     # a (2, 3) stack of states, the datum and five drawn from the data's
-    # range, marched through _March.steps over more than two windows: every
+    # range, marched through _march over more than two windows: every
     # block of every row at every level has the bits of that row's own
     # one-row march.  Windowed, the five are flat on the datum's pieces, so
     # the spans, which hold the cells that changed in any row, narrow
@@ -354,9 +354,8 @@ def test_a_stacked_plan_marches_each_row_as_a_one_row_plan(case, seed, windowed)
     stack[0, 0] = cell_average(datum, grid)
     lams = [lam] * int(max(np.ceil(steps), 2 * _NARROW_EVERY + 3))
     column = _inflow_column(config.left, dt * np.arange(len(lams)), dt, dt, config.t_end)
-    stacked = _March(grid, model, bracket, batch=stack.shape[:-1]).steps(
-        stack, np.empty_like(stack), lams, column)
-    alone = [_March(grid, model, bracket).steps(row.copy(), np.empty(grid.n), lams, column)
+    stacked = _march(grid, model, bracket, stack, np.empty_like(stack), lams, column)
+    alone = [_march(grid, model, bracket, row.copy(), np.empty(grid.n), lams, column)
              for row in stack.reshape(-1, grid.n)]
     marched = 0
     for (k, cells, level, _), *rows in zip(stacked, *alone):

@@ -36,7 +36,7 @@ from discflux import (
     run,
     step,
 )
-from discflux import solver
+from discflux import cli, solver
 from discflux.cli import _ordering_gap
 from discflux.config import from_dict
 from discflux.solver import _slab_average
@@ -1060,15 +1060,15 @@ def order_check_levels(name):
     model, data = build_model(cfg), data_range(cfg)
     grid = build_grid(cfg.xmin, cfg.xmax, min(cfg.resolutions), cfg.interfaces)
     levels = np.empty((101, 2, 20, grid.n))
-    steps = solver._March.steps
+    march = cli._march
 
-    def recorded(self, *args):
-        for k, cells, new, old in steps(self, *args):
+    def recorded(*args):
+        for k, cells, new, old in march(*args):
             levels[k][..., cells] = new
             yield k, cells, new, old
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver._March, "steps", recorded)
+        patch.setattr(cli, "_march", recorded)
         _ordering_gap(data, model, build_solver_config(cfg), grid,
                       invariant_interval(model, data))
     return levels[1:]
@@ -1129,13 +1129,13 @@ def test_a_window_reuses_the_calls_of_a_repeated_span_and_lam(monkeypatch, case)
     n_steps = 5 * solver._NARROW_EVERY + 1  # a whole step and five windows
     config = SolverConfig(lam=0.5, t_end=n_steps * 0.5 * grid.dx, left=left)
     bound = []
-    bind = solver._March.bind
+    bind = solver._bind
 
-    def logged(self, u, new, lam, block, span=None):
+    def logged(u, new, lam, block, span):
         bound.append((block.a, span, lam, id(u)))
-        return bind(self, u, new, lam, block, span)
+        return bind(u, new, lam, block, span)
 
-    monkeypatch.setattr(solver._March, "bind", logged)
+    monkeypatch.setattr(solver, "_bind", logged)
     log = record_spans(monkeypatch)
     trajectory = run(ProblemSpec((-1.0, 1.0), datum), grid, model, config)
     assert trajectory.final.step == n_steps
@@ -1157,9 +1157,9 @@ def test_the_window_scan_finds_the_full_scans_span(case, batch):
     # rows for a stack) returns the span of a full reshape/any/nonzero scan;
     # a window of 3 steps on 32-cell blocks leaves room to widen
     grid = build_grid(-1.0, 1.0, 64, (0.0,))
-    march = solver._March(grid, TRANSPORT_THEN_BURGERS, (0.5, 2.0), batch=batch)
     length = 3
-    for block in march.subdomains:
+    for block in solver._blocks(grid, TRANSPORT_THEN_BURGERS, (0.5, 2.0),
+                                np.ones((*batch, grid.n))):
         a, b = block.a, block.b
         prev = np.full((*batch, grid.n), 1.0)
         u = prev.copy()
@@ -1177,7 +1177,7 @@ def test_the_window_scan_finds_the_full_scans_span(case, batch):
             u[(0,) * len(batch) + (a + 3,)] = 0.0
         elif case == "last-cell":
             u[..., b - 1] = 1.5
-        span = march.window(u, prev, block, ahead)
+        span = solver._window(u, prev, block, ahead)
         assert span == window_scan(u, prev, a, b, ahead, length)
         assert span == {"none": (a + 1, a + 1), "all": (a, b), "first-cell": (a, a + 4),
                         "ahead-only": (a, a + 4), "signed-zero": (a + 3, a + 7),
@@ -1380,7 +1380,7 @@ VALUES = (0.5, 2.0, 1.25, 0.75, 1.5, 1.0, 2.0, 0.5)
 ], ids=["linear", "folded", "chain-lam-rounds", "chain-outside-margin", "quadratic-b",
         "custom"])
 def test_each_update_form_binds_its_calls_and_the_reference_step(seg, values, lam, count):
-    # the plan fixes each block's update: a linear law's convex combination
+    # _blocks fixes each block's update: a linear law's convex combination
     # in 3 ufunc calls; the upwind difference, the subtract and the product
     # with lam after the law's form, its square alone for a folded c*u^2, its
     # square and c on the law's chain, and those with b*u for b != 0, or one
@@ -1389,10 +1389,9 @@ def test_each_update_form_binds_its_calls_and_the_reference_step(seg, values, la
     u = np.array(values)
     grid = build_grid(0.0, 1.0, u.size)
     bracket = (float(u.min()), float(u.max()))
-    march = solver._March(grid, model, bracket)
-    block, = march.subdomains
+    block, = solver._blocks(grid, model, bracket, u)
     new = u.copy()  # the first cell is the march's to set
-    calls = march.bind(u, new, lam, block)
+    calls = solver._bind(u, new, lam, block, (block.a, block.b))
     assert len(calls) == count
     for call in calls:
         call()
@@ -1407,11 +1406,11 @@ def test_each_presets_burgers_block_binds_four_calls(name):
     cfg = preset(name)
     model, solver_config = build_model(cfg), build_solver_config(cfg)
     grid = build_grid(cfg.xmin, cfg.xmax, 64, cfg.interfaces)
-    march = solver._March(grid, model, invariant_interval(model, data_range(cfg)))
-    burgers, = (block for block, seg in zip(march.subdomains, model.segments)
-                if seg.kind == "quadratic")
     u = np.full(grid.n, 1.0)
-    calls = march.bind(u, np.empty_like(u), cfg.lam, burgers)
+    blocks = solver._blocks(grid, model, invariant_interval(model, data_range(cfg)), u)
+    burgers, = (block for block, seg in zip(blocks, model.segments)
+                if seg.kind == "quadratic")
+    calls = solver._bind(u, np.empty_like(u), cfg.lam, burgers, (burgers.a, burgers.b))
     assert len(calls) == 4
     assert calls[0].func is np.square and float(calls[2].args[1]) == cfg.lam * 0.5
 
@@ -1431,9 +1430,9 @@ def test_squares_outside_the_normal_floats_keep_the_laws_chain(binade):
     lam = 0.9 / max(seg.deriv_bounds(*bracket)[1] for seg in model.segments)
     config = SolverConfig(lam=lam, t_end=60 * lam * grid.dx)
     folds = binade == -480
-    march = solver._March(grid, model, bracket)
     u = np.full(grid.n, s)
-    calls = [march.bind(u, np.empty_like(u), lam, block) for block in march.subdomains]
+    calls = [solver._bind(u, np.empty_like(u), lam, block, (block.a, block.b))
+             for block in solver._blocks(grid, model, bracket, u)]
     # a fold binds the square alone and scales by lam*c, the chain also c*u*u and lam
     assert [len(bound) for bound in calls] == ([4, 4] if folds else [5, 5])
     scales = [float(bound[-2].args[1]) for bound in calls]
