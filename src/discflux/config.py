@@ -21,7 +21,14 @@ from .fluxes import PiecewiseFlux, linear_flux, quadratic_flux
 from .grid import PiecewiseConstant, SampledTable, build_grid
 from .solver import Inflow, Outflow, ProblemSpec, SolverConfig
 
-_FLUX_KINDS = ("linear", "quadratic")
+# each datum and trace kind with its required keys; the initial datum takes
+# the first three, an inflow trace the last two
+_DATA = {
+    "piecewise_constant": ("breakpoints", "values"),
+    "gaussian_offset": ("base", "amplitude", "width", "center"),
+    "table": ("path",),
+    "constant": ("value",),
+}
 
 
 @dataclass(frozen=True)
@@ -75,13 +82,16 @@ def _as_map(value, path: str, required=(), optional=()) -> dict:
     return value
 
 
-def _kind_of(value, path: str, keys: dict) -> str:
-    """The ``kind`` of the mapping ``value``, one of ``keys``, which maps it to its other keys."""
-    _as_map(value, path, required=("kind",), optional=sum(keys.values(), ()))
+def _kind_of(value, path: str, keys: dict, optional=()) -> str:
+    """The ``kind`` of the mapping ``value``, one of ``keys``, which maps it to its required keys.
+
+    ``optional`` names the keys every kind may carry; any other key is unknown.
+    """
+    _as_map(value, path, required=("kind",), optional=(*sum(keys.values(), ()), *optional))
     kind = value["kind"]
     if kind not in tuple(keys):
         _fail(f"{path}.kind", f"expected {' or '.join(keys)}, got {kind!r}")
-    _as_map(value, path, required=("kind",), optional=keys[kind])
+    _as_map(value, path, required=("kind", *keys[kind]), optional=optional)
     return kind
 
 
@@ -132,7 +142,8 @@ def from_dict(raw: dict) -> ExperimentConfig:
     fluxes = _as_list(raw["fluxes"], "fluxes", _validated_flux)
     _check_pieces("fluxes", fluxes, "laws", interfaces, "interfaces")
 
-    initial = _validated_initial(raw["initial"], "initial")
+    initial = _validated_datum(raw["initial"], "initial",
+                               ("piecewise_constant", "gaussian_offset", "table"))
     lam = _as_float(raw["lambda"], "lambda")
     if lam <= 0.0:
         _fail("lambda", f"must be positive, got {lam}")
@@ -141,6 +152,9 @@ def from_dict(raw: dict) -> ExperimentConfig:
         _fail("t_end", f"must be nonnegative, got {t_end}")
 
     resolutions = _as_list(raw["resolutions"], "resolutions", _as_count, nonempty=True)
+    for i, n in enumerate(resolutions):
+        if n in resolutions[:i]:
+            _fail(f"resolutions[{i}]", f"repeats {n}")
     reference_n = _as_count(raw["reference_n"], "reference_n")
     for label, n in [
         *((f"resolutions[{i}]", n) for i, n in enumerate(resolutions)),
@@ -175,10 +189,7 @@ def from_dict(raw: dict) -> ExperimentConfig:
 
 
 def _validated_flux(raw, path: str) -> dict:
-    raw = _as_map(raw, path, required=("kind",), optional=("a", "b"))
-    kind = raw["kind"]
-    if kind not in _FLUX_KINDS:
-        _fail(f"{path}.kind", f"expected one of {_FLUX_KINDS}, got {kind!r}")
+    kind = _kind_of(raw, path, {"linear": (), "quadratic": ()}, optional=("a", "b"))
     a = _as_float(raw.get("a", 1.0), f"{path}.a")
     b = _as_float(raw.get("b", 0.0), f"{path}.b")
     if kind == "linear" and a <= 0.0:
@@ -188,47 +199,30 @@ def _validated_flux(raw, path: str) -> dict:
     return {"kind": kind, "a": a, "b": b}
 
 
-def _validated_initial(raw, path: str) -> dict:
-    if not isinstance(raw, dict) or "kind" not in raw:
-        _fail(path, "expected a mapping with a 'kind' key")
-    kind = raw["kind"]
+def _validated_datum(raw, path: str, kinds: tuple) -> dict:
+    """A datum or trace spec of one of ``kinds``, the keys of :data:`_DATA`."""
+    kind = _kind_of(raw, path, {k: _DATA[k] for k in kinds})
+    if kind == "table":
+        return {"kind": kind, "path": str(raw["path"])}
     if kind == "piecewise_constant":
-        _as_map(raw, path, required=("kind", "breakpoints", "values"))
         bps = _as_list(raw["breakpoints"], f"{path}.breakpoints", _as_float)
         vals = _as_list(raw["values"], f"{path}.values", _as_float)
         _check_pieces(path, vals, "values", bps, "breakpoints")
         _check_increasing(bps, f"{path}.breakpoints")
         return {"kind": kind, "breakpoints": list(bps), "values": list(vals)}
-    if kind == "gaussian_offset":
-        names = ("base", "amplitude", "width", "center")
-        _as_map(raw, path, required=("kind", *names))
-        spec = {"kind": kind, **{k: _as_float(raw[k], f"{path}.{k}") for k in names}}
-        if spec["width"] <= 0.0:
-            _fail(f"{path}.width", f"must be positive, got {spec['width']}")
-        return spec
-    if kind == "table":
-        _as_map(raw, path, required=("kind", "path"))
-        return {"kind": kind, "path": str(raw["path"])}
-    _fail(f"{path}.kind", f"unknown initial datum kind {kind!r}")
+    spec = {"kind": kind, **{k: _as_float(raw[k], f"{path}.{k}") for k in _DATA[kind]}}
+    if kind == "gaussian_offset" and spec["width"] <= 0.0:
+        _fail(f"{path}.width", f"must be positive, got {spec['width']}")
+    return spec
 
 
 def _validated_boundary(raw) -> dict:
-    raw = _as_map(raw, "boundary", optional=("left",))
-    left = raw.get("left", "outflow")
+    left = _as_map(raw, "boundary", optional=("left",)).get("left", "outflow")
     if left == "outflow" or _kind_of(left, "boundary.left",
                                      {"outflow": (), "inflow": ("trace",)}) == "outflow":
         return {"kind": "outflow"}
-    trace = left.get("trace")
-    if _kind_of(trace, "boundary.left.trace",
-                {"constant": ("value",), "table": ("path",)}) == "constant":
-        return {
-            "kind": "inflow",
-            "trace": {"kind": "constant",
-                      "value": _as_float(trace.get("value"), "boundary.left.trace.value")},
-        }
-    if "path" not in trace:
-        _fail("boundary.left.trace", "table trace needs a 'path'")
-    return {"kind": "inflow", "trace": {"kind": "table", "path": str(trace["path"])}}
+    return {"kind": "inflow",
+            "trace": _validated_datum(left["trace"], "boundary.left.trace", ("constant", "table"))}
 
 
 # }}}
@@ -361,36 +355,37 @@ def preset(name: str) -> ExperimentConfig:
 
 
 def initial_datum(config: ExperimentConfig):
-    spec = config.initial
-    if spec["kind"] == "piecewise_constant":
-        return PiecewiseConstant(tuple(spec["breakpoints"]), tuple(spec["values"]))
-    if spec["kind"] == "gaussian_offset":
-        base, amp = spec["base"], spec["amplitude"]
-        width, center = spec["width"], spec["center"]
-
-        def bump(x):
-            return base + amp * np.exp(-np.square((np.asarray(x, dtype=float) - center) / width))
-
-        return bump
-    return _load_table(spec["path"])
+    return _datum(config.initial)[0]
 
 
 def data_range(config: ExperimentConfig) -> tuple[float, float]:
     """Hull of the initial datum's values (and inflow trace values, if any)."""
     specs = (config.initial, config.boundary_left.get("trace"))  # no trace on an outflow
-    values = np.hstack([_values(spec) for spec in specs if spec is not None])
+    values = np.hstack([_datum(spec)[1] for spec in specs if spec is not None])
     return float(values.min()), float(values.max())
 
 
-def _values(spec: dict):
-    """Values of a datum or trace spec, or two whose hull is theirs."""
-    if spec["kind"] == "piecewise_constant":
-        return spec["values"]
-    if spec["kind"] == "gaussian_offset":
-        return spec["base"], spec["base"] + spec["amplitude"]
-    if spec["kind"] == "constant":
-        return [spec["value"]]
-    return _load_table(spec["path"]).values
+def _datum(spec: dict):
+    """The datum or trace that ``spec`` names, and values whose hull is its values'."""
+    kind = spec["kind"]
+    if kind == "piecewise_constant":
+        return PiecewiseConstant(tuple(spec["breakpoints"]), tuple(spec["values"])), spec["values"]
+    if kind == "table":
+        table = _load_table(spec["path"])
+        return table, table.values
+    if kind == "constant":
+        value = spec["value"]
+
+        def constant(t):
+            return value + 0.0 * np.asarray(t, dtype=float)
+
+        return constant, [value]
+    base, amp, width, center = (spec[k] for k in _DATA[kind])
+
+    def bump(x):
+        return base + amp * np.exp(-np.square((np.asarray(x, dtype=float) - center) / width))
+
+    return bump, (base, base + amp)
 
 
 def build_model(config: ExperimentConfig) -> PiecewiseFlux:
@@ -415,17 +410,7 @@ def build_problem(config: ExperimentConfig) -> ProblemSpec:
 
 def build_boundary(config: ExperimentConfig):
     left = config.boundary_left
-    if left["kind"] == "outflow":
-        return Outflow()
-    trace = left["trace"]
-    if trace["kind"] == "constant":
-        value = trace["value"]
-
-        def constant(t):
-            return value + 0.0 * np.asarray(t, dtype=float)
-
-        return Inflow(constant)
-    return Inflow(_load_table(trace["path"]))
+    return Outflow() if left["kind"] == "outflow" else Inflow(_datum(left["trace"])[0])
 
 
 def build_solver_config(config: ExperimentConfig) -> SolverConfig:

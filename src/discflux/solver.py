@@ -12,6 +12,7 @@ takes the subdomains one at a time, left to right, each through every level.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
@@ -531,7 +532,8 @@ def run(
     ``record_increments`` accumulates per-cell sums of level-to-level changes;
     ``retain_levels`` keeps every level (memory scales with step count).
     Raises :class:`GridAlignmentError` when ``grid`` was not built for
-    ``model``'s interfaces.
+    ``model``'s interfaces, and ``ValueError`` when ``t_end / dt`` steps
+    cannot be counted (``dt`` rounds to 0, or the count passes ``sys.maxsize``).
     """
     (x0, x1), slack = problem.domain, _tolerance(1e-12, *problem.domain)
     if abs(grid.xmin - x0) > slack or abs(grid.xmax - x1) > slack:
@@ -546,7 +548,10 @@ def run(
 
     u0 = cell_average(problem.initial, grid)
     dt = config.lam * grid.dx
-    n_full = int(math.floor(t_end / dt + 1e-12)) if t_end > 0.0 else 0
+    ratio = (t_end / dt if dt else math.inf) if t_end > 0.0 else 0.0
+    if not ratio < sys.maxsize:  # so NaN fails
+        raise ValueError(f"dt = {dt} gives t_end / dt = {ratio} steps, more than a run can take")
+    n_full = int(math.floor(ratio + 1e-12))
     remainder = t_end - n_full * dt
     if remainder <= _tolerance(1e-12, dt, t_end):
         remainder = 0.0

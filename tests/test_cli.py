@@ -209,6 +209,22 @@ def test_a_config_naming_an_edge_flux_is_refused_as_an_unknown_key(tmp_path, cap
     assert capsys.readouterr().err == "error: config.numerical_flux: unknown key\n"
 
 
+@pytest.mark.parametrize("lam", [1e-300, 1e-320, 1e-323])
+def test_a_step_count_that_cannot_be_formed_exits_1_with_one_line(lam, tmp_path, capsys):
+    # t_end / dt beyond any index (1e-300), infinite (1e-320), or dt
+    # rounding to 0 (1e-323): refused before any per-level list is built
+    config = small_config(**{"lambda": lam})
+    with pytest.raises(ValueError, match=r"^dt = \S+ gives t_end / dt = \S+ steps"):
+        run(build_problem(config), build_grid(-1.0, 1.0, 16, (0.0,)), build_model(config),
+            build_solver_config(config))
+    path = tmp_path / "exp.yaml"
+    save_config(config, path)
+    for command in (["verify"], ["run", "--n", "16", "--out", str(tmp_path / "out")]):
+        assert main([*command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: dt = ") and err.count("\n") == 1
+
+
 def test_run_accepts_config_file(tmp_path):
     path = tmp_path / "exp.yaml"
     save_config(small_config(snapshots=[0.1]), path)

@@ -132,6 +132,7 @@ VALIDATION_CASES = [
     ("resolutions-empty", _set("resolutions", []), "nonempty list"),
     ("resolutions-float", _set("resolutions", [16.5]), "expected an integer"),
     ("resolutions-divide", _set("resolutions", [24]), "not a multiple of 24"),
+    ("resolutions-repeat", _set("resolutions", [16, 16, 32]), r"^resolutions\[1\]: repeats 16$"),
     ("reference-n-zero", _set("reference_n", 0), "reference_n: must be positive, got 0"),
     ("reference-n-negative", _set("reference_n", -2048),
      "reference_n: must be positive, got -2048"),
@@ -146,10 +147,10 @@ VALIDATION_CASES = [
      "expected constant or table"),
     ("trace-value", _set("boundary", {"left": {"kind": "inflow",
                                                "trace": {"kind": "constant"}}}),
-     "expected a number, got None"),
+     r"^boundary\.left\.trace: missing required key 'value'$"),
     ("trace-path", _set("boundary", {"left": {"kind": "inflow",
                                               "trace": {"kind": "table"}}}),
-     "boundary.left.trace: table trace needs a 'path'"),
+     r"^boundary\.left\.trace: missing required key 'path'$"),
     # each kind takes its own keys only
     ("constant-trace-path", _set("boundary", {"left": {"kind": "inflow", "trace": {
         "kind": "constant", "value": 0.5, "path": "x.csv"}}}),
@@ -169,9 +170,10 @@ VALIDATION_CASES = [
                                         "amplitude": 1.0, "width": 0.0,
                                         "center": 0.0}),
      "must be positive"),
-    ("initial-kind", _set("initial", {"kind": "sine"}), "unknown initial datum kind"),
+    ("initial-kind", _set("initial", {"kind": "sine"}),
+     r"^initial\.kind: expected piecewise_constant or gaussian_offset or table, got 'sine'$"),
     ("initial-no-kind", _set("initial", {"breakpoints": [], "values": [1.0]}),
-     "initial: expected a mapping with a 'kind' key"),
+     r"^initial: missing required key 'kind'$"),
     ("initial-counts", _set("initial", {"kind": "piecewise_constant",
                                         "breakpoints": [-0.5],
                                         "values": [1.0]}),
@@ -197,6 +199,76 @@ def test_validation_reports_offending_field(mutate, pattern):
     mutate(raw)
     with pytest.raises(ConfigError, match=pattern):
         from_dict(raw)
+
+
+def _flux(law):
+    return _set("fluxes", [law, {"kind": "quadratic"}])
+
+
+def _left(left):
+    return _set("boundary", {"left": left})
+
+
+def _trace(trace):
+    return _left({"kind": "inflow", "trace": trace})
+
+
+# each kinded mapping under {unknown kind, missing kind, missing required key,
+# key of another kind}, with its full message; a flux law has no keys of its
+# own kind, so it takes a stray key instead of the last two
+KINDED_CASES = [
+    ("fluxes[0]-unknown-kind", _flux({"kind": "cubic"}),
+     "fluxes[0].kind: expected linear or quadratic, got 'cubic'"),
+    ("fluxes[0]-no-kind", _flux({"a": 1.0}), "fluxes[0]: missing required key 'kind'"),
+    ("fluxes[0]-stray-key", _flux({"kind": "linear", "c": 1.0}), "fluxes[0].c: unknown key"),
+    ("initial-unknown-kind", _set("initial", {"kind": "sine"}),
+     "initial.kind: expected piecewise_constant or gaussian_offset or table, got 'sine'"),
+    ("initial-no-kind", _set("initial", {"breakpoints": [], "values": [1.0]}),
+     "initial: missing required key 'kind'"),
+    ("initial-missing-key", _set("initial", {"kind": "gaussian_offset", "base": 2.0,
+                                             "amplitude": 1.0, "center": 0.0}),
+     "initial: missing required key 'width'"),
+    ("initial-other-kind-key", _set("initial", {"kind": "table", "path": "x.csv",
+                                                "values": [1.0]}),
+     "initial.values: unknown key"),
+    ("boundary.left-unknown-kind", _left({"kind": "periodic"}),
+     "boundary.left.kind: expected outflow or inflow, got 'periodic'"),
+    ("boundary.left-no-kind", _left({"trace": {"kind": "constant", "value": 0.5}}),
+     "boundary.left: missing required key 'kind'"),
+    ("boundary.left-missing-key", _left({"kind": "inflow"}),
+     "boundary.left: missing required key 'trace'"),
+    ("boundary.left-other-kind-key",
+     _left({"kind": "outflow", "trace": {"kind": "constant", "value": 0.5}}),
+     "boundary.left.trace: unknown key"),
+    ("boundary.left.trace-unknown-kind", _trace({"kind": "random"}),
+     "boundary.left.trace.kind: expected constant or table, got 'random'"),
+    ("boundary.left.trace-no-kind", _trace({"value": 0.5}),
+     "boundary.left.trace: missing required key 'kind'"),
+    ("boundary.left.trace-missing-key", _trace({"kind": "constant"}),
+     "boundary.left.trace: missing required key 'value'"),
+    ("boundary.left.trace-other-kind-key",
+     _trace({"kind": "constant", "value": 0.5, "path": "x.csv"}),
+     "boundary.left.trace.path: unknown key"),
+]
+
+
+@pytest.mark.parametrize(
+    "mutate,message",
+    [case[1:] for case in KINDED_CASES],
+    ids=[case[0] for case in KINDED_CASES],
+)
+def test_every_kinded_mapping_reports_kinds_and_keys_one_way(mutate, message):
+    raw = base_dict()
+    mutate(raw)
+    with pytest.raises(ConfigError) as exc:
+        from_dict(raw)
+    assert str(exc.value) == message
+
+
+def test_an_unsorted_ladder_is_accepted():
+    raw = base_dict()
+    raw["resolutions"] = [32, 16]
+    assert from_dict(raw).resolutions == (32, 16)
 
 
 # }}}
