@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import (
     DiagnosticInputError,
-    FluxRangeError,
     MissingDataError,
     ProjectionError,
     SequencingError,
@@ -25,7 +24,7 @@ from .errors import (
     _tolerance,
 )
 from .exact import ExactSolution
-from .fluxes import PiecewiseFlux, invert_near
+from .fluxes import PiecewiseFlux, _chain
 from .grid import Grid, _check_snapped
 from .solver import State, Trajectory
 
@@ -271,8 +270,7 @@ def entropy_residual(
     for c in constants:
         if not math.isfinite(c):
             raise DiagnosticInputError(f"entropy constant {c} is not finite")
-    adapted = np.array([_adapted_constants(model, c, seed) for c in constants])
-    adapted = adapted.reshape(len(constants), model.n_interfaces + 1)
+    adapted = np.array([_chain(model, c, seed) for c in constants])
     c_cells = adapted[:, grid.subdomain_of_cell]
     f_cs = np.array([float(model.segments[0](a[0])) for a in adapted])
     # A quiet cell holds one value x through its block, and its residual is
@@ -355,19 +353,6 @@ def _evaluate_laws(laws, u, lo, hi, out):
         if a < b:
             out[:, a - lo:b - lo] = seg(u[:, a:b])
     return out
-
-
-def _adapted_constants(model: PiecewiseFlux, c: float, seed: tuple[float, float]) -> np.ndarray:
-    """Per-subdomain constants chained through flux continuity.  Raises :class:`FluxRangeError`
-    where an interface transmits a non-finite flux, or one outside the next law's image."""
-    out = [float(c)]
-    for i in range(model.n_interfaces):
-        w = float(model.segments[i](out[-1]))
-        if not math.isfinite(w):
-            raise FluxRangeError(f"adapted constants of c={c}: the interface at "
-                                 f"x={model.interfaces[i]} transmits the flux {w} from {out[-1]}")
-        out.append(invert_near(model.segments[i + 1], w, seed))
-    return np.asarray(out)
 
 
 def _retained_levels(trajectory: Trajectory, grid: Grid, model: PiecewiseFlux) -> tuple:

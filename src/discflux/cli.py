@@ -14,7 +14,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .analysis import (ErrorReport, _adapted_constants, _level_range, _retained_levels, _wins,
+from .analysis import (ErrorReport, _level_range, _retained_levels, _wins,
                        entropy_residual, l1_error, ooc, spatial_tv)
 from .config import (
     ExperimentConfig,
@@ -36,7 +36,7 @@ from .errors import (
     SequencingError,
     StabilityError,
 )
-from .fluxes import invariant_interval
+from .fluxes import _chain, invariant_interval
 from .grid import PiecewiseConstant, build_grid, cell_average
 from .solver import ProblemSpec, SolverConfig, _check_cfl, _inflow_column, _march, run
 
@@ -261,7 +261,7 @@ def _check_steady_state(data, model, solver_config, grid, u_range):
     # an inflow trace unrelated to the adapted constants would mask it
     frozen = SolverConfig(lam=solver_config.lam, t_end=solver_config.t_end)
     try:
-        datum = PiecewiseConstant(grid.interfaces, _adapted_constants(model, c, u_range))
+        datum = PiecewiseConstant(grid.interfaces, _chain(model, c, u_range))
         trajectory = run(ProblemSpec((grid.xmin, grid.xmax), datum), grid, model, frozen)
     except DiscfluxError as exc:
         # the datum's own invariant range may chain past a law's image
@@ -338,8 +338,7 @@ def _check_entropy(config, problem, model, solver_config, u_range):
     grid = build_grid(config.xmin, config.xmax, n, config.interfaces)
     trajectory = run(problem, grid, model, solver_config, retain_levels=True)
     # a constant whose adapted chain leaves a law's image has no entropy pair
-    constants = [c for c in np.linspace(u_range[0], u_range[1], 17)
-                 if _chains(model, c, u_range)]
+    constants = [c for c in np.linspace(*u_range, 17) if _chains(model, c, u_range)]
     if not constants:
         return ("entropy_residual", "SKIP",
                 "no constant's adapted chain stays inside every law's image")
@@ -356,7 +355,7 @@ def _check_entropy(config, problem, model, solver_config, u_range):
 
 def _chains(model, c, seed) -> bool:
     try:
-        _adapted_constants(model, c, seed)
+        _chain(model, c, seed)
     except FluxRangeError:
         return False
     return True

@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -257,9 +258,17 @@ def load_config(path) -> ExperimentConfig:
     """Read and validate a YAML config; a relative table ``path`` is read from its directory."""
     import yaml  # only a config file needs PyYAML; presets and from_dict do not load it
 
+    class Loader(yaml.SafeLoader):
+        """The safe loader, which also reads an exponent without a dot (``5e-1``) as a float.
+
+        PyYAML follows YAML 1.1, whose floats need a dot before an exponent.
+        """
+
+    Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+        r"^[-+]?(?:[0-9][0-9_]*\.?[0-9_]*|\.[0-9_]+)[eE][-+]?[0-9]+$"), list("-+.0123456789"))
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=Loader)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:

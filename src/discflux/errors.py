@@ -23,7 +23,12 @@ class DiscfluxError(Exception):
 
 
 class FluxRangeError(DiscfluxError):
-    """Target value lies outside the image of the inversion bracket."""
+    """Target value lies outside the image of the inversion bracket.
+
+    Also raised where an interface map transmits a non-finite flux, or a
+    flux the next law cannot invert, to a chain of constants across the
+    interfaces.
+    """
 
 
 class DivergentRangeError(DiscfluxError):

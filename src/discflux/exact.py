@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import UnsupportedOracleError, ValidityError, _tolerance
-from .fluxes import FluxSegment, PiecewiseFlux, invariant_interval, invert_near
+from .fluxes import FluxSegment, PiecewiseFlux, _chain, invariant_interval
 
 
 @dataclass(frozen=True)
@@ -159,14 +159,12 @@ def exact_two_flux_riemann(
             f"datum jump at {jump_pos} must sit left of the interface at {pos_iface}"
         )
     g, f = model.segments
-    hull = (min(u_left, u_right), max(u_left, u_right))
-    u_range = invariant_interval(model, hull)
+    u_range = invariant_interval(model, (min(u_left, u_right), max(u_left, u_right)))
     _require_convex_or_linear(g, *u_range)
     _require_convex_or_linear(f, *u_range)
 
     # transmitted states: values the right law needs to carry the left flux
-    v_right = invert_near(f, float(g(u_right)), u_range)
-    v_left = invert_near(f, float(g(u_left)), u_range)
+    v_right, v_left = (_chain(model, u, u_range)[1] for u in (u_right, u_left))
 
     w_datum = _make_wave(g, jump_pos, 0.0, u_left, u_right)
     w_start = _make_wave(f, pos_iface, 0.0, v_right, u_right)

@@ -446,34 +446,48 @@ def invariant_interval(model: PiecewiseFlux, data_range: tuple[float, float]) ->
     Values in subdomain ``i`` come either from the data or through the
     increasing coupling map ``u -> segments[i]^{-1}(segments[i-1](u))``
     applied to values of subdomain ``i-1``, so subdomain ``i``'s range is the
-    hull of the data and the image of subdomain ``i-1``'s range.  Coupling
-    runs only rightward, so one left-to-right pass is already the fixed
-    point; the hull of all subdomain ranges is returned.  Raises
-    :class:`DivergentRangeError` when a map transmits a non-finite flux or
-    takes a value outside a law's flux image or past the largest float.
+    hull of the data and the image of subdomain ``i-1``'s range.  Every map
+    increases, so the low ends chain from the data's low end and the high
+    ends from its high end (:func:`_chain`), each joined with the data at
+    every step; coupling runs only rightward, so one left-to-right pass is
+    already the fixed point, and the hull of all subdomain ranges is
+    returned.  Raises :class:`DivergentRangeError` when a map transmits a
+    non-finite flux or takes a value outside a law's flux image or past the
+    largest float; the low chain runs first.
     """
     lo, hi = float(data_range[0]), float(data_range[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
         raise ValueError(f"need a finite range with lo <= hi, got [{lo}, {hi}]")
-    segs = model.segments
-    r_lo, r_hi = hull_lo, hull_hi = lo, hi
-    for i in range(1, model.n_interfaces + 1):
-        w_lo, w_hi = float(segs[i - 1](r_lo)), float(segs[i - 1](r_hi))
-        if not (math.isfinite(w_lo) and math.isfinite(w_hi)):
-            raise DivergentRangeError(
-                f"interface map {i} transmits a non-finite flux [{w_lo}, {w_hi}] "
-                f"from the range [{r_lo}, {r_hi}]"
-            )
+    try:
+        return (min(_chain(model, lo, (lo, hi), keep=lambda v: min(lo, v))),
+                max(_chain(model, hi, (lo, hi), keep=lambda v: max(hi, v))))
+    except FluxRangeError as exc:
+        raise DivergentRangeError(str(exc)) from exc
+
+
+def _chain(model: PiecewiseFlux, u: float, seed: tuple[float, float], keep=float) -> list:
+    """``u`` and its image through each interface map in turn, left to right.
+
+    The map ``i`` takes ``v`` to ``invert_near(segments[i], segments[i-1](v),
+    seed)``; ``keep`` turns each image into the next map's input and is what
+    the list holds.  With the default, the entries are the constants of one
+    flux level carried across every interface.  Raises
+    :class:`FluxRangeError`, naming the map and ``u``, where a map transmits
+    a non-finite flux or its flux has no root in the next law.
+    """
+    out = [float(u)]
+    for i, x in enumerate(model.interfaces):
+        w = float(model.segments[i](out[-1]))
         try:
-            m_lo = invert_near(segs[i], w_lo, (lo, hi))
-            m_hi = invert_near(segs[i], w_hi, (lo, hi))
+            if math.isfinite(w):
+                out.append(keep(invert_near(model.segments[i + 1], w, seed)))
+                continue
+            why = ""
         except FluxRangeError as exc:
-            raise DivergentRangeError(
-                f"interface map {i} pushes the range outside the flux image: {exc}"
-            ) from exc
-        r_lo, r_hi = min(lo, m_lo), max(hi, m_hi)
-        hull_lo, hull_hi = min(hull_lo, r_lo), max(hull_hi, r_hi)
-    return hull_lo, hull_hi
+            why = f", which the next law cannot invert: {exc}"
+        raise FluxRangeError(f"interface map {i + 1} at x={x}: the chain from {out[0]} "
+                             f"transmits the flux {w}{why}")
+    return out
 
 
 # }}}

@@ -6,8 +6,10 @@ exceptions are :func:`reference_advance`, the march's allocating array-form
 update, :func:`scalar_inverse`, the interface inverse one float at a time,
 :func:`entropy_residual_whole` and :func:`flux_lipschitz_whole`, the
 entropy residual and the flux's Lipschitz quotient over all levels at once,
-and :func:`ordering_gap_per_pair`, verify's order check one pair member at a
-time: the package must reproduce each bit for bit.  :func:`window_scan` is
+:func:`ordering_gap_per_pair`, verify's order check one pair member at a
+time, and :func:`invariant_interval_reference` and
+:func:`adapted_constants_reference`, the former hand-written loops over
+the interface maps: the package must reproduce each bit for bit.  :func:`window_scan` is
 the march's window span by the former reshape, ``any`` and ``nonzero`` scan,
 and :func:`record_spans` no oracle but a probe of the march's windows.
 """
@@ -19,8 +21,8 @@ from collections import defaultdict
 
 import numpy as np
 
-from discflux import EntropyResidualReport, FluxRangeError, FluxSegment, SampledTable
-from discflux.analysis import _adapted_constants
+from discflux import (DivergentRangeError, EntropyResidualReport, FluxRangeError, FluxSegment,
+                      SampledTable, invert_near)
 from discflux.cli import _unit_draws
 from discflux.errors import _tolerance
 from discflux import solver
@@ -218,6 +220,53 @@ def scalar_inverse(seg: FluxSegment, bracket: tuple[float, float],
         return u
 
     return inverse
+
+
+def invariant_interval_reference(model, data_range):
+    """``fluxes.invariant_interval`` as a hand-written loop over the interface maps.
+
+    Both ends of each map in one pass, each with its own finite check and
+    error wrapper: the package's one chain must give these bits, and raise
+    :class:`DivergentRangeError` wherever this does.
+    """
+    lo, hi = float(data_range[0]), float(data_range[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
+        raise ValueError(f"need a finite range with lo <= hi, got [{lo}, {hi}]")
+    segs = model.segments
+    r_lo, r_hi = hull_lo, hull_hi = lo, hi
+    for i in range(1, model.n_interfaces + 1):
+        w_lo, w_hi = float(segs[i - 1](r_lo)), float(segs[i - 1](r_hi))
+        if not (math.isfinite(w_lo) and math.isfinite(w_hi)):
+            raise DivergentRangeError(
+                f"interface map {i} transmits a non-finite flux [{w_lo}, {w_hi}] "
+                f"from the range [{r_lo}, {r_hi}]"
+            )
+        try:
+            m_lo = invert_near(segs[i], w_lo, (lo, hi))
+            m_hi = invert_near(segs[i], w_hi, (lo, hi))
+        except FluxRangeError as exc:
+            raise DivergentRangeError(
+                f"interface map {i} pushes the range outside the flux image: {exc}"
+            ) from exc
+        r_lo, r_hi = min(lo, m_lo), max(hi, m_hi)
+        hull_lo, hull_hi = min(hull_lo, r_lo), max(hull_hi, r_hi)
+    return hull_lo, hull_hi
+
+
+def adapted_constants_reference(model, c, seed):
+    """Per-subdomain entropy constants chained through flux continuity, by a loop of its own.
+
+    Raises :class:`FluxRangeError` where an interface transmits a non-finite
+    flux, or one outside the next law's image.
+    """
+    out = [float(c)]
+    for i in range(model.n_interfaces):
+        w = float(model.segments[i](out[-1]))
+        if not math.isfinite(w):
+            raise FluxRangeError(f"adapted constants of c={c}: the interface at "
+                                 f"x={model.interfaces[i]} transmits the flux {w} from {out[-1]}")
+        out.append(invert_near(model.segments[i + 1], w, seed))
+    return np.asarray(out)
 
 
 def reference_step_gap(segments, bracket, lam, tol=BISECT_TOL):
@@ -443,7 +492,7 @@ def entropy_residual_whole(trajectory, grid, model, c_samples):
     best, best_where = -np.inf, (0, 0, 0.0)
     constants = tuple(float(c) for c in c_samples)
     for c in constants:
-        adapted = _adapted_constants(model, c, seed)
+        adapted = adapted_constants_reference(model, c, seed)
         c_cell = adapted[grid.subdomain_of_cell]
         fc = float(model.segments[0](adapted[0]))
         eta = np.abs(u_all - c_cell)

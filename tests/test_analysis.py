@@ -33,7 +33,7 @@ from discflux import (
     temporal_tv,
 )
 from discflux import analysis, cli
-from discflux.analysis import _adapted_constants
+from discflux.fluxes import _chain
 from discflux.errors import (
     DiagnosticInputError,
     DiscfluxError,
@@ -550,7 +550,7 @@ def test_entropy_residual_needs_retained_levels():
 
 def test_adapted_constants_chain_through_flux_continuity():
     model = build_model(preset("experiment2"))
-    adapted = _adapted_constants(model, 3.0, seed=(1.0, 6.0))
+    adapted = _chain(model, 3.0, seed=(1.0, 6.0))
     assert adapted == pytest.approx([3.0, 4.5])
     assert model.segments[1](adapted[1]) == pytest.approx(
         model.segments[0](adapted[0]), abs=1e-14)
@@ -564,8 +564,8 @@ def test_a_constant_whose_chain_overflows_raises_a_flux_range_error():
     model = build_model(config)
     traj = run(build_problem(config), grid, model, build_solver_config(config),
                retain_levels=True)
-    with pytest.raises(FluxRangeError, match=r"c=1e\+160: the interface at x=0\.0 "
-                                             r"transmits the flux inf"):
+    with pytest.raises(FluxRangeError, match=r"^interface map 1 at x=0\.0: the chain from "
+                                             r"1e\+160 transmits the flux inf$"):
         entropy_residual(traj, grid, model, [2.0, 1e160])
     assert not cli._chains(model, 1e160, (2.0, 3.0)) and cli._chains(model, 2.0, (2.0, 3.0))
 

@@ -225,6 +225,40 @@ def test_a_step_count_that_cannot_be_formed_exits_1_with_one_line(lam, tmp_path,
         assert err.startswith("error: dt = ") and err.count("\n") == 1
 
 
+def test_a_config_written_with_exponent_floats_verifies_as_its_preset(tmp_path, capsys):
+    # YAML 1.1 reads a float with an exponent but no dot (5e-1) as a string;
+    # a config file reads it as the number
+    path = tmp_path / "exp.yaml"
+    save_config(preset("experiment1"), path)
+    text = path.read_text()
+    for old, new in (("lambda: 0.5\n", "lambda: 5e-1\n"), ("t_end: 0.9\n", "t_end: 9e-1\n"),
+                     ("values:\n  - 0.5\n  - 2.0\n", "values:\n  - 5e-1\n  - 2e0\n")):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    path.write_text(text)
+    assert main(["verify", "--preset", "experiment1"]) == 0
+    want = capsys.readouterr().out
+    assert main(["verify", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("line, message", [
+    ("reference_n: 2e3", "reference_n: expected an integer, got 2000.0"),
+    ("lambda: '5e-1'", "lambda: expected a number, got '5e-1'"),
+], ids=["exponent-integer", "quoted-exponent"])
+def test_an_exponent_float_is_no_integer_and_a_quoted_one_no_number(line, message, tmp_path,
+                                                                    capsys):
+    path = tmp_path / "exp.yaml"
+    save_config(small_config(), path)
+    key = line.split(":")[0]
+    text = path.read_text()
+    lines = [line if row.startswith(f"{key}:") else row for row in text.splitlines()]
+    assert lines != text.splitlines()
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_run_accepts_config_file(tmp_path):
     path = tmp_path / "exp.yaml"
     save_config(small_config(snapshots=[0.1]), path)

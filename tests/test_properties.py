@@ -28,11 +28,13 @@ from discflux import (
 )
 from discflux import analysis
 from discflux.errors import _tolerance
-from discflux.fluxes import _array_form, _inverse
+from discflux.fluxes import _array_form, _chain, _inverse
 from discflux.solver import _NARROW_EVERY, _inflow_column, _march
 from oracles import (
+    adapted_constants_reference,
     entropy_residual_whole,
     flux_lipschitz_whole,
+    invariant_interval_reference,
     reference_levels,
     same_report,
     scalar_inverse,
@@ -111,6 +113,16 @@ def marches(draw):
     return model, grid, datum, steps + fraction, trace, cfl
 
 
+def data_bounds(case):
+    """The drawn case's least and largest value over its datum's cell averages and its trace."""
+    _, grid, datum, _, trace, _ = case
+    u0 = cell_average(datum, grid)
+    lo, hi = float(u0.min()), float(u0.max())
+    if trace is not None:
+        lo, hi = min(lo, float(trace.min())), max(hi, float(trace.max()))
+    return lo, hi
+
+
 def march_config(case):
     """The drawn case's data range, bracket and solver config, or ``None``.
 
@@ -118,10 +130,7 @@ def march_config(case):
     takes lam from its fastest wave speed.
     """
     model, grid, datum, steps, trace, cfl = case
-    u0 = cell_average(datum, grid)
-    lo, hi = float(u0.min()), float(u0.max())
-    if trace is not None:
-        lo, hi = min(lo, float(trace.min())), max(hi, float(trace.max()))
+    lo, hi = data_bounds(case)
     try:
         bracket = invariant_interval(model, (lo, hi))
     except DivergentRangeError:
@@ -364,6 +373,38 @@ def test_a_stacked_plan_marches_each_row_as_a_one_row_plan(case, seed, windowed)
             assert (row_k, row_cells) == (k, cells)
             assert got.tobytes() == want.tobytes()
     assert marched == len(lams) * len(model.segments)
+
+
+# Entropy constants: on the data, past a law's image or a quadratic's
+# vertex on either side, and two whose flux overflows a quadratic law.
+CONSTANTS = st.one_of(VALUES, st.floats(-20.0, 20.0), st.sampled_from([1e160, -1e160]))
+
+
+def same_bits_or_error(got, want):
+    """``got()`` and ``want()`` give the same floats bit for bit, or raise one error class."""
+    try:
+        expected = [float(v).hex() for v in want()]
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            got()
+    else:
+        assert [float(v).hex() for v in got()] == expected
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(marches(), st.lists(CONSTANTS, min_size=1, max_size=4))
+def test_the_chain_keeps_the_bits_of_the_hand_written_loops(case, constants):
+    # the invariant interval and the adapted constants are one pass through
+    # the interface maps; on the data's range and its hull with each
+    # constant, and for each constant, they give the bits of their former
+    # loops, or raise the error class those raise
+    model, seed = case[0], data_bounds(case)
+    for lo, hi in [seed, *((min(seed[0], c), max(seed[1], c)) for c in constants)]:
+        same_bits_or_error(lambda: invariant_interval(model, (lo, hi)),
+                           lambda: invariant_interval_reference(model, (lo, hi)))
+    for c in constants:
+        same_bits_or_error(lambda: _chain(model, c, seed),
+                           lambda: adapted_constants_reference(model, c, seed))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
