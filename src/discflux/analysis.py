@@ -20,7 +20,6 @@ from .errors import (
     MissingDataError,
     ProjectionError,
     SequencingError,
-    ValidityError,
     _tolerance,
 )
 from .exact import ExactSolution

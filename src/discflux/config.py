@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, GridAlignmentError, _tolerance
 from .fluxes import PiecewiseFlux, linear_flux, quadratic_flux
-from .grid import PiecewiseConstant, SampledTable, build_grid
+from .grid import PiecewiseConstant, SampledTable, build_grid, _samples
 from .solver import Inflow, Outflow, ProblemSpec, SolverConfig
 
 # each datum and trace kind with its required keys; the initial datum takes
@@ -368,20 +368,33 @@ def initial_datum(config: ExperimentConfig):
 
 
 def data_range(config: ExperimentConfig) -> tuple[float, float]:
-    """Hull of the initial datum's values (and inflow trace values, if any)."""
-    specs = (config.initial, config.boundary_left.get("trace"))  # no trace on an outflow
-    values = np.hstack([_datum(spec)[1] for spec in specs if spec is not None])
+    """Hull of the values a study reads of its initial datum and inflow trace, if any.
+
+    The datum is read on [xmin, xmax] and the trace on [0, t_end].  A table
+    counts its values at :func:`~discflux.grid._samples` of its window, so
+    rows past the window leave the hull alone; one that does not cover its
+    window raises :class:`DomainError`.
+    """
+    values = []
+    for spec, lo, hi in ((config.initial, config.xmin, config.xmax),
+                         (config.boundary_left.get("trace"), 0.0, config.t_end)):
+        if spec is not None:  # no trace on an outflow
+            datum, hull = _datum(spec)
+            values.append(datum(_samples(datum, lo, hi)) if hull is None else hull)
+    values = np.hstack(values)
     return float(values.min()), float(values.max())
 
 
 def _datum(spec: dict):
-    """The datum or trace that ``spec`` names, and values whose hull is its values'."""
+    """The datum or trace that ``spec`` names, and values whose hull is its values'.
+
+    A table gives ``None`` for its values: :func:`data_range` reads it on its window.
+    """
     kind = spec["kind"]
     if kind == "piecewise_constant":
         return PiecewiseConstant(tuple(spec["breakpoints"]), tuple(spec["values"])), spec["values"]
     if kind == "table":
-        table = _load_table(spec["path"])
-        return table, table.values
+        return _load_table(spec["path"]), None
     if kind == "constant":
         value = spec["value"]
 

@@ -10,7 +10,7 @@ coupling (flux continuity) uniquely invertible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 

@@ -186,15 +186,16 @@ def cell_average(u0, grid: Grid) -> np.ndarray:
     """Per-cell means of the initial datum.
 
     Step functions are averaged exactly (a cell fully inside one piece gets
-    that piece's value bit for bit); callables and tables via 5-point
-    Gauss-Legendre per cell, a cell whose samples are all equal getting
-    that value.
+    that piece's value bit for bit), and so are tables: each cell is a slab
+    of :func:`_slab_average`, the trapezoid on the kinks inside it.
+    Callables take 5-point Gauss-Legendre per cell, a cell whose samples
+    are all equal getting that value.  A table that does not cover the
+    domain raises :class:`DomainError` from its own check.
     """
     if isinstance(u0, PiecewiseConstant):
         return _average_steps(u0, grid)
     if isinstance(u0, SampledTable):
-        u0(np.array([grid.xmin, grid.xmax]))  # covers the domain, by the table's own check
-        return _average_quadrature(u0, grid)
+        return _slab_average(u0, grid.edges[:-1], grid.edges[1:])
     if callable(u0):
         return _average_quadrature(u0, grid)
     raise TypeError(f"cannot average data of type {type(u0).__name__}")
@@ -223,6 +224,61 @@ def _average_quadrature(f: Callable, grid: Grid) -> np.ndarray:
     x = grid.centers[:, None] + (0.5 * grid.dx) * _GL_NODES[None, :]
     fx = _evaluate(f, x)
     return np.where((fx == fx[:, :1]).all(axis=1), fx[:, 0], fx @ _GL_WEIGHTS / 2.0)
+
+
+def _slab_average(trace, t0, t1):
+    """Mean of a datum or trace over each slab ``(t0, t1)``, the value at ``t1`` if it is empty.
+
+    The one mean of a table, over the cells of its datum and the time slabs
+    of its trace alike.  Elementwise; a Python float for scalars.  A table
+    is integrated exactly on its kinks, the points strictly inside the
+    slab: one array pass serves the slabs inside one piece, the rest go one
+    by one, and the table call rejects a slab past its ends.  A callable
+    takes 5-point Gauss-Legendre, all slabs' nodes in one call but each
+    slab's sum as its own 1-D dot product, whose bits a 2-D product need
+    not keep.  A slab whose samples are all equal gives that value exactly.
+    """
+    t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
+    out, empty = np.empty(t0.shape), _empty(t0, t1)
+    if empty.any():
+        out[empty] = _evaluate(trace, t1[empty])
+    a, b = t0[~empty], t1[~empty]
+    means = np.empty(a.shape)
+    if isinstance(trace, SampledTable):
+        pts = trace.points
+        i, j = pts.searchsorted(a, "right"), pts.searchsorted(b)
+        one = (i == j) & (0 < i) & (i < pts.size)
+        y0, y1 = np.interp(a[one], pts, trace.values), np.interp(b[one], pts, trace.values)
+        w = (b - a)[one]
+        means[one] = np.where(y0 == y1, y0, 0.5 * (y1 + y0) * w / w)
+        for k in np.flatnonzero(~one).tolist():
+            xs = np.concatenate(([a[k]], pts[i[k]:j[k]], [b[k]]))
+            ys = trace(xs)
+            means[k] = ys[0] if np.all(ys == ys[0]) else (
+                float(np.sum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs))) / (b[k] - a[k]))
+    elif a.size:
+        ys = _evaluate(trace, (0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * _GL_NODES)
+        means[:] = ys[:, 0]
+        for k in np.flatnonzero((ys != ys[:, :1]).any(axis=1)).tolist():
+            means[k] = float(ys[k] @ _GL_WEIGHTS) / 2.0
+    out[~empty] = means
+    return out if out.ndim else float(out)
+
+
+def _empty(t0, t1):
+    """Whether the slab ``(t0, t1)`` is too short to average over; elementwise."""
+    return t1 - t0 <= _tolerance(1e-15, t0, t1)
+
+
+def _samples(f, lo: float, hi: float) -> np.ndarray:
+    """Where a study reads ``f`` on its window ``[lo, hi]``, in order.
+
+    Both ends, and between them a table's own points or a callable's
+    1025 even points.  A table is linear between its samples, so their
+    values hold its least and greatest value on the window.
+    """
+    pts = f.points if isinstance(f, SampledTable) else np.linspace(lo, hi, 1025)
+    return np.concatenate(([lo], pts[(pts > lo) & (pts < hi)], [hi]))
 
 
 def _evaluate(f: Callable, x: np.ndarray) -> np.ndarray:

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import DomainError, MonotonicityError, StabilityError, _tolerance
 from .fluxes import PiecewiseFlux, invariant_interval, _array_form, _inverse
-from .grid import (Grid, SampledTable, cell_average, _check_snapped, _evaluate, _GL_NODES,
-                   _GL_WEIGHTS)
+from .grid import (Grid, SampledTable, cell_average, _check_snapped, _evaluate, _samples,
+                   _slab_average)
 
 _CFL_SLACK = 1e-12
 
@@ -440,49 +440,6 @@ def inflow_boundary_value(trace, step_index: int, dt: float) -> float:
     return float(_inflow_column(Inflow(trace), [(k - 1) * dt], dt, dt, math.inf)[0])
 
 
-def _slab_average(trace, t0, t1):
-    """Mean of the trace over each slab ``(t0, t1)``, the value at ``t1`` if it is empty.
-
-    Elementwise; a Python float for scalars.  A table is integrated exactly
-    on its kinks, the points strictly inside the slab: one array pass serves
-    the slabs inside one piece, the rest go one by one, and the table call
-    rejects a slab past its ends.  A callable takes 5-point Gauss-Legendre,
-    all slabs' nodes in one call but each slab's sum as its own 1-D dot
-    product, whose bits a 2-D product need not keep.  A slab whose samples
-    are all equal gives that value exactly.
-    """
-    t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
-    out, empty = np.empty(t0.shape), _empty(t0, t1)
-    if empty.any():
-        out[empty] = _evaluate(trace, t1[empty])
-    a, b = t0[~empty], t1[~empty]
-    means = np.empty(a.shape)
-    if isinstance(trace, SampledTable):
-        pts = trace.points
-        i, j = pts.searchsorted(a, "right"), pts.searchsorted(b)
-        one = (i == j) & (0 < i) & (i < pts.size)
-        y0, y1 = np.interp(a[one], pts, trace.values), np.interp(b[one], pts, trace.values)
-        w = (b - a)[one]
-        means[one] = np.where(y0 == y1, y0, 0.5 * (y1 + y0) * w / w)
-        for k in np.flatnonzero(~one).tolist():
-            xs = np.concatenate(([a[k]], pts[i[k]:j[k]], [b[k]]))
-            ys = trace(xs)
-            means[k] = ys[0] if np.all(ys == ys[0]) else (
-                float(np.sum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs))) / (b[k] - a[k]))
-    elif a.size:
-        ys = _evaluate(trace, (0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * _GL_NODES)
-        means[:] = ys[:, 0]
-        for k in np.flatnonzero((ys != ys[:, :1]).any(axis=1)).tolist():
-            means[k] = float(ys[k] @ _GL_WEIGHTS) / 2.0
-    out[~empty] = means
-    return out if out.ndim else float(out)
-
-
-def _empty(t0, t1):
-    """Whether the slab ``(t0, t1)`` is too short to average over; elementwise."""
-    return t1 - t0 <= _tolerance(1e-15, t0, t1)
-
-
 def _inflow_column(left, times, steps, slab: float, t_end: float) -> Optional[np.ndarray]:
     """Boundary cell of each level ``steps`` after the pinned ``times``, for :func:`_march`.
 
@@ -600,15 +557,15 @@ def _bracket(model: PiecewiseFlux, config: SolverConfig, u: np.ndarray,
              column: Optional[np.ndarray]) -> tuple[float, float]:
     """Invariant interval of ``u``, of an inflow trace on [0, t_end] and of its ``column``.
 
-    A table is sampled at its own points, a callable at 1025; a spike
-    between those samples can still reach the column's quadrature nodes.
+    The trace is read at :func:`~discflux.grid._samples` of that window, a
+    table's own points or a callable's 1025; a spike between those samples
+    can still reach the column's quadrature nodes.
     Raises :class:`DomainError` at the first sample that is not finite.
     """
     lo, hi = float(u.min()), float(u.max())
     if isinstance(config.left, Inflow):
-        trace, t_end = config.left.trace, config.t_end
-        pts = trace.points if isinstance(trace, SampledTable) else np.linspace(0.0, t_end, 1025)
-        ts = np.concatenate(([0.0], pts[(pts > 0.0) & (pts < t_end)], [t_end]))
+        trace = config.left.trace
+        ts = _samples(trace, 0.0, config.t_end)
         samples = _evaluate(trace, ts)
         bad = ~np.isfinite(samples)
         if bad.any():

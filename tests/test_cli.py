@@ -797,6 +797,32 @@ def test_verify_skips_the_step_checks_of_a_run_without_steps(tmp_path, capsys):
                for ln in lines[3:])
 
 
+@pytest.mark.parametrize("rows, kind, cfl", [
+    ("t,u\n0.0,1.0\n0.9,1.0\n5.0,40.0\n", "trace",
+     "lambda*max_speed = 0.707107 on range [0.5, 1.41421]"),
+    ("x,u\n-1.0,0.5\n1.0,0.5\n3.0,-5.0\n", "datum", "lambda*max_speed = 0.5 on range [0.5, 1]"),
+], ids=["trace-past-t_end", "datum-past-xmax"])
+def test_verify_counts_only_the_table_rows_its_study_reads(tmp_path, capsys, rows, kind, cfl):
+    # the study reads a trace on [0, 0.9] and a datum on [-1, 1]: the trace's
+    # 40 at t = 5 would give lambda*max_speed = 20, and the datum's -5 at x = 3
+    # a Burgers law that decreases on the data
+    table = tmp_path / "table.csv"
+    table.write_text(rows)
+    spec = {"kind": "table", "path": str(table)}
+    if kind == "trace":
+        overrides = {"initial": {"kind": "piecewise_constant", "breakpoints": [-0.5],
+                                 "values": [0.5, 1.0]},
+                     "boundary": {"left": {"kind": "inflow", "trace": spec}}}
+    else:
+        overrides = {"initial": spec}
+    path = tmp_path / "exp.yaml"
+    save_config(small_config(**overrides, **{"lambda": 0.5}, t_end=0.9), path)
+    assert main(["verify", "--config", str(path)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0].split(None, 2) == ["cfl", "PASS", cfl]
+    assert all(ln.split()[1] == "PASS" for ln in lines)
+
+
 # }}}
 
 

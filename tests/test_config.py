@@ -304,12 +304,13 @@ def test_initial_datum_kinds(tmp_path):
     assert sampled(0.0) == pytest.approx(2.0)
     assert data_range(tab) == (1.0, 3.0)
 
-    # each datum kind under each inflow trace kind: the hull of both
+    # each datum kind under each inflow trace kind: the hull of both, the
+    # table trace read on [0, t_end] = [0, 0.9], where it ends at 1.375
     trace = tmp_path / "trace.csv"
     trace.write_text("0.0,2.5\n1.0,1.25\n")
     traces = ({"kind": "constant", "value": 0.5}, {"kind": "table", "path": str(trace)})
     hulls = {"piecewise_constant": [(0.5, 2.0), (1.0, 2.5)],
-             "gaussian_offset": [(0.5, 2.0), (1.25, 2.5)],
+             "gaussian_offset": [(0.5, 2.0), (1.375, 2.5)],
              "table": [(0.5, 3.0), (1.0, 3.0)]}
     for datum in (pc, gauss, tab):
         for left, hull in zip(traces, hulls[datum.initial["kind"]]):
@@ -369,7 +370,8 @@ def test_build_boundary_variants(tmp_path):
     inflow = build_boundary(config)
     assert isinstance(inflow.trace, SampledTable)
     assert inflow.trace(0.5) == pytest.approx(2.0)
-    assert data_range(config) == (1.0, 2.5)
+    # the trace is read up to t_end = 0.9, where the table reads 2.4
+    assert data_range(config) == (1.0, 2.4)
 
 
 def test_a_relative_table_path_is_read_from_the_config_file(tmp_path, monkeypatch):

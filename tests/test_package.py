@@ -1,5 +1,6 @@
 """Packaging guards: what importing discflux pulls in, and what it exports."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -132,3 +133,25 @@ def test_the_public_surface_is_this_list():
         "temporal_tv",
     ]
     assert all(hasattr(discflux, name) for name in discflux.__all__)
+
+
+def test_every_import_is_used():
+    # each name a module imports appears in its code as a name, or in __all__
+    # for the package's re-exports; ``from __future__`` binds nothing
+    unused = []
+    for path in sorted((SRC / "discflux").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                used |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [(a.asname or a.name).partition(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in used]
+    assert unused == []

@@ -36,7 +36,8 @@ from discflux import (
 )
 from discflux.config import build_model, from_dict, to_dict
 from discflux.errors import _tolerance
-from discflux.solver import _empty, _inflow_column, _slab_average
+from discflux.grid import _empty, _slab_average
+from discflux.solver import _inflow_column
 from oracles import slab_average_oracle
 
 FAR = 2.0 ** -20  # relative distance far past every tolerance

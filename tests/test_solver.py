@@ -39,7 +39,7 @@ from discflux import (
 from discflux import cli, solver
 from discflux.cli import _ordering_gap
 from discflux.config import from_dict
-from discflux.solver import _slab_average
+from discflux.grid import _slab_average
 from oracles import (
     godunov_edge,
     record_spans,
