@@ -186,18 +186,18 @@ def cell_average(u0, grid: Grid) -> np.ndarray:
     """Per-cell means of the initial datum.
 
     Step functions are averaged exactly (a cell fully inside one piece gets
-    that piece's value bit for bit), and so are tables: each cell is a slab
-    of :func:`_slab_average`, the trapezoid on the kinks inside it.
-    Callables take 5-point Gauss-Legendre per cell, a cell whose samples
-    are all equal getting that value.  A table that does not cover the
-    domain raises :class:`DomainError` from its own check.
+    that piece's value bit for bit).  Every other datum, table or callable,
+    takes each cell as a slab of :func:`_slab_average`: the trapezoid on a
+    table's kinks, 5-point Gauss-Legendre on a callable, so a cell mean and
+    a slab mean of one callable are one rule.  A cell narrower than
+    :func:`_empty`'s relative 1e-15 takes the datum's value at its right
+    edge.  A table that does not cover the domain raises
+    :class:`DomainError` from its own check.
     """
     if isinstance(u0, PiecewiseConstant):
         return _average_steps(u0, grid)
-    if isinstance(u0, SampledTable):
-        return _slab_average(u0, grid.edges[:-1], grid.edges[1:])
     if callable(u0):
-        return _average_quadrature(u0, grid)
+        return _slab_average(u0, grid.edges[:-1], grid.edges[1:])
     raise TypeError(f"cannot average data of type {type(u0).__name__}")
 
 
@@ -215,28 +215,23 @@ def _average_steps(u0: PiecewiseConstant, grid: Grid) -> np.ndarray:
     out = vals[i_left].copy()
     for j in np.nonzero(i_left != i_right)[0]:
         cuts = np.concatenate(([left[j]], bps[i_left[j]:i_right[j]], [right[j]]))
-        out[j] = np.dot(np.diff(cuts), vals[i_left[j]:i_right[j] + 1]) / grid.dx
+        out[j] = np.sum(np.diff(cuts) * vals[i_left[j]:i_right[j] + 1]) / grid.dx
     return out
-
-
-def _average_quadrature(f: Callable, grid: Grid) -> np.ndarray:
-    # five equal samples give their value; the weighted sum need not
-    x = grid.centers[:, None] + (0.5 * grid.dx) * _GL_NODES[None, :]
-    fx = _evaluate(f, x)
-    return np.where((fx == fx[:, :1]).all(axis=1), fx[:, 0], fx @ _GL_WEIGHTS / 2.0)
 
 
 def _slab_average(trace, t0, t1):
     """Mean of a datum or trace over each slab ``(t0, t1)``, the value at ``t1`` if it is empty.
 
-    The one mean of a table, over the cells of its datum and the time slabs
-    of its trace alike.  Elementwise; a Python float for scalars.  A table
+    The one mean of a table or a callable, over the cells of a datum and
+    the time slabs of a trace alike.  Elementwise; a Python float for scalars.  A table
     is integrated exactly on its kinks, the points strictly inside the
     slab: one array pass serves the slabs inside one piece, the rest go one
     by one, and the table call rejects a slab past its ends.  A callable
-    takes 5-point Gauss-Legendre, all slabs' nodes in one call but each
-    slab's sum as its own 1-D dot product, whose bits a 2-D product need
-    not keep.  A slab whose samples are all equal gives that value exactly.
+    takes 5-point Gauss-Legendre, all slabs' nodes in one call, node-major,
+    and each slab's sum in node order, ((y0*w0 + y1*w1) + ...) + y4*w4, with
+    ufunc products and no BLAS, so that its bits depend neither on the other
+    slabs nor on the host's BLAS kernel.  A slab whose samples are all equal
+    gives that value exactly.
     """
     t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
     out, empty = np.empty(t0.shape), _empty(t0, t1)
@@ -257,10 +252,9 @@ def _slab_average(trace, t0, t1):
             means[k] = ys[0] if np.all(ys == ys[0]) else (
                 float(np.sum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs))) / (b[k] - a[k]))
     elif a.size:
-        ys = _evaluate(trace, (0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * _GL_NODES)
-        means[:] = ys[:, 0]
-        for k in np.flatnonzero((ys != ys[:, :1]).any(axis=1)).tolist():
-            means[k] = float(ys[k] @ _GL_WEIGHTS) / 2.0
+        ys = _evaluate(trace, 0.5 * (a + b) + (0.5 * (b - a)) * _GL_NODES[:, None])
+        means[:] = np.where((ys == ys[0]).all(axis=0), ys[0],
+                            np.multiply(ys, _GL_WEIGHTS[:, None]).sum(axis=0) / 2.0)
     out[~empty] = means
     return out if out.ndim else float(out)
 

@@ -96,8 +96,9 @@ def slab_average_oracle(trace, t0, t1):
     A ``SampledTable`` is integrated by the trapezoid on its kinks: the
     table points strictly inside the slab are picked with a mask and joined
     to the slab's ends.  A callable takes the 5-point Gauss-Legendre rule,
-    on one array of its nodes.  Either way a slab where every sampled value
-    is the same gives that value.
+    on one array of its nodes, summed one product at a time from the first
+    node to the last.  Either way a slab where every sampled value is the
+    same gives that value.
     """
     if t1 - t0 <= 1e-15 * max(abs(t0), abs(t1)):
         return float(trace(t1))
@@ -112,7 +113,10 @@ def slab_average_oracle(trace, t0, t1):
     ys = np.asarray(trace(0.5 * (t0 + t1) + (0.5 * (t1 - t0)) * nodes), dtype=float)
     if np.all(ys == ys[0]):
         return float(ys[0])
-    return float(ys @ weights) / 2.0
+    total = float(ys[0]) * float(weights[0])
+    for y, w in zip(ys[1:].tolist(), weights[1:].tolist()):
+        total += y * w
+    return total / 2.0
 
 
 def upwind_edge(f, a, b):

@@ -1,10 +1,15 @@
-"""Packaging guards: what importing discflux pulls in, and what it exports."""
+"""Packaging guards: what importing discflux pulls in, what it exports, and
+what its values may hang on."""
 
 import ast
 import json
+import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import discflux
 
@@ -23,15 +28,16 @@ def test_import_does_not_load_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def run_fresh(code, *args):
+def run_fresh(code, *args, env=None):
     """Stdout of ``code`` in a fresh ``-W error`` interpreter on this checkout's package.
 
-    ``sys.argv[1]`` is the source directory; ``args`` follow it.
+    ``sys.argv[1]`` is the source directory; ``args`` follow it.  ``env``,
+    when given, is the interpreter's whole environment.
     """
     prelude = ("import sys; sys.path.insert(0, sys.argv[1]); import discflux; "
                "assert discflux.__file__.startswith(sys.argv[1]), discflux.__file__\n")
     proc = subprocess.run([sys.executable, "-W", "error", "-c", prelude + code, str(SRC),
-                           *map(str, args)], capture_output=True, text=True)
+                           *map(str, args)], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -155,3 +161,59 @@ def test_every_import_is_used():
                 continue
             unused += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in used]
     assert unused == []
+
+
+def test_no_blas_product_in_the_package():
+    # a BLAS product's bits hang on the kernel a runtime-dispatched BLAS picks
+    # for the CPU; a reduction of ufunc products adds in a fixed order
+    blas = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum"}
+    found = []
+    for path in sorted((SRC / "discflux").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{path.name}:{node.lineno} @")
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in blas:
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
+KERNEL_SCRIPT = """
+import hashlib
+import numpy as np
+from discflux import PiecewiseConstant, build_grid, cell_average
+from discflux.config import initial_datum, preset
+from discflux.grid import _slab_average
+
+def digest(values):
+    return hashlib.sha256(np.asarray(values, dtype=float).tobytes()).hexdigest()
+
+config = preset("experiment2")
+grid = build_grid(config.xmin, config.xmax, 2048, config.interfaces)
+print(digest(cell_average(initial_datum(config), grid)))
+# a step datum with about 55 jumps inside each of its 6 cells
+cuts = np.linspace(0.0, 3.0, 331)[1:-1]
+bps = np.sort(cuts + 0.003 * np.sin(np.arange(cuts.size) * 1.7))
+vals = 1.0 + 0.5 * np.cos(np.arange(bps.size + 1) * 0.9)
+print(digest(cell_average(PiecewiseConstant(tuple(bps), tuple(vals)), build_grid(0.0, 3.0, 6))))
+t0 = np.linspace(0.0, 1.0, 2001)[:-1]
+print(digest(_slab_average(lambda t: 1.5 + 0.25 * np.sin(7.0 * np.asarray(t)), t0, t0 + 1 / 2000)))
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OpenBLAS names these kernels on x86-64 only")
+def test_the_means_do_not_hang_on_the_blas_kernel():
+    # OPENBLAS_CORETYPE forces the kernel a DYNAMIC_ARCH OpenBLAS would pick
+    # by CPU; Prescott and Nehalem run on any x86-64 CPU and multiply and add
+    # without fusing, where the default kernel of a newer CPU fuses them.
+    # Under a numpy not linked to a runtime-dispatched OpenBLAS the variable
+    # does nothing, and this test then checks nothing.
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    outs = [run_fresh(KERNEL_SCRIPT, env=env)]
+    outs += [run_fresh(KERNEL_SCRIPT, env={**env, "OPENBLAS_CORETYPE": kernel})
+             for kernel in ("Prescott", "Nehalem")]
+    assert len(outs[0].split()) == 3
+    assert outs[1] == outs[0] and outs[2] == outs[0]

@@ -297,8 +297,8 @@ def test_constant_callable_inflow_returns_its_value_exactly():
 
 def test_a_callable_slab_average_keeps_each_slab_s_own_sum():
     # every slab's nodes go to the trace in one call, but each slab keeps its
-    # own 1-D weighted sum, which a 2-D product rounds differently in about
-    # a third of these slabs; a scalar call is the same slab in the array
+    # own weighted sum, taken in node order as the oracle's scalar loop takes
+    # it; a scalar call is the same slab in the array
     def trace(t):
         return 1.5 + 0.25 * np.sin(7.0 * np.asarray(t))
 
